@@ -15,6 +15,8 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import click
@@ -68,6 +70,22 @@ def _load_graph(path):
         return load_snapshot(path)
     except (GraphError, OSError, ValueError) as exc:
         raise click.ClickException(f"cannot load graph {path}: {exc}")
+
+
+def _load_clustering(g, path):
+    try:
+        return read_clustering(g, path)
+    except ValueError as exc:
+        raise click.ClickException(f"cannot load clustering {path}: {exc}")
+
+
+@contextmanager
+def _usage_errors():
+    """A spec object's ValueError names a bad flag value: exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 @click.group()
@@ -148,7 +166,8 @@ def _parse_method(method):
               help="Maximum cluster size for the local search.")
 @click.option("--p", type=float, default=0.5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--restarts", type=int, default=1, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--max-passes", type=int, default=None)
 @click.option("--time-budget", type=float, default=None,
               help="Search time budget in seconds.")
@@ -158,6 +177,10 @@ def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
                max_passes, time_budget, trace):
     """Produce a diversion-unit clustering by the chosen method."""
     started = time.perf_counter()
+    with _usage_errors():
+        cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=max_passes,
+                                time_budget=time_budget, convergence=True,
+                                seed=seed, p=p)
     g = _load_graph(graph)
     kind, balanced_k = _parse_method(method)
     m = g.n_diversion
@@ -172,13 +195,6 @@ def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
                 f"balanced:{balanced_k} exceeds the {m} diversion units")
         c = balanced_partition_baseline(g, balanced_k, seed=seed)
     else:
-        try:
-            cfg = LocalSearchConfig(phi=phi, k_max=k_max,
-                                    max_passes=max_passes,
-                                    time_budget=time_budget,
-                                    convergence=True, seed=seed, p=p)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
         result = local_search_restarts(g, cfg, restarts)
         c = result.clustering
     write_clustering(c, g, out_clustering)
@@ -222,8 +238,9 @@ def cmd_moments(graph, clustering, out_csv, p):
     """Exposure means and variances for a clustering, as CSV."""
     started = time.perf_counter()
     g = _load_graph(graph)
-    c = read_clustering(g, clustering)
-    d = DesignSpec.independent_cluster(c, p)
+    c = _load_clustering(g, clustering)
+    with _usage_errors():
+        d = DesignSpec.independent_cluster(c, p)
     try:
         mom = exposure_moments(g, d)
     except DegenerateDesignError as exc:
@@ -249,9 +266,11 @@ def cmd_moments(graph, clustering, out_csv, p):
 @click.option("--bernoulli", is_flag=True,
               help="Use the unit-level Bernoulli design instead.")
 @click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--replicates", type=int, default=5000, show_default=True)
+@click.option("--replicates", type=click.IntRange(min=1), default=5000,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--bins", type=int, default=50, show_default=True)
+@click.option("--bins", type=click.IntRange(min=1), default=50,
+              show_default=True)
 def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
                  replicates, seed, bins):
     """Monte Carlo estimate distribution for one design and scenario."""
@@ -265,11 +284,13 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
     except ScenarioError as exc:
         raise click.ClickException(str(exc))
     if bernoulli:
-        d = DesignSpec.bernoulli(p)
+        with _usage_errors():
+            d = DesignSpec.bernoulli(p)
         design_name = "bernoulli"
     else:
-        c = read_clustering(g, clustering)
-        d = DesignSpec.independent_cluster(c, p)
+        c = _load_clustering(g, clustering)
+        with _usage_errors():
+            d = DesignSpec.independent_cluster(c, p)
         design_name = f"independent-cluster[k={c.k}]"
     model = generate_outcome_model(g, spec)
     try:
@@ -313,7 +334,8 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
               help="Comma-separated trade-off values, e.g. 0.01,0.25,1.0")
 @click.option("--k-max", type=int, default=None)
 @click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--replicates", type=int, default=5000, show_default=True)
+@click.option("--replicates", type=click.IntRange(min=1), default=5000,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Base seed for the simulation replicates.")
 @click.option("--search-seed", type=int, default=0, show_default=True)
@@ -329,13 +351,17 @@ def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
         phi_values = [float(tok) for tok in phi_values]
     except ValueError as exc:
         raise click.UsageError(f"bad --phis value: {exc}")
+    with _usage_errors():
+        cfg = LocalSearchConfig(phi=1.0, k_max=k_max, max_passes=max_passes,
+                                convergence=True, seed=search_seed, p=p)
+        # Each search's config validates its phi.
+        for phi in phi_values:
+            replace(cfg, phi=phi)
     g = _load_graph(graph)
     try:
         spec = read_scenario_file(scenario)
     except ScenarioError as exc:
         raise click.ClickException(str(exc))
-    cfg = LocalSearchConfig(phi=1.0, k_max=k_max, max_passes=max_passes,
-                            convergence=True, seed=search_seed, p=p)
     rows = phi_sweep(g, spec, phi_values, cfg, replicates, seed,
                      path=out_csv)
     argv = ["sweep", graph, scenario, out_csv, "--phis", phis,

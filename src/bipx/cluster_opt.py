@@ -21,16 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from bipx.design import (Clustering, DesignSpec, cluster_aggregated_weights,
-                         enumerate_exact_moments)
+from bipx.design import (Clustering, DesignSpec, enumerate_exact_moments,
+                         exposure_moments)
 from bipx.graph_core import diversion_coweight
 
 # Strict improvement threshold; prevents cycling on exact ties.
 ACCEPT_EPS = 1e-12
-
-
-class ClusterAtCapacityError(Exception):
-    """Move target is already at the configured maximum cluster size."""
 
 
 @dataclass(frozen=True)
@@ -120,17 +116,12 @@ def objective(g, c, phi, p=0.5):
     The coin-variance factor scales every clustering alike, so the argmax
     over clusterings does not depend on p.
     """
-    g.require_normalized()
     d = DesignSpec.independent_cluster(c, p)
-    caw = cluster_aggregated_weights(g, c)
-    sq = caw.agg.copy()
-    sq.data = sq.data ** 2
-    agg_sq = float(sq.sum())
-    s_sq = float(np.sum(caw.cluster_col_sums ** 2))
-    cv = d.coin_variance
-    return ObjectiveValue(variance_sum=cv * agg_sq,
-                          covariance_sum=cv * (s_sq - agg_sq),
-                          phi=phi)
+    var_sum = float(exposure_moments(g, d, check=False).variance.sum())
+    s_c = np.bincount(c.assignment, weights=g.col_sums, minlength=c.k)
+    s_sq = d.coin_variance * float(np.sum(s_c ** 2))
+    return ObjectiveValue(variance_sum=var_sum,
+                          covariance_sum=s_sq - var_sum, phi=phi)
 
 
 def objective_by_moments(g, c, phi, p=0.5):
@@ -172,16 +163,10 @@ def exposure_spread_objective(g, c, p=0.5, method="aggregate"):
         return float(exact.expect(lambda x: np.sum((x - x.mean()) ** 2)))
     if method != "aggregate":
         raise ValueError(f"unknown method {method!r}")
-    n = g.n_outcome
-    caw = cluster_aggregated_weights(g, c)
-    sq = caw.agg.copy()
-    sq.data = sq.data ** 2
-    agg_sq = float(sq.sum())
-    s_sq = float(np.sum(caw.cluster_col_sums ** 2))
-    cov_part = d.coin_variance * (agg_sq - s_sq / n)
-    r = g.row_sums
-    mean_part = (2.0 * d.p - 1.0) ** 2 * float(np.sum((r - r.mean()) ** 2))
-    return cov_part + mean_part
+    obj = objective(g, c, 0.0, p)
+    total = obj.variance_sum + obj.covariance_sum
+    return obj.variance_sum - total / g.n_outcome \
+        + spread_identity_constant(g, c, p)
 
 
 def spread_identity_constant(g, c, p=0.5):
@@ -204,151 +189,81 @@ def wedge_sample(g, i, rng):
     g.require_normalized()
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    out_idx, out_w = g.col(i)
-    if out_idx.size == 0:
+    csc, csr = g.cols, g.rows
+    if csc.indptr[i] == csc.indptr[i + 1]:
         raise ValueError(f"diversion unit {i} has no incident edges")
-    k = _sample_index(out_idx, out_w, rng)
-    row_idx, row_w = g.row(k)
-    return int(_sample_index(row_idx, row_w, rng))
+    k = _draw(csc.indptr, csc.indices, csc.data, i, rng)
+    return int(_draw(csr.indptr, csr.indices, csr.data, k, rng))
 
 
-def _sample_index(indices, weights, rng):
-    cum = np.cumsum(weights)
+def _draw(indptr, indices, data, i, rng):
+    """One index of compressed slice i, drawn in proportion to its data."""
+    lo, hi = indptr[i], indptr[i + 1]
+    cum = np.cumsum(data[lo:hi])
     u = rng.random() * cum[-1]
-    pos = int(np.searchsorted(cum, u, side="right"))
-    return indices[min(pos, indices.size - 1)]
+    return indices[lo + min(int(np.searchsorted(cum, u, side="right")),
+                            hi - lo - 1)]
 
 
-class LocalSearchState:
-    """Incremental clustering state for the local search.
+class _MoveDelta:
+    """Objective change of a single-unit move, from a two-hop gather.
 
-    Keeps, per cluster, the aggregated weight column (a dict keyed by
-    outcome index holding [member_count, weight_sum]) and the aggregated
-    column total S_C. Unmaterialized cluster ids are still their founding
-    singleton, so their aggregates are read straight off the graph column.
-    Move deltas cost O(nnz of column i).
+    With d(i, C) = sum_{k in col i} w[k, i] sum_{j in row k, a[j] = C}
+    w[k, j], moving unit i from its cluster A to cluster B changes the
+    objective by 2 * 4p(1-p) * [(1 + phi) (d(i, B) - d(i, A \\ {i}))
+    - phi s_i (S_B - (S_A - s_i))], S the cluster column totals.
+
+    The paths i -> k -> j of column i are the CSR rows of its outcome
+    units k, laid end to end. For the CSC entry e = (k, i), shift[e] is
+    the start of row k minus the offset of e's paths in that layout, so
+    repeat(shift, lens) + arange gives every path's CSR position at once.
     """
 
-    def __init__(self, g, phi, p=0.5, k_max=None):
-        g.require_normalized()
+    def __init__(self, g, phi, p):
+        csc, csr = g.cols, g.rows
         self.g = g
         self.phi = phi
         self.coin_variance = 4.0 * p * (1.0 - p)
-        m = g.n_diversion
-        self.k_max = m if k_max is None else k_max
-        self.assignment = np.arange(m, dtype=np.int64)
-        self.sizes = np.ones(m, dtype=np.int64)
-        self.S = g.col_sums.astype(np.float64).copy()
-        self.agg = {}
-        csc = g.cols
-        self._indptr = csc.indptr
-        self._indices = csc.indices
-        self._data = csc.data
-        sq = csc.copy()
-        sq.data = sq.data ** 2
-        self.col_sq = np.asarray(sq.sum(axis=0)).ravel()
+        self.lens = np.diff(csr.indptr)[csc.indices]
+        ends = np.concatenate(([0], np.cumsum(self.lens)))
+        col_start = ends[csc.indptr]
+        self.hops = np.diff(col_start)
+        self.shift = (csr.indptr[csc.indices] - ends[:-1]
+                      + np.repeat(col_start[:-1], np.diff(csc.indptr)))
+        self.ramp = np.arange(self.hops.max(initial=0))
 
-    def _col(self, j):
-        lo, hi = self._indptr[j], self._indptr[j + 1]
-        return self._indices[lo:hi], self._data[lo:hi]
-
-    def _dot_with_cluster(self, i, cid):
-        """sum_k w[k, i] * agg[cid][k]."""
-        idx, w = self._col(i)
-        bag = self.agg.get(cid)
-        if bag is None:
-            # Unmaterialized: cluster cid is still exactly {cid}.
-            jdx, jw = self._col(cid)
-            _, a, b = np.intersect1d(idx, jdx, assume_unique=True,
-                                     return_indices=True)
-            return float(w[a] @ jw[b])
-        total = 0.0
-        for k, wk in zip(idx, w):
-            entry = bag.get(k)
-            if entry is not None:
-                total += wk * entry[1]
-        return total
-
-    def move_delta(self, i, target):
-        """Objective change from moving unit i to cluster `target`.
-
-        Raises ClusterAtCapacityError when the target is full. Moving a
-        unit to its own cluster is a no-op with delta 0.
-        """
-        a = self.assignment[i]
-        if target == a:
-            return 0.0
-        if self.sizes[target] == 0:
-            raise ValueError(f"cluster {target} is empty")
-        if self.sizes[target] >= self.k_max:
-            raise ClusterAtCapacityError(
-                f"cluster {target} is at k_max = {self.k_max}")
-        return self._delta_unchecked(i, a, target)
-
-    def _delta_unchecked(self, i, a, target):
+    def __call__(self, labels, S, i, target):
+        csc, csr = self.g.cols, self.g.rows
+        lo, hi = csc.indptr[i], csc.indptr[i + 1]
+        w = csc.data[lo:hi]
+        reps = self.lens[lo:hi]
+        pos = np.repeat(self.shift[lo:hi], reps) + self.ramp[:self.hops[i]]
+        prod = np.repeat(w, reps) * csr.data[pos]
+        lab = labels[csr.indices[pos]]
+        a = labels[i]
+        # np.add.reduce is np.sum without its Python-level wrapper.
+        d_new = float(np.add.reduce(prod, where=lab == target))
+        d_own = float(np.add.reduce(prod, where=lab == a)) - float(w.dot(w))
         s_i = float(self.g.col_sums[i])
-        c_ii = float(self.col_sq[i])
-        d_new = self._dot_with_cluster(i, target)
-        d_own = self._dot_with_cluster(i, a) - c_ii
         gain = (1.0 + self.phi) * (d_new - d_own) \
-            - self.phi * s_i * (self.S[target] - (self.S[a] - s_i))
+            - self.phi * s_i * (S[target] - (S[a] - s_i))
         return 2.0 * self.coin_variance * gain
 
-    def apply_move(self, i, target):
-        a = self.assignment[i]
-        if target == a:
-            return
-        if self.sizes[target] == 0:
-            raise ValueError(f"cluster {target} is empty")
-        idx, w = self._col(i)
-        bag = self.agg.get(target)
-        if bag is None:
-            jdx, jw = self._col(target)
-            bag = {int(k): [1, float(wk)] for k, wk in zip(jdx, jw)}
-            self.agg[target] = bag
-        for k, wk in zip(idx, w):
-            entry = bag.get(k)
-            if entry is None:
-                bag[k] = [1, float(wk)]
-            else:
-                entry[0] += 1
-                entry[1] += wk
-        old = self.agg.get(a)
-        if old is not None:
-            for k, wk in zip(idx, w):
-                entry = old[k]
-                if entry[0] == 1:
-                    del old[k]
-                else:
-                    entry[0] -= 1
-                    entry[1] -= wk
-        self.S[target] += self.g.col_sums[i]
-        self.S[a] -= self.g.col_sums[i]
-        self.sizes[target] += 1
-        self.sizes[a] -= 1
-        self.assignment[i] = target
-        if self.sizes[a] == 0:
-            self.S[a] = 0.0
-            self.agg.pop(a, None)
 
-    def objective_value(self):
-        """Recompute the objective from the aggregates (drift-free)."""
-        live = np.flatnonzero(self.sizes > 0)
-        agg_sq = 0.0
-        for cid in live:
-            bag = self.agg.get(cid)
-            if bag is None:
-                agg_sq += float(self.col_sq[cid])
-            else:
-                agg_sq += sum(v[1] * v[1] for v in bag.values())
-        s_sq = float(np.sum(self.S[live] ** 2))
-        cv = self.coin_variance
-        return ObjectiveValue(variance_sum=cv * agg_sq,
-                              covariance_sum=cv * (s_sq - agg_sq),
-                              phi=self.phi)
+def move_delta(g, assignment, i, target, phi, p=0.5):
+    """Objective change from moving unit i into the cluster labelled `target`.
 
-    def clustering(self):
-        return Clustering.from_labels(self.assignment)
+    `assignment` holds one non-negative integer label per diversion unit;
+    a label no unit holds makes i a new singleton. Uses the kernel of
+    local_search, with the cluster totals S computed from `assignment`.
+    """
+    g.require_normalized()
+    labels = np.asarray(assignment, dtype=np.int64)
+    if target == labels[i]:
+        return 0.0
+    S = np.bincount(labels, weights=g.col_sums,
+                    minlength=max(int(labels.max()), target) + 1)
+    return _MoveDelta(g, phi, p)(labels, S, i, target)
 
 
 def local_search(g, cfg):
@@ -363,25 +278,13 @@ def local_search(g, cfg):
     """
     g.require_normalized()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    state = LocalSearchState(g, cfg.phi, p=cfg.p, k_max=cfg.k_max)
     m = g.n_diversion
-    indptr_c, indices_c, data_c = state._indptr, state._indices, state._data
-    indptr_r = g.rows.indptr
-    indices_r = g.rows.indices
-    data_r = g.rows.data
-
-    def wedge(i):
-        lo, hi = indptr_c[i], indptr_c[i + 1]
-        cum = np.cumsum(data_c[lo:hi])
-        u = rng.random() * cum[-1]
-        k = indices_c[lo + min(int(np.searchsorted(cum, u, side="right")),
-                               hi - lo - 1)]
-        lo, hi = indptr_r[k], indptr_r[k + 1]
-        cum = np.cumsum(data_r[lo:hi])
-        u = rng.random() * cum[-1]
-        return indices_r[lo + min(int(np.searchsorted(cum, u, side="right")),
-                                  hi - lo - 1)]
-
+    k_max = m if cfg.k_max is None else cfg.k_max
+    delta = _MoveDelta(g, cfg.phi, cfg.p)
+    csc, csr = g.cols, g.rows
+    labels = np.arange(m, dtype=np.int64)
+    sizes = np.ones(m, dtype=np.int64)
+    S = g.col_sums.astype(np.float64)
     trace = []
     start = time.perf_counter()
     converged = False
@@ -393,18 +296,22 @@ def local_search(g, cfg):
                 time.perf_counter() - start > cfg.time_budget:
             break
         accepted = 0
-        out_of_time = False
         for i in rng.permutation(m):
-            j = wedge(i)
-            a = state.assignment[i]
-            b = state.assignment[j]
-            if b == a or state.sizes[b] >= state.k_max:
+            k = _draw(csc.indptr, csc.indices, csc.data, i, rng)
+            b = labels[_draw(csr.indptr, csr.indices, csr.data, k, rng)]
+            a = labels[i]
+            if b == a or sizes[b] >= k_max:
                 continue
-            if state._delta_unchecked(i, a, b) > ACCEPT_EPS:
-                state.apply_move(i, b)
+            if delta(labels, S, i, b) > ACCEPT_EPS:
+                S[b] += g.col_sums[i]
+                S[a] -= g.col_sums[i]
+                sizes[b] += 1
+                sizes[a] -= 1
+                labels[i] = b
                 accepted += 1
-        obj = state.objective_value()
         pass_index += 1
+        clustering = Clustering.from_labels(labels)
+        obj = objective(g, clustering, cfg.phi, cfg.p)
         trace.append(PassTrace(pass_index, accepted, obj.total,
                                obj.variance_sum, obj.covariance_sum,
                                time.perf_counter() - start))
@@ -414,10 +321,11 @@ def local_search(g, cfg):
         if cfg.convergence and accepted == 0:
             converged = True
             break
-    return SearchResult(clustering=state.clustering(),
-                        objective=state.objective_value(),
-                        trace=tuple(trace),
-                        converged=converged,
+    if not trace:  # the time budget ran out before the first pass
+        clustering = Clustering.singletons(m)
+        obj = objective(g, clustering, cfg.phi, cfg.p)
+    return SearchResult(clustering=clustering, objective=obj,
+                        trace=tuple(trace), converged=converged,
                         seed=cfg.seed)
 
 

@@ -137,7 +137,11 @@ def read_clustering(g, path):
             j = index[did]
             if labels[j] != -1:
                 raise DesignError(f"{path}:{line_no}: duplicate entry for {did!r}")
-            labels[j] = int(cid)
+            try:
+                labels[j] = int(cid)
+            except ValueError:
+                raise DesignError(
+                    f"{path}:{line_no}: cluster id {cid!r} is not an integer")
     if np.any(labels == -1):
         missing = [g.diversion_ids[j] for j in np.flatnonzero(labels == -1)]
         raise DesignError(f"{path}: missing diversion unit(s): {missing[:5]}")

@@ -39,14 +39,6 @@ class OutcomeModel:
         return int(self.slopes.size)
 
 
-@dataclass(frozen=True)
-class EstimateSample:
-    """One ERL draw and the replicate seed that produced it."""
-
-    estimate: float
-    assignment_seed: tuple
-
-
 def respond(model, x):
     """Potential outcomes Y_i = m_i x_i + b_i at exposure vector x."""
     x = np.asarray(x, dtype=np.float64)

@@ -12,6 +12,7 @@ every operation returns a new graph.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -320,9 +321,19 @@ def _write_blob(fh, ids):
     fh.write(blob)
 
 
-def _read_blob(fh):
-    (size,) = struct.unpack("<Q", fh.read(8))
-    return fh.read(size).decode("utf-8").split("\n")
+def _read_blob(fh, path):
+    (size,) = struct.unpack("<Q", _read_exact(fh, 8, path))
+    try:
+        return _read_exact(fh, size, path).decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: id map is not UTF-8 ({exc})")
+
+
+def _read_exact(fh, size, path):
+    blob = fh.read(size)
+    if len(blob) != size:
+        raise GraphError(f"{path}: truncated snapshot")
+    return blob
 
 
 def save_snapshot(g, path):
@@ -339,22 +350,42 @@ def save_snapshot(g, path):
 
 
 def load_snapshot(path):
-    """Read a snapshot written by save_snapshot."""
+    """Read a snapshot written by save_snapshot.
+
+    Raises GraphError unless the file is one that save_snapshot could have
+    written: the counts must fit the file size with no trailing bytes, the
+    row pointers must run from 0 to nnz without decreasing, every column
+    index must lie in [0, m) and every weight must be finite and >= 0.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise GraphError(f"{path}: not a graph snapshot (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
         if version != SNAPSHOT_VERSION:
             raise GraphError(f"{path}: unsupported snapshot version {version}")
-        n, m, nnz = struct.unpack("<QQQ", fh.read(24))
+        n, m, nnz = struct.unpack("<QQQ", _read_exact(fh, 24, path))
+        # The arrays, then an 8-byte length before each id map.
+        if fh.tell() + 8 * (n + 1 + 2 * nnz) + 16 > size:
+            raise GraphError(f"{path}: counts n={n}, m={m}, nnz={nnz} do "
+                             f"not fit the {size}-byte file")
         indptr = np.frombuffer(fh.read(8 * (n + 1)), dtype=np.int64)
         indices = np.frombuffer(fh.read(8 * nnz), dtype=np.int64)
         data = np.frombuffer(fh.read(8 * nnz), dtype=np.float64)
-        outcome_ids = _read_blob(fh)
-        diversion_ids = _read_blob(fh)
+        outcome_ids = _read_blob(fh, path)
+        diversion_ids = _read_blob(fh, path)
+        if fh.tell() != size:
+            raise GraphError(f"{path}: {size - fh.tell()} trailing bytes")
     if len(outcome_ids) != n or len(diversion_ids) != m:
         raise GraphError(f"{path}: id maps do not match counts")
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise GraphError(f"{path}: row pointers do not run from 0 to {nnz}")
+    if nnz and (indices.min() < 0 or indices.max() >= m):
+        raise GraphError(f"{path}: column index outside [0, {m})")
+    # A NaN makes min() NaN, which fails the comparison.
+    if nnz and not (data.min() >= 0 and np.isfinite(data.max())):
+        raise GraphError(f"{path}: weights must be finite and non-negative")
     mat = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()),
                         shape=(n, m))
     return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)

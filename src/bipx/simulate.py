@@ -26,8 +26,7 @@ from scipy.special import ndtri
 from bipx.cluster_opt import local_search
 from bipx.design import DesignSpec, derived_rng, exposure_moments, \
     sample_assignment
-from bipx.estimator import EstimateSample, OutcomeModel, erl_estimate, \
-    respond, true_ate
+from bipx.estimator import OutcomeModel, erl_estimate, respond, true_ate
 from bipx.graph_core import exposures
 
 POSITIVE_TE = "PositiveTE"
@@ -202,7 +201,7 @@ class SimulationReport:
     design_name: str
     scenario_name: str
     true_ate: float
-    estimates: tuple
+    estimates: np.ndarray
     bias: float
     mse: float
     histogram: tuple  # (edges ndarray, counts ndarray)
@@ -216,7 +215,7 @@ class SimulationReport:
         return self.true_ate + self.bias
 
     def estimate_array(self):
-        return np.array([s.estimate for s in self.estimates])
+        return self.estimates
 
     def standard_error(self):
         return float(np.sqrt(self.mse / self.n_replicates))
@@ -252,22 +251,19 @@ def run_simulation(g, d, model, replicates, base_seed, *,
     tau = true_ate(model)
     m = g.n_diversion
     ests = np.empty(replicates, dtype=np.float64)
-    samples = []
     for r in range(replicates):
         rng = derived_rng(base_seed, r)
         z = sample_assignment(d, rng, m=m)
         x = exposures(g, z)
         y = respond(model, x)
         ests[r] = erl_estimate(y, x, mom)
-        samples.append(EstimateSample(estimate=float(ests[r]),
-                                      assignment_seed=(base_seed, r)))
     bias = float(ests.mean() - tau)
     mse = float(np.mean((ests - tau) ** 2))
     edges, counts = build_histogram(ests, bins)
     return SimulationReport(design_name=design_name or d.kind,
                             scenario_name=scenario_name,
                             true_ate=float(tau),
-                            estimates=tuple(samples),
+                            estimates=ests,
                             bias=bias,
                             mse=mse,
                             histogram=(edges, counts))
@@ -288,8 +284,8 @@ def export_histogram(report, bins, path):
 def export_estimates_csv(report, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("replicate,estimate\n")
-        for r, sample in enumerate(report.estimates):
-            fh.write(f"{r},{sample.estimate!r}\n")
+        for r, x in enumerate(report.estimates.tolist()):
+            fh.write(f"{r},{x!r}\n")
     return path
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bipx
 from bipx.cli import main
 from bipx.design import read_clustering
 from bipx.graph_core import load_edge_list, load_snapshot
@@ -246,6 +251,59 @@ def test_sweep_rejects_empty_phis(workspace, runner):
                                   str(tmp_path / "s.csv"), "--phis", " , "])
     assert result.exit_code == 2
     assert "--phis" in result.output
+
+
+@pytest.mark.parametrize("args,code", [
+    (["moments", "{g}", "{c}", "{d}/m.csv", "--p", "1.5"], 2),
+    (["simulate", "{g}", "{s}", "{d}/sim", "--clustering", "{c}",
+      "--replicates", "0"], 2),
+    (["simulate", "{g}", "{s}", "{d}/sim", "--bernoulli", "--p", "1.5"], 2),
+    (["simulate", "{g}", "{s}", "{d}/sim", "--bernoulli", "--bins", "0"], 2),
+    (["sweep", "{g}", "{s}", "{d}/s.csv", "--phis=-1"], 2),
+    (["design", "{g}", "{d}/c2.tsv", "--method", "singleton", "--p", "1"],
+     2),
+    (["moments", "{g}", "{partial}", "{d}/m.csv"], 1),
+    (["simulate", "{g}", "{s}", "{d}/sim", "--clustering", "{partial}"], 1),
+    (["moments", "{g}", "{bad_id}", "{d}/m.csv"], 1),
+], ids=["moments-p", "simulate-replicates", "simulate-p", "simulate-bins",
+        "sweep-phis", "design-p", "moments-clustering", "simulate-clustering",
+        "moments-cluster-id"])
+def test_bad_input_exits_without_traceback(workspace, runner, args, code):
+    tmp_path, graph_path, scenario_path = workspace
+    cpath = tmp_path / "c.tsv"
+    runner.invoke(main, ["design", str(graph_path), str(cpath),
+                         "--method", "singleton"])
+    partial = tmp_path / "partial.tsv"
+    partial.write_text("u\t0\nv\t1\n")
+    bad_id = tmp_path / "bad_id.tsv"
+    bad_id.write_text("u\t0\nv\tone\nw\t2\nx\t3\n")
+    args = [a.format(g=graph_path, c=cpath, s=scenario_path, d=tmp_path,
+                     partial=partial, bad_id=bad_id) for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if code == 1:
+        assert "cannot load clustering" in result.output
+
+
+def test_export_rejects_corrupt_snapshot(workspace):
+    tmp_path, graph_path, _ = workspace
+    buf = bytearray(graph_path.read_bytes())
+    n = int.from_bytes(buf[12:20], "little")
+    # First column index: after the 36-byte header and n + 1 row pointers.
+    at = 36 + 8 * (n + 1)
+    buf[at:at + 8] = (10**6).to_bytes(8, "little")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(buf))
+    env = dict(os.environ, PYTHONPATH=str(Path(bipx.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bipx.cli", "export", str(bad),
+         str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "column index outside" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_rerun_check_round_trip(workspace, runner):

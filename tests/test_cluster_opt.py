@@ -5,18 +5,18 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from bipx.cluster_opt import (ACCEPT_EPS, ClusterAtCapacityError,
-                              CorrClustCS, LocalSearchConfig,
-                              LocalSearchState, balanced_partition_baseline,
+from bipx.cluster_opt import (ACCEPT_EPS, CorrClustCS, LocalSearchConfig,
+                              balanced_partition_baseline,
                               corr_clust_cs_rewrite, exposure_spread_objective,
-                              local_search, local_search_restarts, objective,
-                              objective_by_moments, objective_by_omega, omega,
-                              omega_matrix, spread_identity_constant,
-                              wedge_sample, write_trace_csv)
+                              local_search, local_search_restarts, move_delta,
+                              objective, objective_by_moments,
+                              objective_by_omega, omega, omega_matrix,
+                              spread_identity_constant, wedge_sample,
+                              write_trace_csv)
 from bipx.design import Clustering
 from bipx.graph_core import BipartiteGraph
-from bipx.synth import (partitions_equal, planted_four_block, random_clustering,
-                        random_instance)
+from bipx.synth import (paired_pool_instance, partitions_equal,
+                        planted_four_block, random_clustering, random_instance)
 
 
 def small_graph():
@@ -153,35 +153,60 @@ def test_move_delta_matches_recompute(seed, phi):
     rng = np.random.default_rng(seed)
     g = random_instance(rng)
     m = g.n_diversion
-    state = LocalSearchState(g, phi)
+    labels = np.arange(m)
     for _ in range(3 * m):
         i = int(rng.integers(m))
-        live = np.flatnonzero(state.sizes > 0)
-        target = int(rng.choice(live))
-        before = state.objective_value().total
-        delta = state.move_delta(i, target)
-        state.apply_move(i, target)
-        after = state.objective_value().total
+        # Any label in [0, m): a live cluster, i's own, or an unused one
+        # that makes i a new singleton.
+        target = int(rng.integers(m))
+        before = objective(g, Clustering.from_labels(labels), phi).total
+        delta = move_delta(g, labels, i, target, phi)
+        labels[i] = target
+        after = objective(g, Clustering.from_labels(labels), phi).total
         assert after - before == pytest.approx(delta, rel=1e-9, abs=1e-10)
 
 
 def test_move_delta_own_cluster_is_zero():
     g = small_graph()
-    state = LocalSearchState(g, 1.0)
-    assert state.move_delta(0, 0) == 0.0
+    assert move_delta(g, np.arange(2), 0, 0, 1.0) == 0.0
 
 
-def test_move_delta_capacity_and_empty_errors():
-    g = small_graph()
-    state = LocalSearchState(g, 1.0, k_max=1)
-    with pytest.raises(ClusterAtCapacityError):
-        state.move_delta(0, 1)
-    state2 = LocalSearchState(g, 1.0)
-    state2.apply_move(0, 1)  # cluster 0 is now empty
-    with pytest.raises(ValueError, match="empty"):
-        state2.move_delta(1, 0)
-    with pytest.raises(ValueError, match="empty"):
-        state2.apply_move(1, 0)
+def _naive_search(g, phi, k_max, seed, passes):
+    """The search by definition: same draws as local_search, and a move is
+    accepted when the whole-clustering objective rises by more than
+    ACCEPT_EPS and the target cluster is below k_max."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    m = g.n_diversion
+    cap = m if k_max is None else k_max
+    labels = np.arange(m)
+    for _ in range(passes):
+        for i in rng.permutation(m):
+            b = labels[wedge_sample(g, i, rng)]
+            if b == labels[i] or np.sum(labels == b) >= cap:
+                continue
+            moved = labels.copy()
+            moved[i] = b
+            before = objective_by_omega(g, Clustering.from_labels(labels), phi)
+            after = objective_by_omega(g, Clustering.from_labels(moved), phi)
+            if after.total - before.total > ACCEPT_EPS:
+                labels = moved
+    return Clustering.from_labels(labels).assignment
+
+
+def test_local_search_matches_naive_search():
+    rng = np.random.default_rng(31)
+    # The small paired-pool graph adds moves whose gain is exactly zero at
+    # phi = 1, which a strict search must reject.
+    graphs = [random_instance(rng) for _ in range(30)]
+    graphs.append(paired_pool_instance(n_pairs=3, spokes=2, pool=2)[0])
+    for t, g in enumerate(graphs):
+        for phi in (0.0, 0.3, 1.0):
+            for k_max in (None, 2):
+                cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=4,
+                                        convergence=False, seed=t)
+                np.testing.assert_array_equal(
+                    local_search(g, cfg).clustering.assignment,
+                    _naive_search(g, phi, k_max, t, 4))
 
 
 def test_config_validation():

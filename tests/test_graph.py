@@ -1,4 +1,5 @@
 import io
+import struct
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
-                             EmptyGraphError, NegativeWeightError,
+                             EmptyGraphError, GraphError, NegativeWeightError,
                              NotNormalizedError, aggregate_outcome_groups,
                              diversion_coweight, exposures,
                              filter_min_outcome_degree, load_edge_list,
@@ -202,6 +203,53 @@ def test_snapshot_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"this is not a snapshot")
     with pytest.raises(Exception):
+        load_snapshot(path)
+
+
+def corrupt_snapshot(path, kind):
+    """Rewrite one field of a save_snapshot file in place."""
+    buf = bytearray(path.read_bytes())
+    n, m, nnz = struct.unpack_from("<QQQ", buf, 12)
+    indptr_at = 36
+    indices_at = indptr_at + 8 * (n + 1)
+    data_at = indices_at + 8 * nnz
+    if kind == "index-past-m":
+        struct.pack_into("<q", buf, indices_at, 10**6)
+    elif kind == "negative-index":
+        struct.pack_into("<q", buf, indices_at, -1)
+    elif kind == "indptr-decreasing":
+        struct.pack_into("<q", buf, indptr_at + 8, nnz + 1)
+    elif kind == "indptr-start":
+        struct.pack_into("<q", buf, indptr_at, 1)
+    elif kind == "nan-weight":
+        struct.pack_into("<d", buf, data_at, float("nan"))
+    elif kind == "negative-weight":
+        struct.pack_into("<d", buf, data_at, -0.5)
+    elif kind == "huge-count":
+        struct.pack_into("<Q", buf, 28, 10**15)
+    elif kind == "trailing-bytes":
+        buf += b"\x00"
+    elif kind == "truncated":
+        del buf[-3:]
+    else:
+        raise ValueError(kind)
+    path.write_bytes(bytes(buf))
+
+
+SNAPSHOT_CORRUPTIONS = ("index-past-m", "negative-index", "indptr-decreasing",
+                        "indptr-start", "nan-weight", "negative-weight",
+                        "huge-count", "trailing-bytes", "truncated")
+
+
+@pytest.mark.parametrize("kind", SNAPSHOT_CORRUPTIONS)
+def test_snapshot_rejects_corruption(tmp_path, kind):
+    W = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                [0.0, 0.25, 0.75]]))
+    path = tmp_path / "g.bin"
+    save_snapshot(BipartiteGraph.from_csr(W, "abc", "uvw"), path)
+    load_snapshot(path)
+    corrupt_snapshot(path, kind)
+    with pytest.raises(GraphError):
         load_snapshot(path)
 
 

@@ -239,7 +239,7 @@ def test_export_histogram_and_estimates(tmp_path):
     elines = epath.read_text().splitlines()
     assert elines[0] == "replicate,estimate"
     assert len(elines) == 31
-    assert float(elines[1].split(",")[1]) == report.estimates[0].estimate
+    assert float(elines[1].split(",")[1]) == report.estimates[0]
 
 
 def test_report_to_json_deterministic(tmp_path):
