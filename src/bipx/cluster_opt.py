@@ -79,6 +79,8 @@ class PassTrace:
     variance_sum: float
     covariance_sum: float
     elapsed: float
+    kernel_visits: int  # visits past the self-partner and cap checks
+    stale_recomputes: int  # of those, scored again after a block accept
 
 
 @dataclass(frozen=True)
@@ -205,18 +207,86 @@ def _draw(indptr, indices, data, i, rng):
                             hi - lo - 1)]
 
 
+def _slice_cumsum(indptr, data):
+    """np.cumsum of every slice data[indptr[s]:indptr[s + 1]], bit for bit.
+
+    Step t adds entry t - 1 to entry t of every slice longer than t, the
+    same left-to-right adds np.cumsum makes; slices are ordered by degree
+    so the ones still open at step t are a prefix.
+    """
+    deg = np.diff(indptr)
+    starts = indptr[:-1][np.argsort(-deg, kind="stable")]
+    longer = deg.size - np.cumsum(np.bincount(deg))  # slices with deg > t
+    cum = np.array(data, dtype=np.float64)
+    for t in range(1, longer.size):
+        at = starts[:longer[t]] + t
+        cum[at] += cum[at - 1]
+    return cum
+
+
+def _draw_many(indptr, indices, cum, slices, u):
+    """_draw for many non-empty slices at once, given their doubles u.
+
+    `cum` is _slice_cumsum of the data. The drawn offset is the count of
+    cum <= u * total in the slice, which is searchsorted(side="right") on
+    the non-decreasing cum, clipped to the slice's last entry; bisection
+    finds it in log2(max degree) vectorized steps.
+    """
+    lo = indptr[slices]
+    deg = indptr[slices + 1] - lo
+    last = lo + deg - 1
+    thr = u * cum[last]
+    left, right = np.zeros_like(lo), deg
+    for _ in range(int(deg.max(initial=0)).bit_length()):
+        mid = (left + right) >> 1
+        below = cum[np.minimum(lo + mid, last)] <= thr
+        open_ = left < right
+        left = np.where(open_ & below, mid + 1, left)
+        right = np.where(open_ & ~below, mid, right)
+    return indices[np.minimum(lo + left, last)]
+
+
+def _pass_partners(g, perm, u):
+    """Wedge-sampled partner of every unit of perm, two doubles of u each.
+
+    Gives the partners that _draw calls on these doubles give, visit by
+    visit. A unit with no edges is its own partner. The cumulative sums
+    live only for the call, so they do not add to the search's peak
+    memory, which the per-pass objective sets.
+    """
+    csc, csr = g.cols, g.rows
+    partner = perm.copy()
+    drawn = np.diff(csc.indptr)[perm] > 0
+    k = _draw_many(csc.indptr, csc.indices,
+                   _slice_cumsum(csc.indptr, csc.data), perm[drawn],
+                   u[0::2][drawn])
+    partner[drawn] = _draw_many(csr.indptr, csr.indices,
+                                _slice_cumsum(csr.indptr, csr.data), k,
+                                u[1::2][drawn])
+    return partner
+
+
+def _ranges(starts, lengths):
+    """Concatenation of arange(s, s + n) over the pairs (s, n)."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
 class _MoveDelta:
-    """Objective change of a single-unit move, from a two-hop gather.
+    """Objective changes of single-unit moves, from a two-hop gather.
 
     With d(i, C) = sum_{k in col i} w[k, i] sum_{j in row k, a[j] = C}
     w[k, j], moving unit i from its cluster A to cluster B changes the
     objective by 2 * 4p(1-p) * [(1 + phi) (d(i, B) - d(i, A \\ {i}))
     - phi s_i (S_B - (S_A - s_i))], S the cluster column totals.
 
-    The paths i -> k -> j of column i are the CSR rows of its outcome
-    units k, laid end to end. For the CSC entry e = (k, i), shift[e] is
-    the start of row k minus the offset of e's paths in that layout, so
-    repeat(shift, lens) + arange gives every path's CSR position at once.
+    The paths i -> k -> j of a batch of units are the CSR rows of their
+    outcome units k, laid end to end: each CSC entry (k, i) contributes
+    the run of CSR positions of row k. `paths` gathers them once for a
+    batch; `gains` reads the current labels at their ends and sums, per
+    unit with np.bincount, the paths that land in the own or the target
+    cluster.
     """
 
     def __init__(self, g, phi, p):
@@ -225,29 +295,57 @@ class _MoveDelta:
         self.phi = phi
         self.coin_variance = 4.0 * p * (1.0 - p)
         self.lens = np.diff(csr.indptr)[csc.indices]
+        self.row_start = csr.indptr[csc.indices]
         ends = np.concatenate(([0], np.cumsum(self.lens)))
-        col_start = ends[csc.indptr]
-        self.hops = np.diff(col_start)
-        self.shift = (csr.indptr[csc.indices] - ends[:-1]
-                      + np.repeat(col_start[:-1], np.diff(csc.indptr)))
-        self.ramp = np.arange(self.hops.max(initial=0))
+        self.hops = np.diff(ends[csc.indptr])
+        deg = np.diff(csc.indptr)
+        self.self_term = np.bincount(
+            np.repeat(np.arange(deg.size), deg), weights=csc.data ** 2,
+            minlength=deg.size)
 
-    def __call__(self, labels, S, i, target):
+    def paths(self, units):
+        """Two-hop paths of a batch of units: the unit each path ends in,
+        its weight w[k, i] w[k, j], and bounds such that unit v's paths are
+        [bounds[v], bounds[v + 1]); a unit is among its own path ends."""
         csc, csr = self.g.cols, self.g.rows
-        lo, hi = csc.indptr[i], csc.indptr[i + 1]
-        w = csc.data[lo:hi]
-        reps = self.lens[lo:hi]
-        pos = np.repeat(self.shift[lo:hi], reps) + self.ramp[:self.hops[i]]
-        prod = np.repeat(w, reps) * csr.data[pos]
-        lab = labels[csr.indices[pos]]
-        a = labels[i]
-        # np.add.reduce is np.sum without its Python-level wrapper.
-        d_new = float(np.add.reduce(prod, where=lab == target))
-        d_own = float(np.add.reduce(prod, where=lab == a)) - float(w.dot(w))
-        s_i = float(self.g.col_sums[i])
+        lo = csc.indptr[units]
+        entries = _ranges(lo, csc.indptr[units + 1] - lo)
+        reps = self.lens[entries]
+        pos = _ranges(self.row_start[entries], reps)
+        prod = csc.data[entries].repeat(reps) * csr.data.take(pos)
+        bounds = np.concatenate(([0], self.hops[units].cumsum()))
+        return csr.indices.take(pos), prod, bounds
+
+    def gains(self, labels, S, units, targets, ends, prod, bounds):
+        """Objective change of moving units[v] into targets[v], for every v,
+        given the batch's `paths`."""
+        lab = labels.take(ends)
+        hops = np.diff(bounds)
+
+        def d(clusters):
+            at = np.flatnonzero(lab == clusters.repeat(hops))
+            return np.bincount(bounds.searchsorted(at, "right") - 1,
+                               weights=prod[at], minlength=units.size)
+
+        own = labels[units]
+        d_new = d(targets)
+        d_own = d(own) - self.self_term[units]
+        s_i = self.g.col_sums[units]
         gain = (1.0 + self.phi) * (d_new - d_own) \
-            - self.phi * s_i * (S[target] - (S[a] - s_i))
+            - self.phi * s_i * (S[targets] - (S[own] - s_i))
         return 2.0 * self.coin_variance * gain
+
+    def rescore(self, labels, S, i, target, batch=None, v=-1):
+        """Gain of moving unit i into `target`, scored alone on its paths:
+        slot v of a batch's `paths`, or a fresh gather when v < 0."""
+        if v < 0:
+            ends, prod, _ = self.paths(np.array([i]))
+        else:
+            ends, prod, bounds = batch
+            ends = ends[bounds[v]:bounds[v + 1]]
+            prod = prod[bounds[v]:bounds[v + 1]]
+        return self.gains(labels, S, np.array([i]), np.array([target]), ends,
+                          prod, np.array([0, ends.size]))[0]
 
 
 def move_delta(g, assignment, i, target, phi, p=0.5):
@@ -263,7 +361,11 @@ def move_delta(g, assignment, i, target, phi, p=0.5):
         return 0.0
     S = np.bincount(labels, weights=g.col_sums,
                     minlength=max(int(labels.max()), target) + 1)
-    return _MoveDelta(g, phi, p)(labels, S, i, target)
+    return float(_MoveDelta(g, phi, p).rescore(labels, S, i, target))
+
+
+# Visits scored per two-hop gather in local_search.
+_BLOCK = 64
 
 
 def local_search(g, cfg):
@@ -272,16 +374,26 @@ def local_search(g, cfg):
     Each pass visits every diversion unit in a fresh random permutation,
     samples a partner j by wedge sampling, and moves the unit into j's
     cluster when that strictly improves the objective and the target is
-    below k_max. Stops on a zero-accept pass (if cfg.convergence), the
-    pass budget, or the time budget. The per-pass trace records the
-    recomputed objective, so it is exact, not drift-accumulated.
+    below k_max. A unit with no edges is its own partner and stays put.
+    Stops on a zero-accept pass (if cfg.convergence), the pass budget, or
+    the time budget. The per-pass trace records the recomputed objective,
+    so it is exact, not drift-accumulated.
+
+    A pass draws all its wedges up front, from the same doubles the
+    per-visit draws would use: rng.permutation(m), then rng.random(2m),
+    two per visit. Visits are then scored _BLOCK at a time against the
+    block-start state and walked in order. A move of unit u from cluster
+    c to c' changes d(i, C) and S_C only for C in {c, c'}, so a visit's
+    score is stale exactly when an earlier accept in the block touched
+    its own or its target cluster; only those visits are scored again,
+    and every decision is the one a visit-by-visit search makes.
     """
     g.require_normalized()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     m = g.n_diversion
     k_max = m if cfg.k_max is None else cfg.k_max
     delta = _MoveDelta(g, cfg.phi, cfg.p)
-    csc, csr = g.cols, g.rows
+    col_sums = g.col_sums.tolist()
     labels = np.arange(m, dtype=np.int64)
     sizes = np.ones(m, dtype=np.int64)
     S = g.col_sums.astype(np.float64)
@@ -295,26 +407,49 @@ def local_search(g, cfg):
         if cfg.time_budget is not None and \
                 time.perf_counter() - start > cfg.time_budget:
             break
-        accepted = 0
-        for i in rng.permutation(m):
-            k = _draw(csc.indptr, csc.indices, csc.data, i, rng)
-            b = labels[_draw(csr.indptr, csr.indices, csr.data, k, rng)]
-            a = labels[i]
-            if b == a or sizes[b] >= k_max:
-                continue
-            if delta(labels, S, i, b) > ACCEPT_EPS:
-                S[b] += g.col_sums[i]
-                S[a] -= g.col_sums[i]
-                sizes[b] += 1
-                sizes[a] -= 1
-                labels[i] = b
-                accepted += 1
+        perm = rng.permutation(m)
+        partner = _pass_partners(g, perm, rng.random(2 * m))
+        accepted = kernel_visits = stale = 0
+        for lo in range(0, m, _BLOCK):
+            units, partners = perm[lo:lo + _BLOCK], partner[lo:lo + _BLOCK]
+            own, targets = labels[units], labels[partners]
+            scored = np.flatnonzero((targets != own)
+                                    & (sizes[targets] < k_max))
+            ends, prod, bounds = delta.paths(units[scored])
+            gains = delta.gains(labels, S, units[scored], targets[scored],
+                                ends, prod, bounds).tolist()
+            batch = ends, prod, bounds.tolist()
+            slot = np.full(units.size, -1)
+            slot[scored] = np.arange(scored.size)
+            touched = set()  # clusters an accept in this block changed
+            for i, j, a, v in zip(units.tolist(), partners.tolist(),
+                                  own.tolist(), slot.tolist()):
+                b = int(labels[j])
+                if b == a or sizes[b] >= k_max:
+                    continue
+                kernel_visits += 1
+                # If b is not the block-start target, unit j moved into b,
+                # so b is touched.
+                if v >= 0 and a not in touched and b not in touched:
+                    gain = gains[v]
+                else:
+                    stale += 1
+                    gain = delta.rescore(labels, S, i, b, batch, v)
+                if gain > ACCEPT_EPS:
+                    S[b] += col_sums[i]
+                    S[a] -= col_sums[i]
+                    sizes[b] += 1
+                    sizes[a] -= 1
+                    labels[i] = b
+                    accepted += 1
+                    touched.update((a, b))
         pass_index += 1
         clustering = Clustering.from_labels(labels)
         obj = objective(g, clustering, cfg.phi, cfg.p)
         trace.append(PassTrace(pass_index, accepted, obj.total,
                                obj.variance_sum, obj.covariance_sum,
-                               time.perf_counter() - start))
+                               time.perf_counter() - start, kernel_visits,
+                               stale))
         if cfg.time_budget is not None and \
                 time.perf_counter() - start > cfg.time_budget:
             break
@@ -424,9 +559,10 @@ def write_trace_csv(trace, path):
     """Search trace as CSV; elapsed is wall-clock and thus run-specific."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pass,moves_accepted,objective_total,variance_sum,"
-                 "covariance_sum,elapsed\n")
+                 "covariance_sum,elapsed,kernel_visits,stale_recomputes\n")
         for row in trace:
             fh.write(f"{row.pass_index},{row.moves_accepted},"
                      f"{float(row.objective_total)!r},"
                      f"{float(row.variance_sum)!r},"
-                     f"{float(row.covariance_sum)!r},{float(row.elapsed)!r}\n")
+                     f"{float(row.covariance_sum)!r},{float(row.elapsed)!r},"
+                     f"{row.kernel_visits},{row.stale_recomputes}\n")

@@ -16,6 +16,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,8 +95,13 @@ class BipartiteGraph:
     def row_sums(self):
         return np.asarray(self.rows.sum(axis=1)).ravel()
 
-    def is_normalized(self):
+    @cached_property
+    def _normalized(self):
+        # Checked once per graph: its arrays do not change after construction.
         return bool(np.all(np.abs(self.row_sums - 1.0) <= NORM_TOL))
+
+    def is_normalized(self):
+        return self._normalized
 
     def require_normalized(self):
         if not self.is_normalized():

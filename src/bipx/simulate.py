@@ -246,6 +246,8 @@ def run_simulation(g, d, model, replicates, base_seed, *,
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     g.require_normalized()
     mom = exposure_moments(g, d)
     tau = true_ate(model)

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from click.testing import CliRunner
 
 import bipx
 from bipx.cli import main
 from bipx.design import read_clustering
-from bipx.graph_core import load_edge_list, load_snapshot
+from bipx.graph_core import (BipartiteGraph, load_edge_list,
+                             load_snapshot, save_snapshot)
 
 EDGES = """\
 # three outcome units, four diversion units
@@ -129,6 +131,22 @@ def test_design_exposure_design_with_trace(workspace, runner):
     assert str(trace.resolve()) in manifest["volatile_outputs"]
     g = load_snapshot(graph_path)
     assert read_clustering(g, out).m == 4
+
+
+def test_design_with_edgeless_diversion_unit(tmp_path, runner):
+    # Diversion unit w has no edges; the search leaves it a singleton.
+    W = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+    graph_path = tmp_path / "graph.bin"
+    save_snapshot(BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v", "w")),
+                  graph_path)
+    out = tmp_path / "c.tsv"
+    result = runner.invoke(main, ["design", str(graph_path), str(out),
+                                  "--method", "exposure-design",
+                                  "--phi", "0", "--max-passes", "5"])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    labels = read_clustering(load_snapshot(graph_path), out).assignment
+    assert np.sum(labels == labels[2]) == 1
 
 
 def test_design_rejects_bad_method(workspace, runner):

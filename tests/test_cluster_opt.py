@@ -1,11 +1,14 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from bipx import cluster_opt
 from bipx.cluster_opt import (ACCEPT_EPS, CorrClustCS, LocalSearchConfig,
+                              _draw, _draw_many, _slice_cumsum,
                               balanced_partition_baseline,
                               corr_clust_cs_rewrite, exposure_spread_objective,
                               local_search, local_search_restarts, move_delta,
@@ -14,7 +17,7 @@ from bipx.cluster_opt import (ACCEPT_EPS, CorrClustCS, LocalSearchConfig,
                               spread_identity_constant, wedge_sample,
                               write_trace_csv)
 from bipx.design import Clustering
-from bipx.graph_core import BipartiteGraph
+from bipx.graph_core import BipartiteGraph, normalize_rows
 from bipx.synth import (paired_pool_instance, partitions_equal,
                         planted_four_block, random_clustering, random_instance)
 
@@ -193,20 +196,134 @@ def _naive_search(g, phi, k_max, seed, passes):
     return Clustering.from_labels(labels).assignment
 
 
-def test_local_search_matches_naive_search():
+def test_local_search_matches_naive_search(monkeypatch):
     rng = np.random.default_rng(31)
     # The small paired-pool graph adds moves whose gain is exactly zero at
     # phi = 1, which a strict search must reject.
     graphs = [random_instance(rng) for _ in range(30)]
     graphs.append(paired_pool_instance(n_pairs=3, spokes=2, pool=2)[0])
+    # Block size 1 scores every visit against the live state; 3 crosses
+    # block boundaries on these m <= 12 graphs; the default holds a whole
+    # pass, so later visits of a block are often scored again.
+    blocks = (1, 3, cluster_opt._BLOCK)
+    stale = dict.fromkeys(blocks, 0)
     for t, g in enumerate(graphs):
         for phi in (0.0, 0.3, 1.0):
             for k_max in (None, 2):
                 cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=4,
                                         convergence=False, seed=t)
-                np.testing.assert_array_equal(
-                    local_search(g, cfg).clustering.assignment,
-                    _naive_search(g, phi, k_max, t, 4))
+                naive = _naive_search(g, phi, k_max, t, 4)
+                for block in blocks:
+                    monkeypatch.setattr(cluster_opt, "_BLOCK", block)
+                    result = local_search(g, cfg)
+                    np.testing.assert_array_equal(
+                        result.clustering.assignment, naive)
+                    stale[block] += sum(row.stale_recomputes
+                                        for row in result.trace)
+    assert stale[1] == 0
+    assert stale[3] > 0 and stale[blocks[-1]] > stale[3]
+
+
+def test_local_search_cap_binds_inside_block(monkeypatch):
+    # n = 20, m = 200; phi = 1/(n - 1) merges past the cap of 5.
+    g = paired_pool_instance(n_pairs=10, spokes=5, pool=10)[0]
+    cfg = LocalSearchConfig(phi=1.0 / 19.0, k_max=5, max_passes=20,
+                            convergence=False, seed=3)
+    blocked = local_search(g, cfg)
+    uncapped = local_search(g, replace(cfg, k_max=None))
+    monkeypatch.setattr(cluster_opt, "_BLOCK", 1)
+    serial = local_search(g, cfg)
+    sizes = np.bincount(blocked.clustering.assignment)
+    assert sizes.max() == 5
+    # The cap changed decisions, and a pass is 4 blocks of 64 visits, so
+    # clusters filled up and refused moves within a block.
+    assert not partitions_equal(blocked.clustering, uncapped.clustering)
+    assert sum(row.stale_recomputes for row in blocked.trace) > 0
+    np.testing.assert_array_equal(blocked.clustering.assignment,
+                                  serial.clustering.assignment)
+    assert [row.moves_accepted for row in blocked.trace] == \
+        [row.moves_accepted for row in serial.trace]
+
+
+class _FixedDouble:
+    """Stands in for a generator whose next double is known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _tied_skewed_graph():
+    # A hub column on every row, a hub row on every column, and stored
+    # zero weights, which repeat a value of the cumulative sums.
+    rng = np.random.default_rng(4)
+    n, m = 30, 40
+    dense = np.where(rng.random((n, m)) < 0.15, rng.random((n, m)), 0.0)
+    dense[:, 0] = 1.0
+    dense[0, :] = 0.5
+    rows, cols = np.nonzero(dense)
+    data = dense[rows, cols]
+    data[rng.random(data.size) < 0.2] = 0.0
+    data[0] = data[1] = 0.0  # the hub row's first entries tie at zero
+    W = sp.csr_matrix((data, (rows, cols)), shape=(n, m))
+    g = normalize_rows(BipartiteGraph.from_csr(
+        W, tuple(range(n)), tuple(range(m))))
+    assert (g.cols.data == 0.0).any() and (g.rows.data == 0.0).any()
+    return g
+
+
+def test_pass_draws_match_per_visit_draws():
+    g = _tied_skewed_graph()
+    csc, csr = g.cols, g.rows
+    col_cum = _slice_cumsum(csc.indptr, csc.data)
+    row_cum = _slice_cumsum(csr.indptr, csr.data)
+    for indptr, data, cum in ((csc.indptr, csc.data, col_cum),
+                              (csr.indptr, csr.data, row_cum)):
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            np.testing.assert_array_equal(cum[lo:hi], np.cumsum(data[lo:hi]))
+    m = g.n_diversion
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(m)
+        u = rng.random(2 * m)
+        ks = _draw_many(csc.indptr, csc.indices, col_cum, perm, u[0::2])
+        js = _draw_many(csr.indptr, csr.indices, row_cum, ks, u[1::2])
+        rng = np.random.default_rng(seed)
+        for t, i in enumerate(rng.permutation(m)):
+            k = _draw(csc.indptr, csc.indices, csc.data, i, rng)
+            assert k == ks[t]
+            assert _draw(csr.indptr, csr.indices, csr.data, k, rng) == js[t]
+    # Doubles that land on the cumulative sums themselves, zero and the
+    # largest double below 1: ties and both ends of every slice.
+    for indptr, indices, data, cum in (
+            (csc.indptr, csc.indices, csc.data, col_cum),
+            (csr.indptr, csr.indices, csr.data, row_cum)):
+        for s in range(indptr.size - 1):
+            lo, hi = indptr[s], indptr[s + 1]
+            us = [0.0, np.nextafter(1.0, 0.0)]
+            if cum[hi - 1] > 0:  # else every weight of the slice is zero
+                us.extend(cum[lo:hi] / cum[hi - 1])
+            us = np.array(us)
+            got = _draw_many(indptr, indices, cum, np.full(us.size, s), us)
+            want = [_draw(indptr, indices, data, s, _FixedDouble(x))
+                    for x in us]
+            np.testing.assert_array_equal(got, want)
+
+
+def test_local_search_keeps_edgeless_unit_single():
+    # Column w has no edges: it is its own partner, so it stays alone.
+    W = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+    g = BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v", "w"))
+    with pytest.raises(ValueError):
+        wedge_sample(g, 2, np.random.default_rng(0))
+    for seed in range(5):
+        cfg = LocalSearchConfig(phi=0.0, max_passes=5, convergence=False,
+                                seed=seed)
+        labels = local_search(g, cfg).clustering.assignment
+        assert labels[0] == labels[1]
+        assert np.sum(labels == labels[2]) == 1
 
 
 def test_config_validation():
@@ -322,3 +439,11 @@ def test_write_trace_csv(tmp_path):
     assert rows[0]["pass"] == "1"
     assert float(rows[-1]["objective_total"]) == pytest.approx(
         result.objective.total)
+    # The counters follow elapsed, so the first six columns keep their
+    # places.
+    assert list(rows[0])[5:] == ["elapsed", "kernel_visits",
+                                 "stale_recomputes"]
+    for row, step in zip(rows, result.trace):
+        assert int(row["kernel_visits"]) == step.kernel_visits
+        assert int(row["stale_recomputes"]) == step.stale_recomputes
+        assert step.stale_recomputes <= step.kernel_visits <= g.n_diversion

@@ -140,6 +140,17 @@ def test_normalized_exposures_bounded(seed):
     np.testing.assert_allclose(exposures(g, -np.ones(g.n_diversion)), -1.0)
 
 
+def test_exposures_require_normalized_graph():
+    W = sp.csr_matrix(np.array([[2.0, 2.0], [3.0, 1.0]]))
+    g = BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
+    # The flag is computed once per graph; every call still refuses.
+    for _ in range(2):
+        with pytest.raises(NotNormalizedError):
+            exposures(g, np.ones(2))
+    gn = normalize_rows(g)
+    np.testing.assert_allclose(exposures(gn, np.ones(2)), 1.0)
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10**6))
 def test_row_col_views_consistent(seed):

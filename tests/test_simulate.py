@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bipx import simulate
 from bipx.design import Clustering, DesignSpec
 from bipx.estimator import OutcomeModel
 from bipx.graph_core import BipartiteGraph
@@ -202,6 +203,18 @@ def test_run_simulation_rejects_bad_replicates():
     model = OutcomeModel(slopes=np.zeros(2), intercepts=np.ones(2))
     with pytest.raises(ValueError):
         run_simulation(g, d, model, 0, base_seed=0)
+
+
+def test_run_simulation_checks_bins_before_replicates(monkeypatch):
+    g = small_graph()
+    d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
+    model = OutcomeModel(slopes=np.zeros(2), intercepts=np.ones(2))
+    calls = []
+    monkeypatch.setattr(simulate, "exposures",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="bins"):
+        run_simulation(g, d, model, 100, base_seed=0, bins=0)
+    assert calls == []
 
 
 def test_build_histogram_conservation():
