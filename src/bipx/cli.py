@@ -79,6 +79,15 @@ def _load_clustering(g, path):
         raise click.ClickException(f"cannot load clustering {path}: {exc}")
 
 
+def _degenerate(g, exc):
+    """A DegenerateDesignError as a message naming outcome ids."""
+    ids = ", ".join(g.outcome_ids[i] for i in exc.units[:20])
+    more = "" if len(exc.units) <= 20 else f" (+{len(exc.units) - 20} more)"
+    return click.ClickException(
+        f"degenerate design: zero exposure variance for outcome units "
+        f"{ids}{more}")
+
+
 @contextmanager
 def _usage_errors():
     """A spec object's ValueError names a bad flag value: exit 2."""
@@ -244,11 +253,7 @@ def cmd_moments(graph, clustering, out_csv, p):
     try:
         mom = exposure_moments(g, d)
     except DegenerateDesignError as exc:
-        ids = ", ".join(g.outcome_ids[i] for i in exc.units[:20])
-        more = "" if len(exc.units) <= 20 else f" (+{len(exc.units) - 20} more)"
-        raise click.ClickException(
-            f"degenerate design: zero exposure variance for outcome units "
-            f"{ids}{more}")
+        raise _degenerate(g, exc)
     write_moments_csv(mom, g, out_csv)
     argv = ["moments", graph, clustering, out_csv, "--p", repr(p)]
     _write_manifest(out_csv + ".manifest.json", "moments", argv,
@@ -292,16 +297,15 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
         with _usage_errors():
             d = DesignSpec.independent_cluster(c, p)
         design_name = f"independent-cluster[k={c.k}]"
-    model = generate_outcome_model(g, spec)
     try:
+        model = generate_outcome_model(g, spec)
         report = run_simulation(g, d, model, replicates, seed,
                                 design_name=design_name,
                                 scenario_name=spec.kind, bins=bins)
+    except ScenarioError as exc:
+        raise click.ClickException(str(exc))
     except DegenerateDesignError as exc:
-        ids = ", ".join(g.outcome_ids[i] for i in exc.units[:20])
-        raise click.ClickException(
-            f"degenerate design: zero exposure variance for outcome units "
-            f"{ids}")
+        raise _degenerate(g, exc)
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     estimates_path = os.path.join(out_dir, "estimates.csv")
@@ -362,8 +366,13 @@ def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
         spec = read_scenario_file(scenario)
     except ScenarioError as exc:
         raise click.ClickException(str(exc))
-    rows = phi_sweep(g, spec, phi_values, cfg, replicates, seed,
-                     path=out_csv)
+    try:
+        rows = phi_sweep(g, spec, phi_values, cfg, replicates, seed,
+                         path=out_csv)
+    except ScenarioError as exc:
+        raise click.ClickException(str(exc))
+    except DegenerateDesignError as exc:
+        raise _degenerate(g, exc)
     argv = ["sweep", graph, scenario, out_csv, "--phis", phis,
             "--p", repr(p), "--replicates", str(replicates),
             "--seed", str(seed), "--search-seed", str(search_seed)]

@@ -263,7 +263,14 @@ def exposure_moments(g, d, check=True):
     """
     g.require_normalized()
     c = d.effective_clustering(g.n_diversion)
-    caw = cluster_aggregated_weights(g, c)
+    return aggregate_moments(g, d, cluster_aggregated_weights(g, c), check)
+
+
+def aggregate_moments(g, d, caw, check=True):
+    """exposure_moments from the design's prebuilt cluster aggregates.
+
+    For callers that also need `caw`, so it is built once.
+    """
     mean = (2.0 * d.p - 1.0) * np.asarray(g.rows.sum(axis=1)).ravel()
     sq = caw.agg.copy()
     sq.data = sq.data ** 2

@@ -19,15 +19,12 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.cluster.hierarchy as sch
-import scipy.spatial.distance as ssd
 from scipy.special import ndtri
 
 from bipx.cluster_opt import local_search
-from bipx.design import DesignSpec, derived_rng, exposure_moments, \
-    sample_assignment
-from bipx.estimator import OutcomeModel, erl_estimate, respond, true_ate
-from bipx.graph_core import exposures
+from bipx.design import DesignSpec, aggregate_moments, \
+    cluster_aggregated_weights, derived_rng
+from bipx.estimator import OutcomeModel, true_ate
 
 POSITIVE_TE = "PositiveTE"
 ZERO_TE = "ZeroTE"
@@ -42,6 +39,17 @@ _DEFAULTS = {
     GRAPH_DEPENDENT: dict(slope_mean=1.0, slope_var=0.5,
                           intercept_mean=0.0, intercept_var=0.125),
 }
+
+
+# A block of replicates holds at most this many coins (and at most
+# _MAX_BLOCK replicates): a larger coin block falls out of cache, which
+# made 64-replicate blocks slower than single replicates at k = 1e5.
+_BLOCK_COINS = 1 << 17
+_MAX_BLOCK = 64
+
+# outcome_linkage_labels holds about 28 n^2 bytes of dense matrices; this
+# many outcome units keeps them under about 0.7 GB.
+MAX_LINKAGE_UNITS = 5000
 
 
 class ScenarioError(ValueError):
@@ -166,6 +174,16 @@ def outcome_linkage_labels(g, n_clusters):
     n = g.n_outcome
     if n_clusters >= n:
         return np.arange(n, dtype=np.int64)
+    if n > MAX_LINKAGE_UNITS:
+        raise ScenarioError(
+            f"GraphDependent linkage over {n} outcome units needs dense "
+            f"n x n similarity and distance matrices plus their condensed "
+            f"form, about 28 n^2 bytes = {28 * n * n / 1e9:.1f} GB; the "
+            f"limit is {MAX_LINKAGE_UNITS} outcome units")
+    # Imported here: they add about 0.12 s to every bipx process otherwise.
+    import scipy.cluster.hierarchy as sch
+    import scipy.spatial.distance as ssd
+
     sim = (g.rows @ g.rows.T).toarray()
     dist = np.max(sim) - sim
     np.fill_diagonal(dist, 0.0)
@@ -218,7 +236,22 @@ class SimulationReport:
         return self.estimates
 
     def standard_error(self):
+        """Standard error of the mean estimate, taken as sqrt(mse / R).
+
+        `mse` holds the squared bias as well as the variance, so this is
+        exact only at zero bias.
+        """
         return float(np.sqrt(self.mse / self.n_replicates))
+
+    def mse_standard_error(self):
+        """Monte Carlo standard error of `mse`: std((est - tau)^2) / sqrt(R).
+
+        Uses ddof=1, so it is nan for a single replicate.
+        """
+        if self.n_replicates < 2:
+            return float("nan")
+        sq = (self.estimates - self.true_ate) ** 2
+        return float(np.std(sq, ddof=1) / np.sqrt(self.n_replicates))
 
 
 def build_histogram(values, bins):
@@ -242,23 +275,37 @@ def run_simulation(g, d, model, replicates, base_seed, *,
 
     Replicate r uses the generator seeded by (base_seed, r), so results
     do not depend on execution order and rerunning any subset reproduces
-    the same estimates.
+    the same estimates. Its cluster coins are the doubles
+    `sample_assignment` draws from that generator, and its exposures are
+    agg @ coins over the design's cluster aggregates, computed for a block
+    of replicates per sparse product.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     g.require_normalized()
-    mom = exposure_moments(g, d)
+    if model.n != g.n_outcome:
+        raise ValueError("exposure vector length does not match the model")
+    c = d.effective_clustering(g.n_diversion)
+    caw = cluster_aggregated_weights(g, c)
+    mom = aggregate_moments(g, d, caw)
     tau = true_ate(model)
-    m = g.n_diversion
     ests = np.empty(replicates, dtype=np.float64)
-    for r in range(replicates):
-        rng = derived_rng(base_seed, r)
-        z = sample_assignment(d, rng, m=m)
-        x = exposures(g, z)
-        y = respond(model, x)
-        ests[r] = erl_estimate(y, x, mom)
+    block = max(1, min(_MAX_BLOCK, _BLOCK_COINS // c.k))
+    coins = np.empty((block, c.k), dtype=np.float64)
+    for start in range(0, replicates, block):
+        b = min(block, replicates - start)
+        for row in range(b):
+            coins[row] = derived_rng(base_seed, start + row).random(c.k)
+        signs = np.where(coins[:b] < d.p, 1.0, -1.0)
+        # (n, b) from the sparse product, transposed so that each
+        # replicate's terms are summed along one contiguous row: the sum
+        # then has the same bits whatever the block size.
+        x = np.ascontiguousarray((caw.agg @ signs.T).T)
+        y = model.slopes * x + model.intercepts
+        terms = y * (x - mom.mean) / mom.variance
+        ests[start:start + b] = (2.0 / g.n_outcome) * terms.sum(axis=1)
     bias = float(ests.mean() - tau)
     mse = float(np.mean((ests - tau) ** 2))
     edges, counts = build_histogram(ests, bins)
@@ -294,6 +341,7 @@ def export_estimates_csv(report, path):
 def report_to_json(report, path=None):
     """Aggregate metadata as JSON; per-replicate data stays in the CSVs."""
     edges, counts = report.histogram
+    se = report.mse_standard_error()
     payload = {
         "design_name": report.design_name,
         "scenario_name": report.scenario_name,
@@ -302,6 +350,8 @@ def report_to_json(report, path=None):
         "mean_estimate": report.mean_estimate,
         "bias": report.bias,
         "mse": report.mse,
+        # null for a single replicate, where it is not defined.
+        "mse_standard_error": None if np.isnan(se) else se,
         "histogram_edges": [float(e) for e in edges],
         "histogram_counts": [int(c) for c in counts],
     }

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from click.testing import CliRunner
 
 import bipx
+from bipx import simulate
 from bipx.cli import main
 from bipx.design import read_clustering
 from bipx.graph_core import (BipartiteGraph, load_edge_list,
@@ -303,6 +304,36 @@ def test_bad_input_exits_without_traceback(workspace, runner, args, code):
     assert "Traceback" not in result.output
     if code == 1:
         assert "cannot load clustering" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "{g}", "{s}", "{d}/sim", "--bernoulli"],
+    ["sweep", "{g}", "{s}", "{d}/s.csv", "--phis", "1.0"]],
+    ids=["simulate", "sweep"])
+def test_large_graph_dependent_exits_without_traceback(
+        workspace, runner, monkeypatch, command):
+    tmp_path, graph_path, _ = workspace
+    monkeypatch.setattr(simulate, "MAX_LINKAGE_UNITS", 2)
+    scenario = tmp_path / "dep.txt"
+    scenario.write_text("kind = GraphDependent\nn_outcome_clusters = 2\n")
+    args = [a.format(g=graph_path, s=scenario, d=tmp_path) for a in command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "3 outcome units" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_cli_import_leaves_out_linkage_modules():
+    env = dict(os.environ, PYTHONPATH=str(Path(bipx.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bipx.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith(('scipy.cluster', 'scipy.spatial'))))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_export_rejects_corrupt_snapshot(workspace):

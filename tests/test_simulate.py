@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from bipx import simulate
-from bipx.design import Clustering, DesignSpec
-from bipx.estimator import OutcomeModel
-from bipx.graph_core import BipartiteGraph
+from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
+                         derived_rng, exposure_moments, sample_assignment)
+from bipx.estimator import OutcomeModel, erl_estimate, respond
+from bipx.graph_core import BipartiteGraph, exposures
 from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
                            ScenarioError, ScenarioSpec, build_histogram,
                            export_estimates_csv, export_histogram,
@@ -16,7 +17,8 @@ from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
                            read_scenario_file, report_to_json, run_simulation,
                            write_scenario_file)
 from bipx.cluster_opt import LocalSearchConfig
-from bipx.synth import random_instance
+from bipx.synth import (nondegenerate_clustering, paired_pool_instance,
+                        random_clustering, random_instance, random_model)
 
 
 def small_graph():
@@ -130,6 +132,18 @@ def test_graph_dependent_groups_share_parameters():
     assert np.unique(iid.slopes).size == n
 
 
+def test_graph_dependent_refuses_large_linkage(monkeypatch):
+    rng = np.random.default_rng(8)
+    g = random_instance(rng, n_max=6, m_max=10)
+    monkeypatch.setattr(simulate, "MAX_LINKAGE_UNITS", 1)
+    spec = ScenarioSpec.graph_dependent(1, model_seed=1)
+    with pytest.raises(ScenarioError, match="GB; the limit is 1 outcome"):
+        generate_outcome_model(g, spec)
+    # One group per unit needs no linkage, so it is not refused.
+    labels = outcome_linkage_labels(g, g.n_outcome)
+    assert labels.tolist() == list(range(g.n_outcome))
+
+
 def test_linkage_labels_count():
     rng = np.random.default_rng(8)
     g = random_instance(rng, n_max=6, m_max=10)
@@ -177,6 +191,24 @@ def test_run_simulation_mse_decomposes():
         np.sqrt(report.mse / 200))
 
 
+def test_mse_standard_error_formula():
+    g = small_graph()
+    d = DesignSpec.bernoulli(0.5)
+    model = OutcomeModel(slopes=np.array([1.0, 0.5]),
+                         intercepts=np.array([0.2, -0.1]))
+    report = run_simulation(g, d, model, 50, base_seed=3)
+    sq = [(e - report.true_ate) ** 2 for e in report.estimates.tolist()]
+    mean = sum(sq) / len(sq)
+    var = sum((v - mean) ** 2 for v in sq) / (len(sq) - 1)
+    assert report.mse_standard_error() == pytest.approx(
+        (var / len(sq)) ** 0.5, rel=1e-12)
+    payload = json.loads(report_to_json(report))
+    assert payload["mse_standard_error"] == report.mse_standard_error()
+    single = run_simulation(g, d, model, 1, base_seed=3)
+    assert np.isnan(single.mse_standard_error())
+    assert json.loads(report_to_json(single))["mse_standard_error"] is None
+
+
 def test_run_simulation_does_not_mutate_model():
     g = small_graph()
     d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
@@ -203,18 +235,95 @@ def test_run_simulation_rejects_bad_replicates():
     model = OutcomeModel(slopes=np.zeros(2), intercepts=np.ones(2))
     with pytest.raises(ValueError):
         run_simulation(g, d, model, 0, base_seed=0)
+    short = OutcomeModel(slopes=np.zeros(1), intercepts=np.ones(1))
+    with pytest.raises(ValueError, match="does not match the model"):
+        run_simulation(g, d, short, 5, base_seed=0)
+
+
+def _count_replicate_seeds(monkeypatch):
+    """Record every replicate generator run_simulation derives."""
+    calls = []
+
+    def counting(base_seed, replicate):
+        calls.append(replicate)
+        return derived_rng(base_seed, replicate)
+
+    monkeypatch.setattr(simulate, "derived_rng", counting)
+    return calls
 
 
 def test_run_simulation_checks_bins_before_replicates(monkeypatch):
     g = small_graph()
     d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
     model = OutcomeModel(slopes=np.zeros(2), intercepts=np.ones(2))
-    calls = []
-    monkeypatch.setattr(simulate, "exposures",
-                        lambda *args: calls.append(args))
+    calls = _count_replicate_seeds(monkeypatch)
+    run_simulation(g, d, model, 5, base_seed=0)
+    assert calls == list(range(5))
+    calls.clear()
     with pytest.raises(ValueError, match="bins"):
         run_simulation(g, d, model, 100, base_seed=0, bins=0)
     assert calls == []
+
+
+def test_run_simulation_rejects_degenerate_design_first(monkeypatch):
+    g = small_graph()
+    d = DesignSpec.independent_cluster(Clustering.singletons(2), 1e-12)
+    model = OutcomeModel(slopes=np.ones(2), intercepts=np.zeros(2))
+    calls = _count_replicate_seeds(monkeypatch)
+    with pytest.raises(DegenerateDesignError):
+        run_simulation(g, d, model, 100, base_seed=0)
+    assert calls == []
+
+
+def _replicate_loop(g, d, model, replicates, base_seed):
+    """run_simulation's estimates, one public call at a time."""
+    mom = exposure_moments(g, d)
+    ests = []
+    for r in range(replicates):
+        z = sample_assignment(d, derived_rng(base_seed, r), m=g.n_diversion)
+        x = exposures(g, z)
+        ests.append(erl_estimate(respond(model, x), x, mom))
+    return np.array(ests)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_run_simulation_matches_replicate_loop(p):
+    rng = np.random.default_rng(2024)
+    for case in range(24):
+        g = random_instance(rng, n_max=8, m_max=14)
+        model = random_model(rng, g.n_outcome)
+        if case % 2:
+            d = DesignSpec.bernoulli(p)
+        else:
+            d = DesignSpec.independent_cluster(
+                nondegenerate_clustering(g, rng, p), p)
+        # 1, a partial first block, and a full block plus a partial one.
+        replicates = (1, 5, 70)[case % 3]
+        report = run_simulation(g, d, model, replicates, base_seed=case)
+        loop = _replicate_loop(g, d, model, replicates, case)
+        np.testing.assert_allclose(report.estimates, loop, rtol=1e-12,
+                                   atol=1e-12 * np.abs(loop).max())
+
+
+@pytest.mark.parametrize("constant,value", [
+    ("_MAX_BLOCK", 1), ("_MAX_BLOCK", 3), (None, None),
+    # Bernoulli's 2000 coins then make blocks of 2.
+    ("_BLOCK_COINS", 4001)])
+def test_run_simulation_estimates_do_not_depend_on_block(
+        monkeypatch, constant, value):
+    g, _ = paired_pool_instance()
+    model = generate_outcome_model(g, ScenarioSpec.positive_te(model_seed=4))
+    rng = np.random.default_rng(5)
+    designs = [DesignSpec.bernoulli(0.5),
+               DesignSpec.independent_cluster(
+                   random_clustering(rng, g.n_diversion, k_max=400), 0.3)]
+    expected = [run_simulation(g, d, model, 11, base_seed=9).estimates
+                for d in designs]
+    if constant is not None:
+        monkeypatch.setattr(simulate, constant, value)
+    for d, want in zip(designs, expected):
+        got = run_simulation(g, d, model, 11, base_seed=9).estimates
+        assert got.tobytes() == want.tobytes()
 
 
 def test_build_histogram_conservation():
