@@ -2,11 +2,12 @@
 
 Every command writes a JSON manifest next to its outputs recording the
 replayable argument vector, all seeds, input and output digests, and the
-tool version. `bipx rerun MANIFEST --check` replays the run and verifies
-the regenerated outputs digest-match the original ones. Outputs whose
-bytes legitimately vary between runs (wall-clock trace columns, the
-manifest itself) are listed under volatile_outputs and excluded from the
-byte-identity contract.
+tool version. `bipx rerun MANIFEST` first checks that every recorded
+input still has its recorded digest, then replays the run in the directory
+it was made in; with --check it also verifies that the regenerated outputs
+digest-match the original ones. Outputs whose bytes legitimately vary
+between runs (wall-clock trace columns, the manifest itself) are listed
+under volatile_outputs and excluded from the byte-identity contract.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ def _write_manifest(path, command, argv, seeds, inputs, outputs,
     manifest = {
         "command": command,
         "argv": list(argv),
+        "cwd": os.getcwd(),
         "flags": flags,
         "seeds": seeds,
         "inputs": {os.path.abspath(p): _sha256(p) for p in inputs},
@@ -404,13 +406,31 @@ def cmd_rerun(manifest, check):
     argv = record.get("argv")
     if not argv:
         raise click.ClickException(f"{manifest}: no argv recorded")
-    click.echo("replaying: bipx " + " ".join(argv))
+    changed = []
+    for path, digest in record.get("inputs", {}).items():
+        if not os.path.isfile(path):
+            changed.append(f"{path}: missing")
+        elif _sha256(path) != digest:
+            changed.append(f"{path}: changed since the recorded run")
+    if changed:
+        raise click.ClickException(
+            "inputs differ from manifest:\n" + "\n".join(changed))
+    # argv holds paths relative to the directory the run was made in.
+    cwd = record.get("cwd", os.getcwd())
+    click.echo(f"replaying in {cwd}: bipx " + " ".join(argv))
+    here = os.getcwd()
+    try:
+        os.chdir(cwd)
+    except OSError as exc:
+        raise click.ClickException(f"cannot replay in {cwd}: {exc}")
     try:
         main.main(args=argv, standalone_mode=False)
     except click.ClickException:
         raise
     except Exception as exc:  # pragma: no cover - defensive
         raise click.ClickException(f"replay failed: {exc}")
+    finally:
+        os.chdir(here)
     if check:
         volatile = set(record.get("volatile_outputs", []))
         failures = []

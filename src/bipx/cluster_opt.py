@@ -11,7 +11,8 @@ the objective equals the coin variance 4p(1-p) times the total in-cluster
 omega weight, so maximizing it is a correlation-clustering problem. The
 local search starts from singletons and repeatedly tries to move a unit
 into the cluster of a wedge-sampled partner, accepting strict improvements
-subject to a cluster-size cap.
+subject to a cluster-size cap. The dense omega and enumeration routes to
+the objective, which the tests check it against, are in bipx.oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from bipx.design import (Clustering, DesignSpec, enumerate_exact_moments,
-                         exposure_moments)
-from bipx.graph_core import diversion_coweight
+from bipx.design import Clustering, DesignSpec, exposure_moments
 
 # Strict improvement threshold; prevents cycling on exact ties.
 ACCEPT_EPS = 1e-12
@@ -92,23 +91,6 @@ class SearchResult:
     seed: int
 
 
-def omega(g, phi, i, j):
-    """Pair weight (1 + phi) c[i, j] - phi s[i] s[j] for diversion units."""
-    g.require_normalized()
-    if phi < 0:
-        raise ValueError("phi must be >= 0")
-    c = diversion_coweight(g, i, j)
-    return (1.0 + phi) * c - phi * float(g.col_sums[i] * g.col_sums[j])
-
-
-def omega_matrix(g, phi):
-    """Dense m x m omega matrix; verification utility for desk-scale m."""
-    g.require_normalized()
-    gram = (g.cols.T @ g.cols).toarray()
-    s = g.col_sums
-    return (1.0 + phi) * gram - phi * np.outer(s, s)
-
-
 def objective(g, c, phi, p=0.5):
     """Objective of a clustering via the cluster aggregates (closed form).
 
@@ -126,45 +108,15 @@ def objective(g, c, phi, p=0.5):
                           covariance_sum=s_sq - var_sum, phi=phi)
 
 
-def objective_by_moments(g, c, phi, p=0.5):
-    """Objective reassembled from brute-force moments; oracle route."""
-    exact = enumerate_exact_moments(g, DesignSpec.independent_cluster(c, p))
-    cov = exact.covariance()
-    var_sum = float(np.trace(cov))
-    cov_sum = float(cov.sum() - np.trace(cov))
-    return ObjectiveValue(var_sum, cov_sum, phi)
-
-
-def objective_by_omega(g, c, phi, p=0.5):
-    """Objective as 4p(1-p) times the total in-cluster omega weight.
-
-    The parts are recovered from the dense co-weight Gram matrix and the
-    column-sum outer product, whose phi-combination is exactly omega.
-    """
-    same = c.assignment[:, None] == c.assignment[None, :]
-    cv = DesignSpec.independent_cluster(c, p).coin_variance
-    gram = (g.cols.T @ g.cols).toarray()
-    s = g.col_sums
-    var_sum = cv * float(gram[same].sum())
-    cov_sum = cv * float((np.outer(s, s)[same]).sum() - gram[same].sum())
-    return ObjectiveValue(var_sum, cov_sum, phi)
-
-
-def exposure_spread_objective(g, c, p=0.5, method="aggregate"):
+def exposure_spread_objective(g, c, p=0.5):
     """Expected empirical variance of the exposure vector under the design.
 
     E[ sum_i (x_i - mean(x))^2 ] equals the trace form
     4p(1-p) sum_C (sum_i agg[i,C]^2 - S_C^2 / n) plus a mean term
     (2p-1)^2 * r^T (I - 11^T/n) r with r the row sums, which vanishes for
-    row-normalized graphs. method="enumerate" uses the brute-force oracle.
+    row-normalized graphs.
     """
     g.require_normalized()
-    d = DesignSpec.independent_cluster(c, p)
-    if method == "enumerate":
-        exact = enumerate_exact_moments(g, d)
-        return float(exact.expect(lambda x: np.sum((x - x.mean()) ** 2)))
-    if method != "aggregate":
-        raise ValueError(f"unknown method {method!r}")
     obj = objective(g, c, 0.0, p)
     total = obj.variance_sum + obj.covariance_sum
     return obj.variance_sum - total / g.n_outcome \
@@ -364,7 +316,7 @@ def move_delta(g, assignment, i, target, phi, p=0.5):
     return float(_MoveDelta(g, phi, p).rescore(labels, S, i, target))
 
 
-# Visits scored per two-hop gather in local_search.
+# Visits per two-hop gather in local_search and balanced_partition_baseline.
 _BLOCK = 64
 
 
@@ -492,67 +444,36 @@ def balanced_partition_baseline(g, k, seed=0, max_passes=15):
     labels = np.arange(m, dtype=np.int64) % k
     sizes = np.bincount(labels, minlength=k)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    csc, csr = g.cols, g.rows
+    paths = _MoveDelta(g, 0.0, 0.5).paths  # phi and p do not enter paths
     for _ in range(max_passes):
         moved = 0
-        for i in rng.permutation(m):
-            aff = {}
-            lo, hi = csc.indptr[i], csc.indptr[i + 1]
-            for kk, wk in zip(csc.indices[lo:hi], csc.data[lo:hi]):
-                rlo, rhi = csr.indptr[kk], csr.indptr[kk + 1]
-                for j2, w2 in zip(csr.indices[rlo:rhi], csr.data[rlo:rhi]):
-                    lab = labels[j2]
-                    aff[lab] = aff.get(lab, 0.0) + wk * w2
-            cur = labels[i]
-            best_lab, best_aff = cur, aff.get(cur, 0.0)
-            for lab in sorted(aff):
-                if lab == cur or sizes[lab] >= cap:
+        perm = rng.permutation(m)
+        for lo in range(0, m, _BLOCK):
+            # Path ends and weights do not depend on the labels, so a
+            # block's units share one gather.
+            units = perm[lo:lo + _BLOCK]
+            ends, prod, bounds = paths(units)
+            for i, a, b in zip(units.tolist(), bounds[:-1].tolist(),
+                               bounds[1:].tolist()):
+                if a == b:  # a unit with no edges has no affinity
                     continue
-                if aff[lab] > best_aff:
-                    best_lab, best_aff = lab, aff[lab]
-            if best_lab != cur:
-                labels[i] = best_lab
-                sizes[cur] -= 1
-                sizes[best_lab] += 1
-                moved += 1
+                # Affinity to every label among the path ends, summed in
+                # path order; labels come sorted, so argmax breaks ties to
+                # the smallest label. The own label cannot beat itself.
+                labs, at = np.unique(labels[ends[a:b]], return_inverse=True)
+                aff = np.bincount(at, weights=prod[a:b])
+                cur = labels[i]
+                own = aff[labs.searchsorted(cur)]
+                aff[sizes[labs] >= cap] = -np.inf
+                best = int(np.argmax(aff))
+                if aff[best] > own:
+                    labels[i] = labs[best]
+                    sizes[cur] -= 1
+                    sizes[labs[best]] += 1
+                    moved += 1
         if moved == 0:
             break
     return Clustering.from_labels(labels)
-
-
-@dataclass(frozen=True)
-class CorrClustCS:
-    """Split of the in-cluster omega objective into non-negative weights.
-
-    w_in = max{0, omega} on in-cluster pairs, w_out = -min{0, omega} on
-    out-of-cluster pairs, and constant = sum over all ordered pairs of
-    min{0, omega}; then corr_clust_total - constant = cs_total.
-    """
-
-    in_weight: float
-    out_weight: float
-    constant: float
-    corr_clust_total: float
-
-    @property
-    def cs_total(self):
-        return self.in_weight + self.out_weight
-
-
-def corr_clust_cs_rewrite(g, phi, c):
-    """Evaluate the non-negative-weight rewriting of the objective.
-
-    Materializes omega densely; verification utility for desk-scale m.
-    """
-    om = omega_matrix(g, phi)
-    same = c.assignment[:, None] == c.assignment[None, :]
-    pos = np.maximum(om, 0.0)
-    neg = np.minimum(om, 0.0)
-    return CorrClustCS(
-        in_weight=float(pos[same].sum()),
-        out_weight=float(-neg[~same].sum()),
-        constant=float(neg.sum()),
-        corr_clust_total=float(om[same].sum()))
 
 
 def write_trace_csv(trace, path):

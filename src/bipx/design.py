@@ -4,8 +4,8 @@ A design assigns +1 (treatment, probability p) or -1 (control) to every
 diversion unit. Bernoulli designs flip one independent coin per unit;
 independent cluster designs partition the units and flip one coin per
 cluster. Exposure moments under either design have closed forms through
-the cluster-aggregated weights; a brute-force enumeration oracle over all
-2^k cluster coin outcomes provides an independent route for small k.
+the cluster-aggregated weights. The brute-force route over all 2^k cluster
+coin outcomes, which the tests check these against, is in bipx.oracle.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ import scipy.sparse as sp
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
 VAR_FLOOR = 1e-10
-
-# Enumeration walks all 2^k cluster coin outcomes.
-MAX_ENUM_CLUSTERS = 20
 
 BERNOULLI = "bernoulli"
 INDEPENDENT_CLUSTER = "independent-cluster"
@@ -43,10 +40,6 @@ class DegenerateDesignError(DesignError):
         super().__init__(
             f"{len(self.units)} outcome unit(s) have exposure variance below "
             f"{VAR_FLOOR}: {self.units[:10]}")
-
-
-class EnumerationTooLargeError(DesignError):
-    pass
 
 
 def derived_rng(base_seed, replicate):
@@ -280,81 +273,6 @@ def aggregate_moments(g, d, caw, check=True):
         if bad.size:
             raise DegenerateDesignError(bad, variance)
     return ExposureMoments(mean, variance, d)
-
-
-def exposure_cov_pair(g, d, i, j):
-    """Cov[x_i, x_j] = 4p(1-p) * sum_C agg[i, C] agg[j, C]."""
-    g.require_normalized()
-    c = d.effective_clustering(g.n_diversion)
-    caw = cluster_aggregated_weights(g, c)
-    return pair_covariance(caw, d, i, j)
-
-
-def pair_covariance(caw, d, i, j):
-    """Cov[x_i, x_j] from precomputed aggregates."""
-    a = caw.agg
-    lo, hi = a.indptr[i], a.indptr[i + 1]
-    li, wi = a.indices[lo:hi], a.data[lo:hi]
-    lo, hi = a.indptr[j], a.indptr[j + 1]
-    lj, wj = a.indices[lo:hi], a.data[lo:hi]
-    _, ai, bj = np.intersect1d(li, lj, assume_unique=True, return_indices=True)
-    return d.coin_variance * float(wi[ai] @ wj[bj])
-
-
-class ExactMoments:
-    """Brute-force expectations over all 2^k cluster coin outcomes.
-
-    Feasible for k <= MAX_ENUM_CLUSTERS. Exposes exact mean/variance/
-    covariance of exposures plus a generic functional evaluator E[f(x)].
-    """
-
-    def __init__(self, g, d):
-        g.require_normalized()
-        c = d.effective_clustering(g.n_diversion)
-        if c.k > MAX_ENUM_CLUSTERS:
-            raise EnumerationTooLargeError(
-                f"{c.k} clusters exceed the 2^{MAX_ENUM_CLUSTERS} enumeration limit")
-        self.design = d
-        k = c.k
-        count = 1 << k
-        # Row r of `signs` holds the +/-1 coins of outcome pattern r.
-        bits = (np.arange(count)[:, None] >> np.arange(k)[None, :]) & 1
-        self.signs = bits * 2.0 - 1.0
-        heads = bits.sum(axis=1)
-        self.weights = (d.p ** heads) * ((1.0 - d.p) ** (k - heads))
-        caw = cluster_aggregated_weights(g, c)
-        # exposure_matrix[r, i] = exposure of outcome i under pattern r.
-        self.exposure_matrix = (caw.agg @ self.signs.T).T
-
-    def expect(self, fn):
-        """E[f(x)] for any f mapping an exposure vector to a scalar/array."""
-        total = None
-        for w, x in zip(self.weights, self.exposure_matrix):
-            term = np.asarray(fn(x), dtype=np.float64) * w
-            total = term if total is None else total + term
-        return total
-
-    def mean(self):
-        return self.weights @ self.exposure_matrix
-
-    def variance(self):
-        mu = self.mean()
-        return self.weights @ (self.exposure_matrix - mu) ** 2
-
-    def covariance(self):
-        mu = self.mean()
-        centered = self.exposure_matrix - mu
-        return (centered * self.weights[:, None]).T @ centered
-
-    def squared_pair_moment(self):
-        """Matrix of E[x_i^2 x_j^2]."""
-        sq = self.exposure_matrix ** 2
-        return (sq * self.weights[:, None]).T @ sq
-
-
-def enumerate_exact_moments(g, d):
-    """Enumeration oracle; see ExactMoments."""
-    return ExactMoments(g, d)
 
 
 def write_moments_csv(mom, g, path):

@@ -8,8 +8,10 @@ tau = (2/n) sum_i m_i. The ERL estimator
 
 is unbiased whenever every exposure variance is positive, and reduces to
 the standard Horvitz-Thompson contrast when the incidence matrix is the
-identity. The MSE diagnostics here take the model as ground truth; they
-are simulation-side tools and the estimator itself never sees it.
+identity. The MSE diagnostic here takes the model as ground truth; it is
+a simulation-side tool and the estimator itself never sees the model. The
+enumeration routes to the exact MSE and E[tau_hat], which the tests check
+the estimator against, are in bipx.oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bipx.design import (VAR_FLOOR, DegenerateDesignError,
-                         cluster_aggregated_weights, enumerate_exact_moments,
-                         exposure_moments)
+                         cluster_aggregated_weights, exposure_moments)
 
 
 @dataclass(frozen=True)
@@ -65,48 +66,13 @@ def erl_estimate(y, x, mom):
     return (2.0 / n) * float(np.sum(y * (x - mom.mean) / mom.variance))
 
 
-def _theta_matrix(g, d, model, exact):
-    """Per-pattern per-unit terms theta[r, i] = 2 Y_i (x_i - mu_i) / V_i.
-
-    tau_hat under pattern r is mean_i theta[r, i].
-    """
-    mom = exposure_moments(g, d)
-    x = exact.exposure_matrix
-    y = model.slopes[None, :] * x + model.intercepts[None, :]
-    return 2.0 * y * (x - mom.mean[None, :]) / mom.variance[None, :]
-
-
-def estimate_distribution(g, d, model):
-    """All (probability, tau_hat) pairs under the design, by enumeration."""
-    exact = enumerate_exact_moments(g, d)
-    theta = _theta_matrix(g, d, model, exact)
-    return exact.weights, theta.mean(axis=1)
-
-
 def mse_exact(g, d, model):
-    """Exact E[(tau_hat - tau)^2] by enumeration (cluster count <= 20)."""
-    weights, estimates = estimate_distribution(g, d, model)
-    tau = true_ate(model)
-    return float(weights @ (estimates - tau) ** 2)
-
-
-def mse_decomposition(g, d, model):
-    """MSE reassembled term by term from the per-unit estimator pieces.
-
-    Returns (1/n^2) [ sum_i Var(theta_i) + 2 sum_{i<j} Cov(theta_i, theta_j) ],
-    every moment evaluated independently through the enumeration oracle.
-    Agrees with mse_exact; kept separate as a verification route.
-    """
-    exact = enumerate_exact_moments(g, d)
-    theta = _theta_matrix(g, d, model, exact)
-    w = exact.weights
-    mu = w @ theta
-    centered = theta - mu
-    cov = (centered * w[:, None]).T @ centered
-    n = model.n
-    var_sum = float(np.trace(cov))
-    cov_sum = float(cov.sum() - np.trace(cov))  # ordered pairs i != j
-    return (var_sum + cov_sum) / n ** 2
+    """Exact E[(tau_hat - tau)^2] by 2^k enumeration; see bipx.oracle."""
+    # bench/oracle.py checks its closed form against this name. The import
+    # is made here, not at module level, so that no production path loads
+    # the oracle module.
+    from bipx import oracle
+    return oracle.mse_exact(g, d, model)
 
 
 def mse_zero_slope(g, d, model):
@@ -130,34 +96,3 @@ def mse_zero_slope(g, d, model):
     diag = float(np.sum(u * u * v))
     n = model.n
     return (4.0 / n ** 2) * (float(np.sum(b * b / v)) + (quad - diag))
-
-
-def mse_zero_intercept_bound(g, d, model):
-    """Upper bound on the MSE when every intercept is zero and p = 1/2.
-
-    (4/n^2) [ sum_i m_i^2 (1/V_i - 1)
-              + 2 sum_{i<j} m_i m_j (E[x_i^2 x_j^2]/(V_i V_j) - 1) ].
-    The fourth moments E[x_i^2 x_j^2] come from the enumeration oracle, so
-    this is a desk-scale diagnostic, not a production path.
-    """
-    if np.any(model.intercepts != 0):
-        raise ValueError("mse_zero_intercept_bound requires all intercepts zero")
-    if d.p != 0.5:
-        raise ValueError("mse_zero_intercept_bound requires p = 1/2")
-    mom = exposure_moments(g, d)
-    exact = enumerate_exact_moments(g, d)
-    m2 = exact.squared_pair_moment()
-    m_ = model.slopes
-    v = mom.variance
-    n = model.n
-    diag_term = float(np.sum(m_ * m_ * (1.0 / v - 1.0)))
-    u = m_ / v
-    cross_moment = float(u @ m2 @ u - np.sum(u * u * np.diag(m2)))
-    cross_const = float(np.sum(m_) ** 2 - np.sum(m_ * m_))
-    return (4.0 / n ** 2) * (diag_term + cross_moment - cross_const)
-
-
-def expected_estimate(g, d, model):
-    """Exact E[tau_hat] by enumeration; equals true_ate when unbiased."""
-    weights, estimates = estimate_distribution(g, d, model)
-    return float(weights @ estimates)

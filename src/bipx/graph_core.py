@@ -122,9 +122,6 @@ class BipartiteGraph:
     def outcome_degrees(self):
         return np.diff(self.rows.indptr)
 
-    def diversion_degrees(self):
-        return np.diff(self.cols.indptr)
-
 
 def _build_from_entries(entries, outcome_ids, diversion_ids):
     """Assemble a graph from (i, j, w) triples, dropping empty units.
@@ -271,54 +268,6 @@ def exposures(g, z):
     g.require_normalized()
     z = validate_assignment(z, g.n_diversion)
     return g.rows @ z
-
-
-def outcome_similarity(g, i, j):
-    """Inner product of outcome rows i and j: sum_k w[i, k] w[j, k]."""
-    g.require_normalized()
-    if i == j:
-        _, w = g.row(i)
-        return float(w @ w)
-    idx_i, w_i = g.row(i)
-    idx_j, w_j = g.row(j)
-    _, a, b = np.intersect1d(idx_i, idx_j, assume_unique=True,
-                             return_indices=True)
-    return float(w_i[a] @ w_j[b])
-
-
-def diversion_coweight(g, i, j):
-    """Co-weight of diversion columns i and j: c[i, j] = sum_k w[k, i] w[k, j]."""
-    g.require_normalized()
-    if i == j:
-        _, w = g.col(i)
-        return float(w @ w)
-    idx_i, w_i = g.col(i)
-    idx_j, w_j = g.col(j)
-    if len(idx_j) < len(idx_i):
-        idx_i, w_i, idx_j, w_j = idx_j, w_j, idx_i, w_i
-    _, a, b = np.intersect1d(idx_i, idx_j, assume_unique=True,
-                             return_indices=True)
-    return float(w_i[a] @ w_j[b])
-
-
-def aggregate_outcome_groups(g, labels):
-    """Sum outcome rows by group label and renormalize.
-
-    Approximates a pipeline that groups outcome units before designing the
-    experiment: rows with the same label are added, then the grouped graph
-    is row-normalized. Labels must be dense ints in [0, k).
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (g.n_outcome,):
-        raise ValueError("labels must map every outcome unit")
-    k = int(labels.max()) + 1
-    ind = sp.csr_matrix(
-        (np.ones(g.n_outcome), (labels, np.arange(g.n_outcome))),
-        shape=(k, g.n_outcome))
-    mat = ind @ g.rows
-    grouped = BipartiteGraph.from_csr(
-        mat, [f"group{gi}" for gi in range(k)], g.diversion_ids)
-    return normalize_rows(grouped)
 
 
 def _write_blob(fh, ids):

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from bipx.cluster_opt import local_search
 from bipx.design import DesignSpec, aggregate_moments, \
@@ -159,6 +158,9 @@ def normal_draw(rng, size, mean, var):
     ziggurat tables, so seeded streams stay stable across versions.
     var = 0 returns the mean exactly.
     """
+    # Imported here: scipy.special takes about 65 ms to load, and most
+    # bipx commands never draw a normal.
+    from scipy.special import ndtri
     u = (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) \
         / float(1 << 53)
     return mean + np.sqrt(var) * ndtri(u)

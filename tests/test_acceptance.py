@@ -12,18 +12,16 @@ import pytest
 from click.testing import CliRunner
 
 from bipx.cli import main as cli_main
-from bipx.cluster_opt import (LocalSearchConfig, corr_clust_cs_rewrite,
-                              exposure_spread_objective, local_search,
-                              objective, objective_by_moments,
-                              objective_by_omega, spread_identity_constant,
-                              wedge_sample)
+from bipx.cluster_opt import (LocalSearchConfig, local_search, objective,
+                              spread_identity_constant, wedge_sample)
 from bipx.design import (Clustering, DesignSpec, cluster_aggregated_weights,
-                         enumerate_exact_moments, exposure_cov_pair,
                          exposure_moments)
-from bipx.estimator import (OutcomeModel, expected_estimate, mse_decomposition,
-                            mse_exact, mse_zero_intercept_bound,
-                            mse_zero_slope, true_ate)
+from bipx.estimator import OutcomeModel, mse_zero_slope, true_ate
 from bipx.graph_core import BipartiteGraph
+from bipx.oracle import (ExactMoments, corr_clust_cs_rewrite,
+                         expected_estimate, exposure_spread_enumerated,
+                         mse_decomposition, mse_exact, mse_zero_intercept_bound,
+                         objective_by_moments, objective_by_omega)
 from bipx.simulate import ScenarioSpec, generate_outcome_model, run_simulation
 from bipx.synth import (nondegenerate_clustering, paired_pool_instance,
                         partitions_equal, perf_instance, planted_four_block,
@@ -69,7 +67,7 @@ def test_criterion_02_analytic_moments_vs_oracle():
     worst = 0.0
     for g, c, d, p, rng in _instances(100, seed=202):
         mom = exposure_moments(g, d)
-        exact = enumerate_exact_moments(g, d)
+        exact = ExactMoments(g, d)
         worst = max(worst,
                     float(np.max(np.abs(mom.mean - exact.mean()))),
                     float(np.max(np.abs(mom.variance
@@ -77,10 +75,11 @@ def test_criterion_02_analytic_moments_vs_oracle():
         np.testing.assert_allclose(mom.mean, exact.mean(), atol=1e-12)
         cov = exact.covariance()
         np.testing.assert_allclose(mom.variance, np.diag(cov), atol=1e-12)
+        caw = cluster_aggregated_weights(g, c)
+        analytic = d.coin_variance * (caw.agg @ caw.agg.T).toarray()
         for i in range(g.n_outcome):
             for j in range(i + 1, g.n_outcome):
-                assert exposure_cov_pair(g, d, i, j) == pytest.approx(
-                    cov[i, j], abs=1e-12)
+                assert analytic[i, j] == pytest.approx(cov[i, j], abs=1e-12)
     elapsed = time.perf_counter() - start
     print(f"criterion 2: 100 instances, worst abs error {worst:.3e}, "
           f"{elapsed:.2f}s")
@@ -165,7 +164,7 @@ def test_criterion_07_spread_affine_identity():
         if n < 2:
             continue
         phi = 1.0 / (n - 1)
-        spread = exposure_spread_objective(g, c, p, method="enumerate")
+        spread = exposure_spread_enumerated(g, c, p)
         affine = ((n - 1) / n) * objective(g, c, phi, p).total \
             + spread_identity_constant(g, c, p)
         assert spread == pytest.approx(affine, rel=1e-9, abs=1e-9)

@@ -325,12 +325,15 @@ def test_large_graph_dependent_exits_without_traceback(
 
 
 def test_cli_import_leaves_out_linkage_modules():
+    # The linkage and normal-draw modules load only when used, and no
+    # production module imports the oracles.
     env = dict(os.environ, PYTHONPATH=str(Path(bipx.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, bipx.cli; "
          "print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy.cluster', 'scipy.spatial'))))"],
+         "if m.startswith(('scipy.cluster', 'scipy.spatial', "
+         "'scipy.special', 'bipx.oracle'))))"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -393,3 +396,50 @@ def test_rerun_check_detects_changed_inputs(workspace, runner):
     result = runner.invoke(main, ["rerun", str(manifest_path), "--check"])
     assert result.exit_code == 1
     assert "MISMATCH" in result.output
+
+
+def test_rerun_replays_in_recorded_directory(workspace, runner, monkeypatch):
+    tmp_path, _, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    runner.invoke(main, ["design", "graph.bin", "one.tsv",
+                         "--method", "one-cluster"])
+    result = runner.invoke(main, ["moments", "graph.bin", "one.tsv", "m.csv"])
+    assert result.exit_code == 0, result.output
+    # Another directory holds a different graph and clustering under the
+    # same relative names, which a replay from there would read.
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "edges.txt").write_text(EDGES.replace("3.0", "5.0"))
+    monkeypatch.chdir(other)
+    runner.invoke(main, ["ingest", "edges.txt", "graph.bin"])
+    runner.invoke(main, ["design", "graph.bin", "one.tsv",
+                         "--method", "singleton"])
+    result = runner.invoke(main, ["rerun", str(tmp_path / "m.csv.manifest.json"),
+                                  "--check"])
+    assert result.exit_code == 0, result.output
+    assert "all checked outputs byte-identical" in result.output
+    assert not (other / "m.csv").exists()
+    assert Path.cwd() == other
+
+
+def test_rerun_refuses_changed_inputs(workspace, runner):
+    tmp_path, graph_path, _ = workspace
+    cpath = tmp_path / "one.tsv"
+    runner.invoke(main, ["design", str(graph_path), str(cpath),
+                         "--method", "one-cluster"])
+    out = tmp_path / "moments.csv"
+    runner.invoke(main, ["moments", str(graph_path), str(cpath), str(out)])
+    manifest = tmp_path / "moments.csv.manifest.json"
+    before = out.read_bytes()
+    # A valid clustering file with other clusters: a replay would run.
+    runner.invoke(main, ["design", str(graph_path), str(cpath),
+                         "--method", "singleton"])
+    result = runner.invoke(main, ["rerun", str(manifest), "--check"])
+    assert result.exit_code == 1
+    assert "inputs differ from manifest" in result.output
+    assert f"{cpath}: changed" in result.output
+    assert out.read_bytes() == before  # nothing was replayed
+    cpath.unlink()
+    result = runner.invoke(main, ["rerun", str(manifest)])
+    assert result.exit_code == 1
+    assert f"{cpath}: missing" in result.output

@@ -7,17 +7,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from bipx import cluster_opt
-from bipx.cluster_opt import (ACCEPT_EPS, CorrClustCS, LocalSearchConfig,
-                              _draw, _draw_many, _slice_cumsum,
+from bipx.cluster_opt import (ACCEPT_EPS, LocalSearchConfig, _draw,
+                              _draw_many, _slice_cumsum,
                               balanced_partition_baseline,
-                              corr_clust_cs_rewrite, exposure_spread_objective,
-                              local_search, local_search_restarts, move_delta,
-                              objective, objective_by_moments,
-                              objective_by_omega, omega, omega_matrix,
+                              exposure_spread_objective, local_search,
+                              local_search_restarts, move_delta, objective,
                               spread_identity_constant, wedge_sample,
                               write_trace_csv)
-from bipx.design import Clustering
+from bipx.design import Clustering, DesignSpec
 from bipx.graph_core import BipartiteGraph, normalize_rows
+from bipx.oracle import (corr_clust_cs_rewrite, exposure_spread_enumerated,
+                         objective_by_moments, objective_by_omega,
+                         omega_matrix)
 from bipx.synth import (paired_pool_instance, partitions_equal,
                         planted_four_block, random_clustering, random_instance)
 
@@ -25,23 +26,6 @@ from bipx.synth import (paired_pool_instance, partitions_equal,
 def small_graph():
     W = sp.csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
     return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
-
-
-def test_omega_matches_matrix():
-    rng = np.random.default_rng(7)
-    g = random_instance(rng)
-    for phi in (0.0, 0.5, 1.0):
-        om = omega_matrix(g, phi)
-        for i in range(g.n_diversion):
-            for j in range(g.n_diversion):
-                assert omega(g, phi, i, j) == pytest.approx(om[i, j],
-                                                            abs=1e-12)
-
-
-def test_omega_rejects_negative_phi():
-    g = small_graph()
-    with pytest.raises(ValueError):
-        omega(g, -0.1, 0, 0)
 
 
 def test_objective_worked_values():
@@ -71,6 +55,10 @@ def test_objective_three_routes_agree(seed, phi, p):
     assert a.total == pytest.approx(b.total, rel=1e-9, abs=1e-9)
     assert a.total == pytest.approx(d.total, rel=1e-9, abs=1e-9)
     assert a.variance_sum == pytest.approx(d.variance_sum, rel=1e-9, abs=1e-9)
+    same = c.assignment[:, None] == c.assignment[None, :]
+    cv = DesignSpec.independent_cluster(c, p).coin_variance
+    assert cv * float(omega_matrix(g, phi)[same].sum()) == pytest.approx(
+        a.total, rel=1e-9, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=40)
@@ -80,8 +68,8 @@ def test_spread_identity(seed, p):
     g = random_instance(rng)
     c = random_clustering(rng, g.n_diversion)
     n = g.n_outcome
-    spread_a = exposure_spread_objective(g, c, p, method="aggregate")
-    spread_e = exposure_spread_objective(g, c, p, method="enumerate")
+    spread_a = exposure_spread_objective(g, c, p)
+    spread_e = exposure_spread_enumerated(g, c, p)
     assert spread_a == pytest.approx(spread_e, rel=1e-9, abs=1e-9)
     if n > 1:
         phi = 1.0 / (n - 1)
@@ -92,13 +80,6 @@ def test_spread_identity(seed, p):
     # Normalized rows make every row sum 1, so the constant vanishes
     # at any p, not just p = 1/2.
     assert spread_identity_constant(g, c, p) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_spread_objective_unknown_method():
-    g = small_graph()
-    with pytest.raises(ValueError):
-        exposure_spread_objective(g, Clustering.singletons(2),
-                                  method="nope")
 
 
 def test_cs_rewrite_worked_values():
@@ -425,6 +406,67 @@ def test_balanced_baseline_caps_and_determinism():
         balanced_partition_baseline(g, m + 1)
     with pytest.raises(ValueError):
         balanced_partition_baseline(g, 0)
+
+
+def _naive_balanced_partition(g, k, seed=0, max_passes=15):
+    """balanced_partition_baseline by definition: per visit, a dict of
+    label affinities summed over the two-hop paths in column-then-row
+    order; the best label that is neither the own one nor full, the
+    smallest on ties, wins when it beats the own affinity."""
+    m = g.n_diversion
+    cap = -(-m // k)
+    labels = np.arange(m, dtype=np.int64) % k
+    sizes = np.bincount(labels, minlength=k)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    csc, csr = g.cols, g.rows
+    for _ in range(max_passes):
+        moved = 0
+        for i in rng.permutation(m):
+            aff = {}
+            lo, hi = csc.indptr[i], csc.indptr[i + 1]
+            for kk, wk in zip(csc.indices[lo:hi], csc.data[lo:hi]):
+                rlo, rhi = csr.indptr[kk], csr.indptr[kk + 1]
+                for j2, w2 in zip(csr.indices[rlo:rhi], csr.data[rlo:rhi]):
+                    lab = labels[j2]
+                    aff[lab] = aff.get(lab, 0.0) + wk * w2
+            cur = labels[i]
+            best_lab, best_aff = cur, aff.get(cur, 0.0)
+            for lab in sorted(aff):
+                if lab == cur or sizes[lab] >= cap:
+                    continue
+                if aff[lab] > best_aff:
+                    best_lab, best_aff = lab, aff[lab]
+            if best_lab != cur:
+                labels[i] = best_lab
+                sizes[cur] -= 1
+                sizes[best_lab] += 1
+                moved += 1
+        if moved == 0:
+            break
+    return Clustering.from_labels(labels).assignment
+
+
+def test_balanced_baseline_matches_naive():
+    rng = np.random.default_rng(41)
+    cases = [(random_instance(rng), t) for t in range(30)]
+    # Stored zero weights and hubs give tied affinities; an edgeless
+    # column has none.
+    cases.append((_tied_skewed_graph(), 0))
+    W = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+    cases.append((BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v", "w")), 1))
+    for g, seed in cases:
+        m = g.n_diversion
+        for k in sorted({1, min(2, m), min(3, m), max(1, m // 3), m}):
+            np.testing.assert_array_equal(
+                balanced_partition_baseline(g, k, seed=seed).assignment,
+                _naive_balanced_partition(g, k, seed=seed))
+    # The paired pool ties exactly: siblings share their affinities. At
+    # k = 450 (cap 5) units move in several passes, at 1200 (cap 2) in one.
+    g = paired_pool_instance()[0]
+    for k in (450, 1200):
+        np.testing.assert_array_equal(
+            balanced_partition_baseline(g, k, seed=3).assignment,
+            _naive_balanced_partition(g, k, seed=3))
 
 
 def test_write_trace_csv(tmp_path):

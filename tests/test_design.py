@@ -4,12 +4,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
-                         EnumerationTooLargeError, cluster_aggregated_weights,
-                         derived_rng, enumerate_exact_moments,
-                         exposure_cov_pair, exposure_moments,
-                         read_clustering, sample_assignment, write_clustering,
-                         write_moments_csv)
+                         cluster_aggregated_weights, derived_rng,
+                         exposure_moments, read_clustering, sample_assignment,
+                         write_clustering, write_moments_csv)
 from bipx.graph_core import BipartiteGraph
+from bipx.oracle import EnumerationTooLargeError, ExactMoments
 from bipx.synth import nondegenerate_clustering, random_clustering, \
     random_instance
 
@@ -17,6 +16,12 @@ from bipx.synth import nondegenerate_clustering, random_clustering, \
 def small_graph():
     W = sp.csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
     return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
+
+
+def exposure_covariance(g, d):
+    """Cov[x_i, x_j] = 4p(1-p) sum_C agg[i, C] agg[j, C], as a dense matrix."""
+    caw = cluster_aggregated_weights(g, d.effective_clustering(g.n_diversion))
+    return d.coin_variance * (caw.agg @ caw.agg.T).toarray()
 
 
 def test_clustering_from_labels_densifies_first_appearance():
@@ -114,7 +119,7 @@ def test_exposure_moments_worked_example():
     mom = exposure_moments(g, d)
     np.testing.assert_allclose(mom.mean, [0.0, 0.0])
     np.testing.assert_allclose(mom.variance, [0.5, 1.0])
-    assert exposure_cov_pair(g, d, 0, 1) == pytest.approx(0.5)
+    assert exposure_covariance(g, d)[0, 1] == pytest.approx(0.5)
     one = DesignSpec.independent_cluster(Clustering.one_cluster(2), 0.5)
     np.testing.assert_allclose(exposure_moments(g, one).variance, [1.0, 1.0])
 
@@ -138,14 +143,11 @@ def test_moments_match_enumeration(seed, p):
     c = random_clustering(rng, g.n_diversion)
     d = DesignSpec.independent_cluster(c, p)
     mom = exposure_moments(g, d, check=False)
-    exact = enumerate_exact_moments(g, d)
+    exact = ExactMoments(g, d)
     np.testing.assert_allclose(mom.mean, exact.mean(), atol=1e-12)
     np.testing.assert_allclose(mom.variance, exact.variance(), atol=1e-12)
-    cov = exact.covariance()
-    for i in range(g.n_outcome):
-        for j in range(g.n_outcome):
-            assert exposure_cov_pair(g, d, i, j) == pytest.approx(
-                cov[i, j], abs=1e-12)
+    np.testing.assert_allclose(exposure_covariance(g, d), exact.covariance(),
+                               rtol=0, atol=1e-12)
 
 
 def test_degenerate_design_detected():
@@ -174,13 +176,13 @@ def test_enumeration_too_large():
                                 tuple(f"d{j}" for j in range(m)))
     d = DesignSpec.independent_cluster(Clustering.singletons(m), 0.5)
     with pytest.raises(EnumerationTooLargeError):
-        enumerate_exact_moments(g, d)
+        ExactMoments(g, d)
 
 
 def test_exact_moments_squared_pair():
     g = small_graph()
     d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
-    exact = enumerate_exact_moments(g, d)
+    exact = ExactMoments(g, d)
     m2 = exact.squared_pair_moment()
     # x0 in {0, +-1} with P(0)=1/2; x1 = +-1 always
     assert m2[0, 1] == pytest.approx(0.5)

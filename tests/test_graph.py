@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
                              EmptyGraphError, GraphError, NegativeWeightError,
-                             NotNormalizedError, aggregate_outcome_groups,
-                             diversion_coweight, exposures,
+                             NotNormalizedError, exposures,
                              filter_min_outcome_degree, load_edge_list,
-                             load_snapshot, normalize_rows,
-                             outcome_similarity, save_snapshot,
+                             load_snapshot, normalize_rows, save_snapshot,
                              validate_assignment, write_edge_list,
                              write_id_maps)
 from bipx.synth import random_instance
@@ -172,28 +170,6 @@ def test_validate_assignment():
         validate_assignment(np.array([1.0, 0.5]), 2)
     with pytest.raises(ValueError):
         validate_assignment(np.array([1.0]), 2)
-
-
-def test_similarity_and_coweight_match_dense():
-    rng = np.random.default_rng(5)
-    g = random_instance(rng)
-    dense = g.rows.toarray()
-    for i in range(g.n_outcome):
-        for j in range(g.n_outcome):
-            assert outcome_similarity(g, i, j) == pytest.approx(
-                float(dense[i] @ dense[j]), abs=1e-12)
-    for u in range(g.n_diversion):
-        for v in range(g.n_diversion):
-            assert diversion_coweight(g, u, v) == pytest.approx(
-                float(dense[:, u] @ dense[:, v]), abs=1e-12)
-
-
-def test_aggregate_outcome_groups():
-    g = small_graph()
-    g2 = aggregate_outcome_groups(g, np.array([0, 0]))
-    assert g2.n_outcome == 1
-    assert g2.is_normalized()
-    np.testing.assert_allclose(g2.rows.toarray(), [[0.75, 0.25]])
 
 
 def test_snapshot_round_trip(tmp_path):
