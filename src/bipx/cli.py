@@ -1,13 +1,16 @@
 """Command-line interface: ingest, design, moments, simulate, sweep, rerun.
 
 Every command writes a JSON manifest next to its outputs recording the
-replayable argument vector, all seeds, input and output digests, and the
-tool version. `bipx rerun MANIFEST` first checks that every recorded
-input still has its recorded digest, then replays the run in the directory
-it was made in; with --check it also verifies that the regenerated outputs
-digest-match the original ones. Outputs whose bytes legitimately vary
-between runs (wall-clock trace columns, the manifest itself) are listed
-under volatile_outputs and excluded from the byte-identity contract.
+replayable argument vector and every parameter value (both read from
+click's parsed parameters), all seeds, input and output digests, and the
+tool version. `bipx rerun MANIFEST` validates the manifest, checks that
+every recorded input still has its recorded digest, then replays the run
+in the directory it was made in; with --check it also verifies that the
+regenerated outputs digest-match the original ones. Outputs whose bytes
+legitimately vary between runs (wall-clock trace columns, the manifest
+itself) are listed under volatile_outputs and excluded from the
+byte-identity contract. A bipx error exits 1 with one line, a bad flag
+value exits 2, and any other exception is a fault that keeps its traceback.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ from bipx import __version__
 from bipx.cluster_opt import (LocalSearchConfig, balanced_partition_baseline,
                               local_search_restarts, objective,
                               write_trace_csv)
-from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
+from bipx.design import (Clustering, DesignError, DesignSpec,
                          exposure_moments, read_clustering,
                          write_clustering, write_moments_csv)
-from bipx.graph_core import (EdgeListParseError, GraphError,
-                             filter_min_outcome_degree, load_edge_list,
-                             load_snapshot, normalize_rows, save_snapshot,
-                             write_edge_list, write_id_maps)
+from bipx.graph_core import (GraphError, filter_min_outcome_degree,
+                             load_edge_list, load_snapshot, normalize_rows,
+                             save_snapshot, write_edge_list, write_id_maps)
 from bipx.simulate import (ScenarioError, export_estimates_csv,
                            export_histogram, generate_outcome_model,
                            phi_sweep, read_scenario_file, report_to_json,
@@ -47,24 +49,43 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(path, command, argv, seeds, inputs, outputs,
-                    volatile_outputs, started, flags):
+def _replay_argv(ctx):
+    """ctx's command and parameters as replayable argv: arguments as given,
+    options unless None, a --x/--no-x pair by its value, a plain flag when
+    set, and floats by repr so that a replay parses the same values."""
+    argv = [ctx.info_name]
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        text = repr(value) if isinstance(value, float) else str(value)
+        if isinstance(param, click.Argument):
+            argv.append(text)
+        elif param.is_flag:
+            argv += [param.opts[0]] if value else param.secondary_opts
+        elif value is not None:
+            argv += [param.opts[0], text]
+    return argv
+
+
+def _write_manifest(path, inputs, outputs, seeds=None, volatile=()):
+    """Record the current command's run as click parsed it."""
+    ctx = click.get_current_context()
     manifest = {
-        "command": command,
-        "argv": list(argv),
+        "command": ctx.info_name,
+        "argv": _replay_argv(ctx),
         "cwd": os.getcwd(),
-        "flags": flags,
-        "seeds": seeds,
+        "flags": {param.name: ctx.params[param.name]
+                  for param in ctx.command.params
+                  if isinstance(param, click.Option)},
+        "seeds": seeds or {},
         "inputs": {os.path.abspath(p): _sha256(p) for p in inputs},
         "outputs": {os.path.abspath(p): _sha256(p) for p in outputs},
-        "volatile_outputs": [os.path.abspath(p) for p in volatile_outputs],
+        "volatile_outputs": [os.path.abspath(p) for p in volatile],
         "version": __version__,
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
-        "elapsed_seconds": time.perf_counter() - started,
+        "elapsed_seconds": time.perf_counter() - ctx.meta["bipx.started"],
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
 
 
 def _load_graph(path):
@@ -81,15 +102,6 @@ def _load_clustering(g, path):
         raise click.ClickException(f"cannot load clustering {path}: {exc}")
 
 
-def _degenerate(g, exc):
-    """A DegenerateDesignError as a message naming outcome ids."""
-    ids = ", ".join(g.outcome_ids[i] for i in exc.units[:20])
-    more = "" if len(exc.units) <= 20 else f" (+{len(exc.units) - 20} more)"
-    return click.ClickException(
-        f"degenerate design: zero exposure variance for outcome units "
-        f"{ids}{more}")
-
-
 @contextmanager
 def _usage_errors():
     """A spec object's ValueError names a bad flag value: exit 2."""
@@ -99,10 +111,23 @@ def _usage_errors():
         raise click.UsageError(str(exc))
 
 
-@click.group()
+class _Main(click.Group):
+    """A bipx error, or a file that cannot be read or written, ends in one
+    line and exit 1; any other exception is a fault and propagates."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (GraphError, DesignError, ScenarioError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="bipx")
-def main():
+@click.pass_context
+def main(ctx):
     """Bipartite experiment design and estimation toolkit."""
+    ctx.meta["bipx.started"] = time.perf_counter()
 
 
 @main.command("ingest")
@@ -114,13 +139,7 @@ def main():
               help="Rescale each outcome row to sum to 1.")
 def cmd_ingest(edge_list, out_graph, min_degree, normalize):
     """Parse an edge list into a binary graph snapshot plus id maps."""
-    started = time.perf_counter()
-    try:
-        g = load_edge_list(edge_list)
-    except EdgeListParseError as exc:
-        raise click.ClickException(str(exc))
-    except GraphError as exc:
-        raise click.ClickException(f"{edge_list}: {exc}")
+    g = load_edge_list(edge_list)
     if min_degree > 0:
         g = filter_min_outcome_degree(g, min_degree)
     if normalize:
@@ -129,14 +148,8 @@ def cmd_ingest(edge_list, out_graph, min_degree, normalize):
     outcome_map = out_graph + ".outcome_ids.tsv"
     diversion_map = out_graph + ".diversion_ids.tsv"
     write_id_maps(g, outcome_map, diversion_map)
-    argv = ["ingest", edge_list, out_graph,
-            "--min-degree", str(min_degree),
-            "--normalize" if normalize else "--no-normalize"]
-    _write_manifest(out_graph + ".manifest.json", "ingest", argv,
-                    seeds={}, inputs=[edge_list],
-                    outputs=[out_graph, outcome_map, diversion_map],
-                    volatile_outputs=[], started=started,
-                    flags={"min_degree": min_degree, "normalize": normalize})
+    _write_manifest(out_graph + ".manifest.json", [edge_list],
+                    [out_graph, outcome_map, diversion_map])
     click.echo(f"ingested {g.n_outcome} outcome x {g.n_diversion} diversion "
                f"units, {g.nnz} edges -> {out_graph}")
 
@@ -187,13 +200,15 @@ def _parse_method(method):
 def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
                max_passes, time_budget, trace):
     """Produce a diversion-unit clustering by the chosen method."""
-    started = time.perf_counter()
     with _usage_errors():
         cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=max_passes,
                                 time_budget=time_budget, convergence=True,
                                 seed=seed, p=p)
-    g = _load_graph(graph)
     kind, balanced_k = _parse_method(method)
+    if trace is not None and kind != "exposure-design":
+        raise click.UsageError(
+            "--trace only applies to --method exposure-design")
+    g = _load_graph(graph)
     m = g.n_diversion
     result = None
     if kind == "singleton":
@@ -208,35 +223,15 @@ def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
     else:
         result = local_search_restarts(g, cfg, restarts)
         c = result.clustering
+    obj = objective(g, c, phi, p) if result is None else result.objective
     write_clustering(c, g, out_clustering)
     outputs = [out_clustering]
-    volatile = []
     if trace is not None:
-        if result is None:
-            raise click.UsageError(
-                "--trace only applies to --method exposure-design")
         write_trace_csv(result.trace, trace)
         outputs.append(trace)
-        volatile.append(trace)  # elapsed column is wall-clock
-    obj = objective(g, c, phi, p)
-    argv = ["design", graph, out_clustering, "--method", method,
-            "--phi", repr(phi), "--p", repr(p), "--seed", str(seed),
-            "--restarts", str(restarts)]
-    if k_max is not None:
-        argv += ["--k-max", str(k_max)]
-    if max_passes is not None:
-        argv += ["--max-passes", str(max_passes)]
-    if time_budget is not None:
-        argv += ["--time-budget", repr(time_budget)]
-    if trace is not None:
-        argv += ["--trace", trace]
-    _write_manifest(out_clustering + ".manifest.json", "design", argv,
-                    seeds={"seed": seed}, inputs=[graph], outputs=outputs,
-                    volatile_outputs=volatile, started=started,
-                    flags={"method": method, "phi": phi, "k_max": k_max,
-                           "p": p, "restarts": restarts,
-                           "max_passes": max_passes,
-                           "time_budget": time_budget})
+    # The trace's elapsed column is wall-clock.
+    _write_manifest(out_clustering + ".manifest.json", [graph], outputs,
+                    seeds={"seed": seed}, volatile=outputs[1:])
     click.echo(f"{c.k} clusters, objective {obj.total!r} -> {out_clustering}")
 
 
@@ -247,20 +242,13 @@ def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
 @click.option("--p", type=float, default=0.5, show_default=True)
 def cmd_moments(graph, clustering, out_csv, p):
     """Exposure means and variances for a clustering, as CSV."""
-    started = time.perf_counter()
     g = _load_graph(graph)
     c = _load_clustering(g, clustering)
     with _usage_errors():
         d = DesignSpec.independent_cluster(c, p)
-    try:
-        mom = exposure_moments(g, d)
-    except DegenerateDesignError as exc:
-        raise _degenerate(g, exc)
-    write_moments_csv(mom, g, out_csv)
-    argv = ["moments", graph, clustering, out_csv, "--p", repr(p)]
-    _write_manifest(out_csv + ".manifest.json", "moments", argv,
-                    seeds={}, inputs=[graph, clustering], outputs=[out_csv],
-                    volatile_outputs=[], started=started, flags={"p": p})
+    write_moments_csv(exposure_moments(g, d), g, out_csv)
+    _write_manifest(out_csv + ".manifest.json", [graph, clustering],
+                    [out_csv])
     click.echo(f"wrote moments for {g.n_outcome} outcome units -> {out_csv}")
 
 
@@ -281,15 +269,11 @@ def cmd_moments(graph, clustering, out_csv, p):
 def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
                  replicates, seed, bins):
     """Monte Carlo estimate distribution for one design and scenario."""
-    started = time.perf_counter()
     if (clustering is None) == (not bernoulli):
         raise click.UsageError(
             "exactly one of --clustering PATH or --bernoulli is required")
     g = _load_graph(graph)
-    try:
-        spec = read_scenario_file(scenario)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
+    spec = read_scenario_file(scenario)
     if bernoulli:
         with _usage_errors():
             d = DesignSpec.bernoulli(p)
@@ -299,15 +283,10 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
         with _usage_errors():
             d = DesignSpec.independent_cluster(c, p)
         design_name = f"independent-cluster[k={c.k}]"
-    try:
-        model = generate_outcome_model(g, spec)
-        report = run_simulation(g, d, model, replicates, seed,
-                                design_name=design_name,
-                                scenario_name=spec.kind, bins=bins)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
-    except DegenerateDesignError as exc:
-        raise _degenerate(g, exc)
+    model = generate_outcome_model(g, spec)
+    report = run_simulation(g, d, model, replicates, seed,
+                            design_name=design_name, scenario_name=spec.kind,
+                            bins=bins)
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     estimates_path = os.path.join(out_dir, "estimates.csv")
@@ -315,19 +294,10 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
     report_to_json(report, report_path)
     export_estimates_csv(report, estimates_path)
     export_histogram(report, bins, histogram_path)
-    argv = ["simulate", graph, scenario, out_dir,
-            "--p", repr(p), "--replicates", str(replicates),
-            "--seed", str(seed), "--bins", str(bins)]
-    argv += ["--bernoulli"] if bernoulli else ["--clustering", clustering]
     inputs = [graph, scenario] + ([] if bernoulli else [clustering])
-    _write_manifest(os.path.join(out_dir, "manifest.json"), "simulate",
-                    argv, seeds={"seed": seed,
-                                 "model_seed": spec.model_seed},
-                    inputs=inputs,
-                    outputs=[report_path, estimates_path, histogram_path],
-                    volatile_outputs=[], started=started,
-                    flags={"p": p, "replicates": replicates, "bins": bins,
-                           "bernoulli": bernoulli})
+    _write_manifest(os.path.join(out_dir, "manifest.json"), inputs,
+                    [report_path, estimates_path, histogram_path],
+                    seeds={"seed": seed, "model_seed": spec.model_seed})
     click.echo(f"{design_name} on {spec.kind}: true_ate={report.true_ate!r} "
                f"bias={report.bias!r} mse={report.mse!r} -> {out_dir}")
 
@@ -349,7 +319,6 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
 def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
               search_seed, max_passes):
     """Optimize a design per phi value and tabulate Monte Carlo MSE."""
-    started = time.perf_counter()
     phi_values = [tok for tok in (t.strip() for t in phis.split(",")) if tok]
     if not phi_values:
         raise click.UsageError("--phis must list at least one value")
@@ -364,35 +333,44 @@ def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
         for phi in phi_values:
             replace(cfg, phi=phi)
     g = _load_graph(graph)
-    try:
-        spec = read_scenario_file(scenario)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
-    try:
-        rows = phi_sweep(g, spec, phi_values, cfg, replicates, seed,
-                         path=out_csv)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
-    except DegenerateDesignError as exc:
-        raise _degenerate(g, exc)
-    argv = ["sweep", graph, scenario, out_csv, "--phis", phis,
-            "--p", repr(p), "--replicates", str(replicates),
-            "--seed", str(seed), "--search-seed", str(search_seed)]
-    if k_max is not None:
-        argv += ["--k-max", str(k_max)]
-    if max_passes is not None:
-        argv += ["--max-passes", str(max_passes)]
-    _write_manifest(out_csv + ".manifest.json", "sweep", argv,
+    spec = read_scenario_file(scenario)
+    rows = phi_sweep(g, spec, phi_values, cfg, replicates, seed, path=out_csv)
+    _write_manifest(out_csv + ".manifest.json", [graph, scenario], [out_csv],
                     seeds={"seed": seed, "search_seed": search_seed,
-                           "model_seed": spec.model_seed},
-                    inputs=[graph, scenario], outputs=[out_csv],
-                    volatile_outputs=[], started=started,
-                    flags={"phis": phi_values, "k_max": k_max, "p": p,
-                           "replicates": replicates,
-                           "max_passes": max_passes})
+                           "model_seed": spec.model_seed})
     for row in rows:
         click.echo(f"phi={row.phi!r} k={row.n_clusters} mse={row.mse!r}")
     click.echo(f"wrote {len(rows)} rows -> {out_csv}")
+
+
+def _read_manifest(path):
+    """A manifest's record, checked for the fields rerun reads."""
+    def bad(why):
+        return click.ClickException(f"{path}: not a bipx manifest: {why}")
+
+    def strings(x):
+        return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise bad(exc)
+    if not isinstance(record, dict):
+        raise bad("not a JSON object")
+    if not (strings(record.get("argv")) and record["argv"]):
+        raise bad("argv is not a non-empty list of strings")
+    if record["argv"][0] == "rerun":
+        raise bad("argv replays rerun itself")
+    for key in ("inputs", "outputs"):
+        table = record.get(key, {})  # JSON object keys are strings
+        if not (isinstance(table, dict) and strings(list(table.values()))):
+            raise bad(f"{key} is not an object of string to string")
+    if not strings(record.get("volatile_outputs", [])):
+        raise bad("volatile_outputs is not a list of strings")
+    if not isinstance(record.get("cwd", ""), str):
+        raise bad("cwd is not a string")
+    return record
 
 
 @main.command("rerun")
@@ -401,11 +379,7 @@ def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
               help="Verify regenerated outputs digest-match the manifest.")
 def cmd_rerun(manifest, check):
     """Replay a recorded run from its manifest."""
-    with open(manifest, encoding="utf-8") as fh:
-        record = json.load(fh)
-    argv = record.get("argv")
-    if not argv:
-        raise click.ClickException(f"{manifest}: no argv recorded")
+    record = _read_manifest(manifest)
     changed = []
     for path, digest in record.get("inputs", {}).items():
         if not os.path.isfile(path):
@@ -417,18 +391,14 @@ def cmd_rerun(manifest, check):
             "inputs differ from manifest:\n" + "\n".join(changed))
     # argv holds paths relative to the directory the run was made in.
     cwd = record.get("cwd", os.getcwd())
-    click.echo(f"replaying in {cwd}: bipx " + " ".join(argv))
+    click.echo(f"replaying in {cwd}: bipx " + " ".join(record["argv"]))
     here = os.getcwd()
     try:
         os.chdir(cwd)
     except OSError as exc:
         raise click.ClickException(f"cannot replay in {cwd}: {exc}")
     try:
-        main.main(args=argv, standalone_mode=False)
-    except click.ClickException:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise click.ClickException(f"replay failed: {exc}")
+        main.main(args=record["argv"], standalone_mode=False)
     finally:
         os.chdir(here)
     if check:

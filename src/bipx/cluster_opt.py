@@ -17,6 +17,7 @@ the objective, which the tests check it against, are in bipx.oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -45,12 +46,15 @@ class LocalSearchConfig:
     p: float = 0.5
 
     def __post_init__(self):
-        if self.phi < 0:
-            raise ValueError("phi must be >= 0")
+        if not (math.isfinite(self.phi) and self.phi >= 0):
+            raise ValueError("phi must be finite and >= 0")
         if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.max_passes is not None and self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
+        if self.time_budget is not None and not (
+                math.isfinite(self.time_budget) and self.time_budget > 0):
+            raise ValueError("time_budget must be finite and > 0")
         if not (self.convergence or self.max_passes or self.time_budget):
             raise ValueError("no stopping rule set")
         if not (0.0 < self.p < 1.0):

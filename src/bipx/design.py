@@ -30,16 +30,18 @@ class DesignError(ValueError):
 class DegenerateDesignError(DesignError):
     """Some exposure variance fell below VAR_FLOOR.
 
-    `units` holds outcome unit indices; callers that know the graph can
-    map them to ids for display.
+    `units` holds outcome unit indices; the message names the first 20 by
+    `ids` (the graph's outcome ids) when given, else by index.
     """
 
-    def __init__(self, units, variances=None):
+    def __init__(self, units, variances=None, ids=None):
         self.units = [int(u) for u in units]
         self.variances = variances
+        names = [str(u) if ids is None else ids[u] for u in self.units[:20]]
+        more = len(self.units) - len(names)
         super().__init__(
-            f"{len(self.units)} outcome unit(s) have exposure variance below "
-            f"{VAR_FLOOR}: {self.units[:10]}")
+            "degenerate design: zero exposure variance for outcome units "
+            + ", ".join(names) + (f" (+{more} more)" if more else ""))
 
 
 def derived_rng(base_seed, replicate):
@@ -271,7 +273,7 @@ def aggregate_moments(g, d, caw, check=True):
     if check:
         bad = np.flatnonzero(variance < VAR_FLOOR)
         if bad.size:
-            raise DegenerateDesignError(bad, variance)
+            raise DegenerateDesignError(bad, variance, g.outcome_ids)
     return ExposureMoments(mean, variance, d)
 
 

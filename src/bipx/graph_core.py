@@ -130,8 +130,6 @@ def _build_from_entries(entries, outcome_ids, diversion_ids):
     with a warning; outcome units likewise. Duplicate edges sum.
     """
     n, m = len(outcome_ids), len(diversion_ids)
-    if not entries:
-        raise EmptyGraphError("no positive-weight edges")
     ii = np.fromiter((e[0] for e in entries), dtype=np.int64, count=len(entries))
     jj = np.fromiter((e[1] for e in entries), dtype=np.int64, count=len(entries))
     ww = np.fromiter((e[2] for e in entries), dtype=np.float64, count=len(entries))
@@ -202,6 +200,8 @@ def load_edge_list(path):
                 diversion_ids.append(did)
             if w > 0:
                 entries.append((outcome_index[oid], diversion_index[did], w))
+    if not entries:
+        raise EmptyGraphError(f"{path}: no positive-weight edges")
     return _build_from_entries(entries, outcome_ids, diversion_ids)
 
 

@@ -4,13 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
 
 import bipx
-from bipx import simulate
+from bipx import cli, simulate
 from bipx.cli import main
 from bipx.design import read_clustering
 from bipx.graph_core import (BipartiteGraph, load_edge_list,
@@ -200,8 +201,8 @@ def test_moments_degenerate_exit(workspace, runner):
     result = runner.invoke(main, ["moments", str(graph_path), str(cpath),
                                   str(tmp_path / "m.csv"), "--p", "1e-12"])
     assert result.exit_code == 1
-    assert "degenerate" in result.output
-    assert "a" in result.output
+    assert ("degenerate design: zero exposure variance for outcome units "
+            "a, b, c") in result.output
 
 
 def test_simulate_requires_exactly_one_design(workspace, runner):
@@ -272,38 +273,102 @@ def test_sweep_rejects_empty_phis(workspace, runner):
     assert "--phis" in result.output
 
 
-@pytest.mark.parametrize("args,code", [
-    (["moments", "{g}", "{c}", "{d}/m.csv", "--p", "1.5"], 2),
+@pytest.mark.parametrize("args,code,message", [
+    (["moments", "{g}", "{c}", "{d}/m.csv", "--p", "1.5"], 2, None),
     (["simulate", "{g}", "{s}", "{d}/sim", "--clustering", "{c}",
-      "--replicates", "0"], 2),
-    (["simulate", "{g}", "{s}", "{d}/sim", "--bernoulli", "--p", "1.5"], 2),
-    (["simulate", "{g}", "{s}", "{d}/sim", "--bernoulli", "--bins", "0"], 2),
-    (["sweep", "{g}", "{s}", "{d}/s.csv", "--phis=-1"], 2),
+      "--replicates", "0"], 2, None),
+    (["simulate", "{g}", "{s}", "{d}/sim", "--bernoulli", "--p", "1.5"], 2,
+     None),
+    (["simulate", "{g}", "{s}", "{d}/sim", "--bernoulli", "--bins", "0"], 2,
+     None),
+    (["sweep", "{g}", "{s}", "{d}/s.csv", "--phis=-1"], 2, None),
     (["design", "{g}", "{d}/c2.tsv", "--method", "singleton", "--p", "1"],
-     2),
-    (["moments", "{g}", "{partial}", "{d}/m.csv"], 1),
-    (["simulate", "{g}", "{s}", "{d}/sim", "--clustering", "{partial}"], 1),
-    (["moments", "{g}", "{bad_id}", "{d}/m.csv"], 1),
+     2, None),
+    (["moments", "{g}", "{partial}", "{d}/m.csv"], 1,
+     "cannot load clustering"),
+    (["simulate", "{g}", "{s}", "{d}/sim", "--clustering", "{partial}"], 1,
+     "cannot load clustering"),
+    (["moments", "{g}", "{bad_id}", "{d}/m.csv"], 1,
+     "cannot load clustering"),
+    (["design", "{g}", "{d}/c2.tsv", "--phi", "nan"], 2, "phi"),
+    (["design", "{g}", "{d}/c2.tsv", "--phi", "inf"], 2, "phi"),
+    (["sweep", "{g}", "{s}", "{d}/s.csv", "--phis", "nan,1"], 2, "phi"),
+    (["design", "{g}", "{d}/c2.tsv", "--time-budget", "-1"], 2,
+     "time_budget"),
+    (["design", "{raw}", "{d}/c2.tsv", "--method", "singleton"], 1,
+     "row-normalized"),
+    (["design", "{raw}", "{d}/c2.tsv"], 1, "row-normalized"),
+    (["moments", "{raw}", "{c}", "{d}/m.csv"], 1, "row-normalized"),
+    (["simulate", "{raw}", "{s}", "{d}/sim", "--bernoulli"], 1,
+     "row-normalized"),
+    (["sweep", "{raw}", "{s}", "{d}/s.csv", "--phis", "1"], 1,
+     "row-normalized"),
+    (["ingest", "{d}/edges.txt", "{d}/g2.bin", "--min-degree", "99"], 1,
+     "no outcome unit has degree >= 99"),
+    (["ingest", "{empty}", "{d}/g2.bin"], 1,
+     "empty.txt: no positive-weight edges"),
+    (["rerun", "{not_json}"], 1, "not_json.json: not a bipx manifest"),
+    (["rerun", "{list_inputs}"], 1,
+     "inputs is not an object of string to string"),
+    (["rerun", "{bad_argv}"], 1, "argv is not a non-empty list of strings"),
+    (["rerun", "{self_rerun}"], 1, "argv replays rerun itself"),
 ], ids=["moments-p", "simulate-replicates", "simulate-p", "simulate-bins",
         "sweep-phis", "design-p", "moments-clustering", "simulate-clustering",
-        "moments-cluster-id"])
-def test_bad_input_exits_without_traceback(workspace, runner, args, code):
+        "moments-cluster-id", "design-phi-nan", "design-phi-inf",
+        "sweep-phis-nan", "design-time-budget", "design-raw-singleton",
+        "design-raw-search", "moments-raw", "simulate-raw", "sweep-raw",
+        "ingest-min-degree", "ingest-empty", "rerun-not-json",
+        "rerun-list-inputs", "rerun-bad-argv", "rerun-self"])
+def test_bad_input_exits_without_traceback(workspace, runner, args, code,
+                                           message):
     tmp_path, graph_path, scenario_path = workspace
     cpath = tmp_path / "c.tsv"
     runner.invoke(main, ["design", str(graph_path), str(cpath),
                          "--method", "singleton"])
+    raw = tmp_path / "raw.bin"
+    runner.invoke(main, ["ingest", str(tmp_path / "edges.txt"), str(raw),
+                         "--no-normalize"])
     partial = tmp_path / "partial.tsv"
     partial.write_text("u\t0\nv\t1\n")
     bad_id = tmp_path / "bad_id.tsv"
     bad_id.write_text("u\t0\nv\tone\nw\t2\nx\t3\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("a u 0\n")
+    manifests = {"not_json": "not json",
+                 "list_inputs": '{"argv": ["moments"], "inputs": ["x"]}',
+                 "bad_argv": '{"argv": ["moments", 1]}',
+                 "self_rerun": '{"argv": ["rerun", "m.json"]}'}
+    for name, text in manifests.items():
+        (tmp_path / f"{name}.json").write_text(text)
     args = [a.format(g=graph_path, c=cpath, s=scenario_path, d=tmp_path,
-                     partial=partial, bad_id=bad_id) for a in args]
+                     partial=partial, bad_id=bad_id, raw=raw, empty=empty,
+                     **{k: tmp_path / f"{k}.json" for k in manifests})
+            for a in args]
     result = runner.invoke(main, args)
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     if code == 1:
-        assert "cannot load clustering" in result.output
+        assert len(result.output.splitlines()) == 1, result.output
+    if message is not None:
+        assert message in result.output
+
+
+def test_fault_inside_bipx_keeps_its_exception(workspace, runner,
+                                               monkeypatch):
+    tmp_path, graph_path, _ = workspace
+    cpath = tmp_path / "one.tsv"
+    runner.invoke(main, ["design", str(graph_path), str(cpath),
+                         "--method", "one-cluster"])
+
+    def broken(g, d):
+        raise RuntimeError("fault inside bipx")
+
+    monkeypatch.setattr(cli, "exposure_moments", broken)
+    result = runner.invoke(main, ["moments", str(graph_path), str(cpath),
+                                  str(tmp_path / "m.csv")])
+    assert isinstance(result.exception, RuntimeError)
+    assert str(result.exception) == "fault inside bipx"
 
 
 @pytest.mark.parametrize("command", [
@@ -443,3 +508,87 @@ def test_rerun_refuses_changed_inputs(workspace, runner):
     result = runner.invoke(main, ["rerun", str(manifest)])
     assert result.exit_code == 1
     assert f"{cpath}: missing" in result.output
+
+
+def test_manifest_records_every_parameter(workspace, runner):
+    tmp_path, graph_path, scenario_path = workspace
+    g, s, d = str(graph_path), str(scenario_path), tmp_path
+    c, trace = str(d / "c.tsv"), str(d / "trace.csv")
+    sim = {"p": 0.5, "replicates": 20, "seed": 0, "bins": 50}
+    runs = [
+        (["ingest", str(d / "edges.txt"), str(d / "raw.bin"),
+          "--no-normalize"], d / "raw.bin.manifest.json",
+         {"min_degree": 0, "normalize": False}),
+        (["design", g, c, "--phi", "0.30000000000000004", "--k-max", "2",
+          "--restarts", "2", "--time-budget", "600", "--trace", trace],
+         d / "c.tsv.manifest.json",
+         {"method": "exposure-design", "phi": 0.30000000000000004,
+          "k_max": 2, "p": 0.5, "seed": 0, "restarts": 2, "max_passes": None,
+          "time_budget": 600.0, "trace": trace}),
+        (["moments", g, c, str(d / "m.csv"), "--p", "0.25"],
+         d / "m.csv.manifest.json", {"p": 0.25}),
+        (["simulate", g, s, str(d / "sb"), "--bernoulli",
+          "--replicates", "20"], d / "sb" / "manifest.json",
+         dict(sim, clustering=None, bernoulli=True)),
+        (["simulate", g, s, str(d / "sc"), "--clustering", c,
+          "--replicates", "20"], d / "sc" / "manifest.json",
+         dict(sim, clustering=c, bernoulli=False)),
+        (["sweep", g, s, str(d / "sw.csv"), "--phis", "0.5, 1", "--k-max",
+          "2", "--replicates", "20", "--max-passes", "3"],
+         d / "sw.csv.manifest.json",
+         {"phis": "0.5, 1", "k_max": 2, "p": 0.5, "replicates": 20,
+          "seed": 0, "search_seed": 0, "max_passes": 3}),
+    ]
+    for argv, manifest, flags in runs:
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        record = json.loads(manifest.read_text())
+        assert record["command"] == argv[0]
+        assert record["flags"] == flags
+        command = main.commands[argv[0]]
+        assert (command.make_context(argv[0], record["argv"][1:]).params
+                == command.make_context(argv[0], argv[1:]).params)
+        result = runner.invoke(main, ["rerun", str(manifest), "--check"])
+        assert result.exit_code == 0, result.output
+        assert "all checked outputs byte-identical" in result.output
+
+
+def test_rerun_replays_options_in_any_order(workspace, runner):
+    # Older manifests list the options in another order than the
+    # parameters are declared in.
+    tmp_path, graph_path, scenario_path = workspace
+    cpath = tmp_path / "c.tsv"
+    runner.invoke(main, ["design", str(graph_path), str(cpath),
+                         "--method", "singleton"])
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", str(graph_path),
+                                  str(scenario_path), str(out),
+                                  "--clustering", str(cpath),
+                                  "--replicates", "20"])
+    assert result.exit_code == 0, result.output
+    manifest = out / "manifest.json"
+    record = json.loads(manifest.read_text())
+    record["argv"] = ["simulate", str(graph_path), str(scenario_path),
+                      str(out), "--p", "0.5", "--replicates", "20",
+                      "--seed", "0", "--bins", "50", "--clustering",
+                      str(cpath)]
+    manifest.write_text(json.dumps(record))
+    result = runner.invoke(main, ["rerun", str(manifest), "--check"])
+    assert result.exit_code == 0, result.output
+    assert "all checked outputs byte-identical" in result.output
+
+
+def test_every_parameter_can_be_recorded_as_argv():
+    # Manifests write each parameter back as argv, one value per option;
+    # a parameter of another kind would silently drop out of replays.
+    scalar = (click.types.StringParamType, click.types.IntParamType,
+              click.types.FloatParamType, click.types.BoolParamType,
+              click.Path, click.Choice)
+    for name, command in main.commands.items():
+        for param in command.params:
+            where = f"{name} {param.name}"
+            assert param.nargs == 1 and not param.multiple, where
+            assert isinstance(param.type, scalar), where
+            if isinstance(param, click.Option):
+                assert not param.count, where
+                assert not param.is_flag or param.is_bool_flag, where

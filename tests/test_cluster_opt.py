@@ -310,8 +310,12 @@ def test_local_search_keeps_edgeless_unit_single():
 def test_config_validation():
     with pytest.raises(ValueError):
         LocalSearchConfig(convergence=False)
-    with pytest.raises(ValueError):
-        LocalSearchConfig(phi=-0.5)
+    for phi in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            LocalSearchConfig(phi=phi)
+    for budget in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            LocalSearchConfig(time_budget=budget)
     with pytest.raises(ValueError):
         LocalSearchConfig(k_max=0)
     with pytest.raises(ValueError):
@@ -354,6 +358,24 @@ def test_local_search_converged_flag():
     result = local_search(g, cfg)
     assert result.converged
     assert result.trace[-1].moves_accepted == 0
+
+
+def test_local_search_spent_time_budget_leaves_singletons():
+    g, _ = planted_four_block()
+    result = local_search(g, LocalSearchConfig(phi=1.0, time_budget=1e-9))
+    np.testing.assert_array_equal(result.clustering.assignment,
+                                  np.arange(g.n_diversion))
+    assert result.trace == ()
+    assert not result.converged
+
+
+def test_local_search_unreached_time_budget_changes_nothing():
+    g, _ = planted_four_block()
+    cfg = LocalSearchConfig(phi=1.0, seed=3)
+    budgeted = local_search(g, replace(cfg, time_budget=600.0))
+    np.testing.assert_array_equal(budgeted.clustering.assignment,
+                                  local_search(g, cfg).clustering.assignment)
+    assert budgeted.converged
 
 
 def test_local_search_improves_over_singletons():
