@@ -88,20 +88,6 @@ def _write_manifest(path, inputs, outputs, seeds=None, volatile=()):
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _load_graph(path):
-    try:
-        return load_snapshot(path)
-    except (GraphError, OSError, ValueError) as exc:
-        raise click.ClickException(f"cannot load graph {path}: {exc}")
-
-
-def _load_clustering(g, path):
-    try:
-        return read_clustering(g, path)
-    except ValueError as exc:
-        raise click.ClickException(f"cannot load clustering {path}: {exc}")
-
-
 @contextmanager
 def _usage_errors():
     """A spec object's ValueError names a bad flag value: exit 2."""
@@ -133,7 +119,8 @@ def main(ctx):
 @main.command("ingest")
 @click.argument("edge_list", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_graph", type=click.Path(dir_okay=False))
-@click.option("--min-degree", type=int, default=0, show_default=True,
+@click.option("--min-degree", type=click.IntRange(min=0), default=0,
+              show_default=True,
               help="Drop outcome units with fewer incident edges.")
 @click.option("--normalize/--no-normalize", default=True, show_default=True,
               help="Rescale each outcome row to sum to 1.")
@@ -159,7 +146,7 @@ def cmd_ingest(edge_list, out_graph, min_degree, normalize):
 @click.argument("out_edge_list", type=click.Path(dir_okay=False))
 def cmd_export(graph, out_edge_list):
     """Write a graph snapshot back out as a plain edge list."""
-    g = _load_graph(graph)
+    g = load_snapshot(graph)
     write_edge_list(g, out_edge_list)
     click.echo(f"wrote {g.nnz} edges -> {out_edge_list}")
 
@@ -189,7 +176,7 @@ def _parse_method(method):
 @click.option("--k-max", type=int, default=None,
               help="Maximum cluster size for the local search.")
 @click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0), default=0, show_default=True)
 @click.option("--restarts", type=click.IntRange(min=1), default=1,
               show_default=True)
 @click.option("--max-passes", type=int, default=None)
@@ -208,7 +195,7 @@ def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
     if trace is not None and kind != "exposure-design":
         raise click.UsageError(
             "--trace only applies to --method exposure-design")
-    g = _load_graph(graph)
+    g = load_snapshot(graph)
     m = g.n_diversion
     result = None
     if kind == "singleton":
@@ -242,8 +229,8 @@ def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
 @click.option("--p", type=float, default=0.5, show_default=True)
 def cmd_moments(graph, clustering, out_csv, p):
     """Exposure means and variances for a clustering, as CSV."""
-    g = _load_graph(graph)
-    c = _load_clustering(g, clustering)
+    g = load_snapshot(graph)
+    c = read_clustering(g, clustering)
     with _usage_errors():
         d = DesignSpec.independent_cluster(c, p)
     write_moments_csv(exposure_moments(g, d), g, out_csv)
@@ -263,7 +250,7 @@ def cmd_moments(graph, clustering, out_csv, p):
 @click.option("--p", type=float, default=0.5, show_default=True)
 @click.option("--replicates", type=click.IntRange(min=1), default=5000,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0), default=0, show_default=True)
 @click.option("--bins", type=click.IntRange(min=1), default=50,
               show_default=True)
 def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
@@ -272,14 +259,14 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
     if (clustering is None) == (not bernoulli):
         raise click.UsageError(
             "exactly one of --clustering PATH or --bernoulli is required")
-    g = _load_graph(graph)
+    g = load_snapshot(graph)
     spec = read_scenario_file(scenario)
     if bernoulli:
         with _usage_errors():
             d = DesignSpec.bernoulli(p)
         design_name = "bernoulli"
     else:
-        c = _load_clustering(g, clustering)
+        c = read_clustering(g, clustering)
         with _usage_errors():
             d = DesignSpec.independent_cluster(c, p)
         design_name = f"independent-cluster[k={c.k}]"
@@ -312,9 +299,11 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
 @click.option("--p", type=float, default=0.5, show_default=True)
 @click.option("--replicates", type=click.IntRange(min=1), default=5000,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(0), default=0,
+              show_default=True,
               help="Base seed for the simulation replicates.")
-@click.option("--search-seed", type=int, default=0, show_default=True)
+@click.option("--search-seed", type=click.IntRange(0), default=0,
+              show_default=True)
 @click.option("--max-passes", type=int, default=None)
 def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
               search_seed, max_passes):
@@ -332,7 +321,7 @@ def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
         # Each search's config validates its phi.
         for phi in phi_values:
             replace(cfg, phi=phi)
-    g = _load_graph(graph)
+    g = load_snapshot(graph)
     spec = read_scenario_file(scenario)
     rows = phi_sweep(g, spec, phi_values, cfg, replicates, seed, path=out_csv)
     _write_manifest(out_csv + ".manifest.json", [graph, scenario], [out_csv],
@@ -399,6 +388,9 @@ def cmd_rerun(manifest, check):
         raise click.ClickException(f"cannot replay in {cwd}: {exc}")
     try:
         main.main(args=record["argv"], standalone_mode=False)
+    except click.UsageError as exc:
+        raise click.ClickException(f"{manifest}: recorded argv is not a "
+                                   f"valid bipx command: {exc.message}")
     finally:
         os.chdir(here)
     if check:

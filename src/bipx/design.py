@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from bipx.graph_core import text_lines
+
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
 VAR_FLOOR = 1e-10
@@ -114,31 +116,32 @@ def write_clustering(c, g, path):
 
 
 def read_clustering(g, path):
-    """Read a clustering file; every diversion unit must appear exactly once."""
+    """Read a `diversion_id<TAB>cluster_id` file through text_lines; every
+    diversion unit must appear exactly once, with an integer cluster id."""
+    def bad(line_no, why):
+        return DesignError(f"{path}:{line_no}: {why}")
+
     index = {did: j for j, did in enumerate(g.diversion_ids)}
-    labels = np.full(g.n_diversion, -1, dtype=np.int64)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise DesignError(
-                    f"{path}:{line_no}: expected 'diversion_id<TAB>cluster_id'")
-            did, cid = parts
-            if did not in index:
-                raise DesignError(f"{path}:{line_no}: unknown diversion id {did!r}")
-            j = index[did]
-            if labels[j] != -1:
-                raise DesignError(f"{path}:{line_no}: duplicate entry for {did!r}")
-            try:
-                labels[j] = int(cid)
-            except ValueError:
-                raise DesignError(
-                    f"{path}:{line_no}: cluster id {cid!r} is not an integer")
-    if np.any(labels == -1):
-        missing = [g.diversion_ids[j] for j in np.flatnonzero(labels == -1)]
+    labels = np.zeros(g.n_diversion, dtype=np.int64)
+    seen = np.zeros(g.n_diversion, dtype=bool)
+    for line_no, text in text_lines(path, bad):
+        parts = text.split("\t")
+        if len(parts) != 2:
+            raise bad(line_no, "expected 'diversion_id<TAB>cluster_id'")
+        did, cid = parts
+        if did not in index:
+            raise bad(line_no, f"unknown diversion id {did!r}")
+        j = index[did]
+        if seen[j]:
+            raise bad(line_no, f"duplicate entry for {did!r}")
+        try:
+            labels[j] = int(cid)
+        except (ValueError, OverflowError):
+            raise bad(line_no,
+                      f"cluster id {cid!r} is not a 64-bit integer") from None
+        seen[j] = True
+    if not seen.all():
+        missing = [g.diversion_ids[j] for j in np.flatnonzero(~seen)]
         raise DesignError(f"{path}: missing diversion unit(s): {missing[:5]}")
     return Clustering.from_labels(labels)
 

@@ -12,11 +12,12 @@ every operation returns a new graph.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,8 +107,9 @@ class BipartiteGraph:
     def require_normalized(self):
         if not self.is_normalized():
             raise NotNormalizedError(
-                "operation requires a row-normalized graph; "
-                "call normalize_rows first")
+                "operation requires a row-normalized graph: ingest the "
+                "edge list again without --no-normalize, or call "
+                "normalize_rows")
 
     def row(self, i):
         """Sparse row i as (diversion indices, weights)."""
@@ -123,23 +125,66 @@ class BipartiteGraph:
         return np.diff(self.rows.indptr)
 
 
-def _build_from_entries(entries, outcome_ids, diversion_ids):
-    """Assemble a graph from (i, j, w) triples, dropping empty units.
+def text_lines(path, error):
+    """(line_no, text) of each line of a UTF-8 file, streamed, without
+    `#` comments (anywhere on a line), surrounding whitespace or blank
+    lines. A line that is not UTF-8 raises error(line_no, message)."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(line_no, f"not UTF-8 ({exc.reason} at byte "
+                                     f"{exc.start})") from None
+            text = line.split("#", 1)[0].strip()
+            if text:
+                yield line_no, text
 
-    Diversion units whose every edge was dropped (zero weight) are removed
-    with a warning; outcome units likewise. Duplicate edges sum.
+
+def load_edge_list(path):
+    """Load a whitespace-separated `outcome_id diversion_id weight` file.
+
+    The file is read through text_lines. Ids are arbitrary whitespace-free
+    strings mapped to dense indices in first-appearance order. Duplicate
+    (i, j) edges have their weights summed; zero-weight edges are dropped,
+    and so, with a warning, are units left without a positive-weight edge.
+
+    Raises EdgeListParseError (with line number) on malformed lines,
+    NegativeWeightError on w < 0, EmptyGraphError when nothing survives.
     """
-    n, m = len(outcome_ids), len(diversion_ids)
-    ii = np.fromiter((e[0] for e in entries), dtype=np.int64, count=len(entries))
-    jj = np.fromiter((e[1] for e in entries), dtype=np.int64, count=len(entries))
-    ww = np.fromiter((e[2] for e in entries), dtype=np.float64, count=len(entries))
-    mat = sp.coo_matrix((ww, (ii, jj)), shape=(n, m)).tocsr()
-    mat.sum_duplicates()
-
-    row_deg = np.diff(mat.indptr)
-    col_deg = np.diff(mat.tocsc().indptr)
-    keep_rows = row_deg > 0
-    keep_cols = col_deg > 0
+    bad = partial(EdgeListParseError, path)
+    outcome_index = {}
+    diversion_index = {}
+    rows, cols, weights = [], [], []
+    for line_no, text in text_lines(path, bad):
+        parts = text.split()
+        if len(parts) != 3:
+            raise bad(line_no, "expected 'outcome_id diversion_id weight', "
+                               f"got {text!r}")
+        oid, did, wtext = parts
+        try:
+            w = float(wtext)
+        except ValueError:
+            raise bad(line_no, f"weight {wtext!r} is not a number") from None
+        if not math.isfinite(w):
+            raise bad(line_no, f"weight {w} is not finite")
+        if w < 0:
+            raise NegativeWeightError(path, line_no, f"negative weight {w}")
+        i = outcome_index.setdefault(oid, len(outcome_index))
+        j = diversion_index.setdefault(did, len(diversion_index))
+        if w > 0:
+            rows.append(i)
+            cols.append(j)
+            weights.append(w)
+    if not weights:
+        raise EmptyGraphError(f"{path}: no positive-weight edges")
+    outcome_ids, diversion_ids = list(outcome_index), list(diversion_index)
+    mat = sp.coo_matrix((np.array(weights, dtype=np.float64),
+                         (np.array(rows, dtype=np.int64),
+                          np.array(cols, dtype=np.int64))),
+                        shape=(len(outcome_ids), len(diversion_ids))).tocsr()
+    keep_rows = np.diff(mat.indptr) > 0
+    keep_cols = np.diff(mat.tocsc().indptr) > 0
     if not keep_rows.all():
         dropped = [outcome_ids[i] for i in np.flatnonzero(~keep_rows)]
         warnings.warn(f"dropping {len(dropped)} outcome unit(s) with no "
@@ -152,57 +197,7 @@ def _build_from_entries(entries, outcome_ids, diversion_ids):
                       f"{dropped[:5]}")
         mat = mat[:, keep_cols]
         diversion_ids = [x for x, k in zip(diversion_ids, keep_cols) if k]
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        raise EmptyGraphError("graph is empty after dropping zero-weight edges")
     return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
-
-
-def load_edge_list(path):
-    """Load a whitespace-separated `outcome_id diversion_id weight` file.
-
-    Lines may carry `#` comments. Ids are arbitrary whitespace-free strings
-    mapped to dense indices in first-appearance order. Duplicate (i, j)
-    edges have their weights summed; zero-weight edges are dropped.
-
-    Raises EdgeListParseError (with line number) on malformed lines,
-    NegativeWeightError on w < 0, EmptyGraphError when nothing survives.
-    """
-    outcome_index = {}
-    diversion_index = {}
-    outcome_ids = []
-    diversion_ids = []
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise EdgeListParseError(
-                    path, line_no,
-                    f"expected 'outcome_id diversion_id weight', got {raw.strip()!r}")
-            oid, did, wtext = parts
-            try:
-                w = float(wtext)
-            except ValueError:
-                raise EdgeListParseError(
-                    path, line_no, f"weight {wtext!r} is not a number") from None
-            if not np.isfinite(w):
-                raise EdgeListParseError(path, line_no, f"weight {w} is not finite")
-            if w < 0:
-                raise NegativeWeightError(path, line_no, f"negative weight {w}")
-            if oid not in outcome_index:
-                outcome_index[oid] = len(outcome_ids)
-                outcome_ids.append(oid)
-            if did not in diversion_index:
-                diversion_index[did] = len(diversion_ids)
-                diversion_ids.append(did)
-            if w > 0:
-                entries.append((outcome_index[oid], diversion_index[did], w))
-    if not entries:
-        raise EmptyGraphError(f"{path}: no positive-weight edges")
-    return _build_from_entries(entries, outcome_ids, diversion_ids)
 
 
 def write_edge_list(g, path):
@@ -285,10 +280,10 @@ def _read_blob(fh, path):
 
 
 def _read_exact(fh, size, path):
-    blob = fh.read(size)
-    if len(blob) != size:
+    # Checked before reading, so that a corrupt count allocates nothing.
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise GraphError(f"{path}: truncated snapshot")
-    return blob
+    return fh.read(size)
 
 
 def save_snapshot(g, path):

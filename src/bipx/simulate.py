@@ -16,6 +16,7 @@ assignments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,11 +25,17 @@ from bipx.cluster_opt import local_search
 from bipx.design import DesignSpec, aggregate_moments, \
     cluster_aggregated_weights, derived_rng
 from bipx.estimator import OutcomeModel, true_ate
+from bipx.graph_core import text_lines
 
 POSITIVE_TE = "PositiveTE"
 ZERO_TE = "ZeroTE"
 GRAPH_DEPENDENT = "GraphDependent"
 _KINDS = (POSITIVE_TE, ZERO_TE, GRAPH_DEPENDENT)
+
+# The type of each key of a scenario file.
+_FIELD_TYPES = dict(kind=str, slope_mean=float, slope_var=float,
+                    intercept_mean=float, intercept_var=float,
+                    n_outcome_clusters=int, model_seed=int)
 
 _DEFAULTS = {
     POSITIVE_TE: dict(slope_mean=1.0, slope_var=0.25,
@@ -70,8 +77,13 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
-        if self.slope_var < 0 or self.intercept_var < 0:
+        for name, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite")
+        if not (self.slope_var >= 0 and self.intercept_var >= 0):
             raise ScenarioError("variances must be >= 0")
+        if self.model_seed < 0:
+            raise ScenarioError("model_seed must be >= 0")
         if self.kind == GRAPH_DEPENDENT and self.n_outcome_clusters < 1:
             raise ScenarioError("n_outcome_clusters must be >= 1")
 
@@ -99,42 +111,33 @@ class ScenarioSpec:
 
 
 def read_scenario_file(path):
-    """Parse a `key = value` scenario file into a ScenarioSpec.
-
-    Lines starting with `#` and blank lines are skipped. `kind` is
-    required; other keys override the kind's default parameters.
+    """Parse a `key = value` scenario file, read through text_lines, into a
+    ScenarioSpec. `kind` is required; other keys override the kind's
+    default parameters.
     """
+    def bad(line_no, why):
+        return ScenarioError(f"{path}:{line_no}: {why}")
+
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ScenarioError(
-                    f"{path}:{line_no}: expected key = value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in values:
-                raise ScenarioError(f"{path}:{line_no}: duplicate key {key!r}")
-            values[key] = value
+    for line_no, text in text_lines(path, bad):
+        key, eq, value = (part.strip() for part in text.partition("="))
+        if not eq:
+            raise bad(line_no, f"expected key = value, got {text!r}")
+        if key in values:
+            raise bad(line_no, f"duplicate key {key!r}")
+        if key not in _FIELD_TYPES:
+            raise bad(line_no, f"unknown scenario key {key!r}")
+        try:
+            values[key] = _FIELD_TYPES[key](value)
+        except ValueError:
+            raise bad(line_no, f"cannot read {key} = {value!r} as "
+                               f"{_FIELD_TYPES[key].__name__}") from None
     if "kind" not in values:
         raise ScenarioError(f"{path}: missing required key 'kind'")
-    kind = values.pop("kind")
-    kwargs = {}
-    for key, value in values.items():
-        if key in ("model_seed", "n_outcome_clusters"):
-            kwargs[key] = int(value)
-        elif key in ("slope_mean", "slope_var",
-                     "intercept_mean", "intercept_var"):
-            kwargs[key] = float(value)
-        else:
-            raise ScenarioError(f"{path}: unknown scenario key {key!r}")
     try:
-        return ScenarioSpec.preset(kind, **kwargs)
-    except TypeError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        return ScenarioSpec.preset(**values)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def write_scenario_file(spec, path):

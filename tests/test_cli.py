@@ -285,11 +285,11 @@ def test_sweep_rejects_empty_phis(workspace, runner):
     (["design", "{g}", "{d}/c2.tsv", "--method", "singleton", "--p", "1"],
      2, None),
     (["moments", "{g}", "{partial}", "{d}/m.csv"], 1,
-     "cannot load clustering"),
+     "partial.tsv: missing diversion unit(s)"),
     (["simulate", "{g}", "{s}", "{d}/sim", "--clustering", "{partial}"], 1,
-     "cannot load clustering"),
+     "partial.tsv: missing diversion unit(s)"),
     (["moments", "{g}", "{bad_id}", "{d}/m.csv"], 1,
-     "cannot load clustering"),
+     "bad_id.tsv:2: cluster id 'one'"),
     (["design", "{g}", "{d}/c2.tsv", "--phi", "nan"], 2, "phi"),
     (["design", "{g}", "{d}/c2.tsv", "--phi", "inf"], 2, "phi"),
     (["sweep", "{g}", "{s}", "{d}/s.csv", "--phis", "nan,1"], 2, "phi"),
@@ -312,13 +312,35 @@ def test_sweep_rejects_empty_phis(workspace, runner):
      "inputs is not an object of string to string"),
     (["rerun", "{bad_argv}"], 1, "argv is not a non-empty list of strings"),
     (["rerun", "{self_rerun}"], 1, "argv replays rerun itself"),
+    (["ingest", "{d}/latin.txt", "{d}/g2.bin"], 1, "latin.txt:2: not UTF-8"),
+    (["moments", "{g}", "{d}/latin.tsv", "{d}/m.csv"], 1,
+     "latin.tsv:3: not UTF-8"),
+    (["simulate", "{g}", "{d}/latin.scn", "{d}/sim", "--bernoulli"], 1,
+     "latin.scn:2: not UTF-8"),
+    (["simulate", "{g}", "{d}/nan_var.scn", "{d}/sim", "--bernoulli"], 1,
+     "nan_var.scn: slope_var must be finite"),
+    (["simulate", "{g}", "{d}/inf_mean.scn", "{d}/sim", "--bernoulli"], 1,
+     "inf_mean.scn: slope_mean must be finite"),
+    (["simulate", "{g}", "{d}/bad_seed.scn", "{d}/sim", "--bernoulli"], 1,
+     "bad_seed.scn:2: cannot read model_seed = 'x' as int"),
+    (["ingest", "{d}/edges.txt", "{d}/g2.bin", "--min-degree", "-3"], 2,
+     "--min-degree"),
+    (["design", "{g}", "{d}/c2.tsv", "--seed", "-1"], 2, "--seed"),
+    (["simulate", "{g}", "{s}", "{d}/sim", "--bernoulli", "--seed", "-1"], 2,
+     "--seed"),
+    (["sweep", "{g}", "{s}", "{d}/s.csv", "--phis", "1",
+      "--search-seed", "-1"], 2, "--search-seed"),
 ], ids=["moments-p", "simulate-replicates", "simulate-p", "simulate-bins",
         "sweep-phis", "design-p", "moments-clustering", "simulate-clustering",
         "moments-cluster-id", "design-phi-nan", "design-phi-inf",
         "sweep-phis-nan", "design-time-budget", "design-raw-singleton",
         "design-raw-search", "moments-raw", "simulate-raw", "sweep-raw",
         "ingest-min-degree", "ingest-empty", "rerun-not-json",
-        "rerun-list-inputs", "rerun-bad-argv", "rerun-self"])
+        "rerun-list-inputs", "rerun-bad-argv", "rerun-self", "ingest-latin",
+        "moments-latin", "simulate-latin", "simulate-nan-var",
+        "simulate-inf-mean", "simulate-bad-seed", "ingest-negative-degree",
+        "design-negative-seed", "simulate-negative-seed",
+        "sweep-negative-search-seed"])
 def test_bad_input_exits_without_traceback(workspace, runner, args, code,
                                            message):
     tmp_path, graph_path, scenario_path = workspace
@@ -340,6 +362,14 @@ def test_bad_input_exits_without_traceback(workspace, runner, args, code,
                  "self_rerun": '{"argv": ["rerun", "m.json"]}'}
     for name, text in manifests.items():
         (tmp_path / f"{name}.json").write_text(text)
+    inputs = {"latin.txt": b"a u 1.0\n\xe9 v 1.0\n",
+              "latin.tsv": b"# clusters\nu\t0\nv\t0 # caf\xe9\n",
+              "latin.scn": b"kind = PositiveTE\n# caf\xe9\n",
+              "nan_var.scn": b"kind = PositiveTE\nslope_var = nan\n",
+              "inf_mean.scn": b"kind = PositiveTE\nslope_mean = inf\n",
+              "bad_seed.scn": b"kind = PositiveTE\nmodel_seed = x\n"}
+    for name, blob in inputs.items():
+        (tmp_path / name).write_bytes(blob)
     args = [a.format(g=graph_path, c=cpath, s=scenario_path, d=tmp_path,
                      partial=partial, bad_id=bad_id, raw=raw, empty=empty,
                      **{k: tmp_path / f"{k}.json" for k in manifests})

@@ -66,6 +66,15 @@ def test_read_clustering_errors(tmp_path):
     path.write_text("u\t0\nv\t0\nw\t0\n")
     with pytest.raises(ValueError, match="unknown"):
         read_clustering(g, path)
+    # -1 is a cluster id like any other.
+    path.write_text("u\t-1\nv\t-1\n")
+    assert read_clustering(g, path).k == 1
+    path.write_text("u\t-1\nu\t0\nv\t0\n")
+    with pytest.raises(ValueError, match="c.tsv:2: duplicate"):
+        read_clustering(g, path)
+    path.write_text("u\t0\nv\t99999999999999999999\n")
+    with pytest.raises(ValueError, match="c.tsv:2: cluster id"):
+        read_clustering(g, path)
 
 
 def test_design_spec_validation():

@@ -214,6 +214,8 @@ def corrupt_snapshot(path, kind):
         struct.pack_into("<d", buf, data_at, -0.5)
     elif kind == "huge-count":
         struct.pack_into("<Q", buf, 28, 10**15)
+    elif kind == "huge-id-map":
+        struct.pack_into("<Q", buf, data_at + 8 * nnz, 1 << 40)
     elif kind == "trailing-bytes":
         buf += b"\x00"
     elif kind == "truncated":
@@ -225,7 +227,8 @@ def corrupt_snapshot(path, kind):
 
 SNAPSHOT_CORRUPTIONS = ("index-past-m", "negative-index", "indptr-decreasing",
                         "indptr-start", "nan-weight", "negative-weight",
-                        "huge-count", "trailing-bytes", "truncated")
+                        "huge-count", "huge-id-map", "trailing-bytes",
+                        "truncated")
 
 
 @pytest.mark.parametrize("kind", SNAPSHOT_CORRUPTIONS)

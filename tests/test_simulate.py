@@ -53,6 +53,11 @@ def test_preset_overrides_and_validation():
         ScenarioSpec.positive_te(slope_var=-1.0)
     with pytest.raises(ScenarioError):
         ScenarioSpec.graph_dependent(0)
+    for bad in (dict(slope_var=float("nan")), dict(intercept_var=-0.5),
+                dict(slope_mean=float("inf")),
+                dict(intercept_mean=float("nan")), dict(model_seed=-1)):
+        with pytest.raises(ScenarioError):
+            ScenarioSpec.positive_te(**bad)
 
 
 def test_scenario_file_round_trip(tmp_path):
