@@ -32,9 +32,10 @@ from bipx.cluster_opt import (LocalSearchConfig, balanced_partition_baseline,
 from bipx.design import (Clustering, DesignError, DesignSpec,
                          exposure_moments, read_clustering,
                          write_clustering, write_moments_csv)
-from bipx.graph_core import (GraphError, filter_min_outcome_degree,
-                             load_edge_list, load_snapshot, normalize_rows,
-                             save_snapshot, write_edge_list, write_id_maps)
+from bipx.graph_core import (GraphError, WeightOverflowError,
+                             filter_min_outcome_degree, load_edge_list,
+                             load_snapshot, normalize_rows, save_snapshot,
+                             write_edge_list, write_id_maps)
 from bipx.simulate import (ScenarioError, export_estimates_csv,
                            export_histogram, generate_outcome_model,
                            phi_sweep, read_scenario_file, report_to_json,
@@ -130,7 +131,10 @@ def cmd_ingest(edge_list, out_graph, min_degree, normalize):
     if min_degree > 0:
         g = filter_min_outcome_degree(g, min_degree)
     if normalize:
-        g = normalize_rows(g)
+        try:
+            g = normalize_rows(g)
+        except WeightOverflowError as exc:
+            raise WeightOverflowError(f"{edge_list}: {exc}") from None
     save_snapshot(g, out_graph)
     outcome_map = out_graph + ".outcome_ids.tsv"
     diversion_map = out_graph + ".diversion_ids.tsv"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,6 +85,7 @@ class PassTrace:
     elapsed: float
     kernel_visits: int  # visits past the self-partner and cap checks
     stale_recomputes: int  # of those, scored again after a block accept
+    cluster_side_visits: int  # of those, scored from member columns
 
 
 @dataclass(frozen=True)
@@ -110,57 +112,6 @@ def objective(g, c, phi, p=0.5):
     s_sq = d.coin_variance * float(np.sum(s_c ** 2))
     return ObjectiveValue(variance_sum=var_sum,
                           covariance_sum=s_sq - var_sum, phi=phi)
-
-
-def exposure_spread_objective(g, c, p=0.5):
-    """Expected empirical variance of the exposure vector under the design.
-
-    E[ sum_i (x_i - mean(x))^2 ] equals the trace form
-    4p(1-p) sum_C (sum_i agg[i,C]^2 - S_C^2 / n) plus a mean term
-    (2p-1)^2 * r^T (I - 11^T/n) r with r the row sums, which vanishes for
-    row-normalized graphs.
-    """
-    g.require_normalized()
-    obj = objective(g, c, 0.0, p)
-    total = obj.variance_sum + obj.covariance_sum
-    return obj.variance_sum - total / g.n_outcome \
-        + spread_identity_constant(g, c, p)
-
-
-def spread_identity_constant(g, c, p=0.5):
-    """Additive constant linking the spread to the phi = 1/(n-1) objective.
-
-    spread = ((n-1)/n) * objective(phi = 1/(n-1)).total + constant. The
-    constant is the mean term of the spread, zero whenever rows sum to 1.
-    """
-    r = g.row_sums
-    return (2.0 * p - 1.0) ** 2 * float(np.sum((r - r.mean()) ** 2))
-
-
-def wedge_sample(g, i, rng):
-    """Draw a partner diversion unit j with probability c[i, j] / s[i].
-
-    Two stages: pick an outcome unit k with probability w[k, i] / s[i],
-    then pick j with probability w[k, j] (rows sum to 1). The marginal of
-    j is proportional to the co-weight sum_k w[k, i] w[k, j].
-    """
-    g.require_normalized()
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    csc, csr = g.cols, g.rows
-    if csc.indptr[i] == csc.indptr[i + 1]:
-        raise ValueError(f"diversion unit {i} has no incident edges")
-    k = _draw(csc.indptr, csc.indices, csc.data, i, rng)
-    return int(_draw(csr.indptr, csr.indices, csr.data, k, rng))
-
-
-def _draw(indptr, indices, data, i, rng):
-    """One index of compressed slice i, drawn in proportion to its data."""
-    lo, hi = indptr[i], indptr[i + 1]
-    cum = np.cumsum(data[lo:hi])
-    u = rng.random() * cum[-1]
-    return indices[lo + min(int(np.searchsorted(cum, u, side="right")),
-                            hi - lo - 1)]
 
 
 def _slice_cumsum(indptr, data):
@@ -230,19 +181,28 @@ def _ranges(starts, lengths):
 
 
 class _MoveDelta:
-    """Objective changes of single-unit moves, from a two-hop gather.
+    """Objective changes of single-unit moves, scored by one of two routes.
 
-    With d(i, C) = sum_{k in col i} w[k, i] sum_{j in row k, a[j] = C}
-    w[k, j], moving unit i from its cluster A to cluster B changes the
-    objective by 2 * 4p(1-p) * [(1 + phi) (d(i, B) - d(i, A \\ {i}))
-    - phi s_i (S_B - (S_A - s_i))], S the cluster column totals.
+    With d(i, C) = sum_{j in C} <col i, col j>, moving unit i from its
+    cluster A to cluster B changes the objective by 2 * 4p(1-p) *
+    [(1 + phi) (d(i, B) - d(i, A \\ {i})) - phi s_i (S_B - (S_A - s_i))],
+    S the cluster column totals. Both routes sum d(i, A) with i among A's
+    members and then take off the self term <col i, col i>.
 
-    The paths i -> k -> j of a batch of units are the CSR rows of their
-    outcome units k, laid end to end: each CSC entry (k, i) contributes
+    The gather walks the two-hop paths i -> k -> j, the CSR rows of i's
+    outcome units k laid end to end: each CSC entry (k, i) contributes
     the run of CSR positions of row k. `paths` gathers them once for a
     batch; `gains` reads the current labels at their ends and sums, per
     unit with np.bincount, the paths that land in the own or the target
-    cluster.
+    cluster. It reads hops(i) paths a unit, however small the clusters.
+
+    The cluster side reads the columns of the members of A and B. It
+    keys each unit entry (k, i) of a batch by slot * n + k, sorted
+    because CSC rows are; one searchsorted finds the member entries
+    (k, j) on the same row and one np.bincount sums their w[k, i] w[k, j]
+    per slot and cluster. It reads deg(i) + cdeg(A) + cdeg(B) entries a
+    unit, cdeg a cluster's summed column degrees. `score` picks the route
+    for a batch.
     """
 
     def __init__(self, g, phi, p):
@@ -250,14 +210,13 @@ class _MoveDelta:
         self.g = g
         self.phi = phi
         self.coin_variance = 4.0 * p * (1.0 - p)
-        self.lens = np.diff(csr.indptr)[csc.indices]
-        self.row_start = csr.indptr[csc.indices]
-        ends = np.concatenate(([0], np.cumsum(self.lens)))
+        self.row_deg = np.diff(csr.indptr)
+        ends = np.concatenate(([0], np.cumsum(self.row_deg[csc.indices])))
         self.hops = np.diff(ends[csc.indptr])
-        deg = np.diff(csc.indptr)
+        self.deg = np.diff(csc.indptr)
         self.self_term = np.bincount(
-            np.repeat(np.arange(deg.size), deg), weights=csc.data ** 2,
-            minlength=deg.size)
+            np.repeat(np.arange(self.deg.size), self.deg),
+            weights=csc.data ** 2, minlength=self.deg.size)
 
     def paths(self, units):
         """Two-hop paths of a batch of units: the unit each path ends in,
@@ -266,8 +225,9 @@ class _MoveDelta:
         csc, csr = self.g.cols, self.g.rows
         lo = csc.indptr[units]
         entries = _ranges(lo, csc.indptr[units + 1] - lo)
-        reps = self.lens[entries]
-        pos = _ranges(self.row_start[entries], reps)
+        rows = csc.indices[entries]
+        reps = self.row_deg[rows]
+        pos = _ranges(csr.indptr[rows], reps)
         prod = csc.data[entries].repeat(reps) * csr.data.take(pos)
         bounds = np.concatenate(([0], self.hops[units].cumsum()))
         return csr.indices.take(pos), prod, bounds
@@ -284,24 +244,53 @@ class _MoveDelta:
                                weights=prod[at], minlength=units.size)
 
         own = labels[units]
-        d_new = d(targets)
-        d_own = d(own) - self.self_term[units]
+        return self._gain(S, units, own, targets, d(targets), d(own))
+
+    def _gain(self, S, units, own, targets, d_new, d_own):
+        """The move gains, given d(i, B) and d(i, A) with i still in A."""
+        d_own = d_own - self.self_term[units]
         s_i = self.g.col_sums[units]
         gain = (1.0 + self.phi) * (d_new - d_own) \
             - self.phi * s_i * (S[targets] - (S[own] - s_i))
         return 2.0 * self.coin_variance * gain
 
-    def rescore(self, labels, S, i, target, batch=None, v=-1):
-        """Gain of moving unit i into `target`, scored alone on its paths:
-        slot v of a batch's `paths`, or a fresh gather when v < 0."""
-        if v < 0:
-            ends, prod, _ = self.paths(np.array([i]))
-        else:
-            ends, prod, bounds = batch
-            ends = ends[bounds[v]:bounds[v + 1]]
-            prod = prod[bounds[v]:bounds[v + 1]]
-        return self.gains(labels, S, np.array([i]), np.array([target]), ends,
-                          prod, np.array([0, ends.size]))[0]
+    def score(self, labels, S, units, targets, members, cdeg):
+        """Gains of moving units[v] into targets[v], for every v, by the
+        route that _cluster_side picks for the batch, and whether that is
+        the cluster side. members[c] holds the units labelled c as int64
+        buffers and cdeg[c] their summed column degrees."""
+        V = units.size
+        if not V:
+            return np.zeros(0), False
+        own = labels[units]
+        clusters = np.concatenate((targets, own))
+        # Entries of each unit, then of each target's and own cluster's
+        # members: what the cluster side reads.
+        counts = np.concatenate((self.deg[units], cdeg[clusters]))
+        cum = counts.cumsum()
+        if not _cluster_side(int(self.hops[units].sum()), int(cum[-1])):
+            ends, prod, bounds = self.paths(units)
+            return self.gains(labels, S, units, targets, ends, prod,
+                              bounds), False
+        mine = int(cum[V - 1])  # the units' own entries come first
+        if not mine:  # edgeless units share no row with any unit
+            zero = np.zeros(V)
+            return self._gain(S, units, own, targets, zero, zero), True
+        csc = self.g.cols
+        cols = np.concatenate((units, np.frombuffer(
+            b"".join(map(members.__getitem__, clusters.tolist())), np.int64)))
+        entries = _ranges(csc.indptr[cols], self.deg[cols])
+        # Tags: v - V on unit v's entries, v on its target's member
+        # entries and V + v on its own cluster's; tag % V is the slot.
+        tag = np.repeat(np.arange(-V, 2 * V), counts)
+        keys = tag % V * self.g.n_outcome + csc.indices[entries]
+        key_i = keys[:mine]
+        at = key_i.searchsorted(keys[mine:])
+        hit = np.flatnonzero(key_i.take(at, mode="clip") == keys[mine:])
+        w = csc.data[entries]
+        at, hit = at[hit], hit + mine
+        d = np.bincount(tag[hit], weights=w[hit] * w[at], minlength=2 * V)
+        return self._gain(S, units, own, targets, d[:V], d[V:]), True
 
 
 def move_delta(g, assignment, i, target, phi, p=0.5):
@@ -317,11 +306,25 @@ def move_delta(g, assignment, i, target, phi, p=0.5):
         return 0.0
     S = np.bincount(labels, weights=g.col_sums,
                     minlength=max(int(labels.max()), target) + 1)
-    return float(_MoveDelta(g, phi, p).rescore(labels, S, i, target))
+    delta, units = _MoveDelta(g, phi, p), np.array([i])
+    return float(delta.gains(labels, S, units, np.array([target]),
+                             *delta.paths(units))[0])
 
 
-# Visits per two-hop gather in local_search and balanced_partition_baseline.
+# Visits per scored block in local_search and balanced_partition_baseline.
 _BLOCK = 64
+
+
+def _cluster_side(gather_cost, cluster_cost):
+    """Whether a block is scored on the cluster side: the route that reads
+    fewer entries, two-hop paths against the members' column entries."""
+    return cluster_cost < gather_cost
+
+
+def _founding_members(m):
+    """The int64 bytes of each unit, one object per unit."""
+    ids = np.arange(m, dtype=np.int64).tobytes()
+    return [ids[k:k + 8] for k in range(0, 8 * m, 8)]
 
 
 def local_search(g, cfg):
@@ -342,17 +345,34 @@ def local_search(g, cfg):
     c to c' changes d(i, C) and S_C only for C in {c, c'}, so a visit's
     score is stale exactly when an earlier accept in the block touched
     its own or its target cluster; only those visits are scored again,
-    and every decision is the one a visit-by-visit search makes.
+    alone, and every decision is the one a visit-by-visit search makes.
+
+    A block, or a visit scored again, is scored by the two-hop gather or
+    from its clusters' member columns (see _MoveDelta), whichever reads
+    fewer entries: the summed hops(i) of its visits against their summed
+    deg(i) + cdeg(A) + cdeg(B). Under a small k_max the cluster side
+    wins; clusters that grow large send blocks back to the gather. The
+    routes sum in other orders, so their gains agree to rounding, not
+    bit for bit.
     """
     g.require_normalized()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     m = g.n_diversion
     k_max = m if cfg.k_max is None else cfg.k_max
     delta = _MoveDelta(g, cfg.phi, cfg.p)
-    col_sums = g.col_sums.tolist()
     labels = np.arange(m, dtype=np.int64)
     sizes = np.ones(m, dtype=np.int64)
     S = g.col_sums.astype(np.float64)
+    cdeg = delta.deg.copy()  # summed column degrees of each cluster
+    # The walk reads and writes single elements through memoryviews of
+    # the same buffers, which skip numpy's scalar objects.
+    label_at, size_at, S_at, cdeg_at, s_at, deg_at = map(
+        memoryview, (labels, sizes, S, cdeg, g.col_sums, delta.deg))
+    # Each cluster's units as int64 buffers, and each unit's place among
+    # them. A cluster keeps the bytes of its founding unit until an accept
+    # touches it; a unit joining it turns it into a growable array.
+    members = _founding_members(m)
+    where = [0] * m
     trace = []
     start = time.perf_counter()
     converged = False
@@ -365,38 +385,54 @@ def local_search(g, cfg):
             break
         perm = rng.permutation(m)
         partner = _pass_partners(g, perm, rng.random(2 * m))
-        accepted = kernel_visits = stale = 0
+        accepted = kernel_visits = stale = cluster_visits = 0
         for lo in range(0, m, _BLOCK):
             units, partners = perm[lo:lo + _BLOCK], partner[lo:lo + _BLOCK]
             own, targets = labels[units], labels[partners]
             scored = np.flatnonzero((targets != own)
                                     & (sizes[targets] < k_max))
-            ends, prod, bounds = delta.paths(units[scored])
-            gains = delta.gains(labels, S, units[scored], targets[scored],
-                                ends, prod, bounds).tolist()
-            batch = ends, prod, bounds.tolist()
+            gains, on_clusters = delta.score(
+                labels, S, units[scored], targets[scored], members, cdeg)
+            gains = gains.tolist()
             slot = np.full(units.size, -1)
             slot[scored] = np.arange(scored.size)
             touched = set()  # clusters an accept in this block changed
             for i, j, a, v in zip(units.tolist(), partners.tolist(),
                                   own.tolist(), slot.tolist()):
-                b = int(labels[j])
-                if b == a or sizes[b] >= k_max:
+                b = label_at[j]
+                if b == a or size_at[b] >= k_max:
                     continue
                 kernel_visits += 1
                 # If b is not the block-start target, unit j moved into b,
                 # so b is touched.
                 if v >= 0 and a not in touched and b not in touched:
-                    gain = gains[v]
+                    gain, side = gains[v], on_clusters
                 else:
                     stale += 1
-                    gain = delta.rescore(labels, S, i, b, batch, v)
+                    (gain,), side = delta.score(labels, S, np.array([i]),
+                                                np.array([b]), members, cdeg)
+                cluster_visits += side
                 if gain > ACCEPT_EPS:
-                    S[b] += col_sums[i]
-                    S[a] -= col_sums[i]
-                    sizes[b] += 1
-                    sizes[a] -= 1
-                    labels[i] = b
+                    s_i, deg_i = s_at[i], deg_at[i]
+                    S_at[b] += s_i
+                    S_at[a] -= s_i
+                    cdeg_at[b] += deg_i
+                    cdeg_at[a] -= deg_i
+                    size_at[b] += 1
+                    size_at[a] -= 1
+                    label_at[i] = b
+                    # Swap A's last unit into i's place, then append i to B.
+                    if type(members[a]) is bytes:  # i founded A, alone
+                        members[a] = b""
+                    else:
+                        last = members[a].pop()
+                        if last != i:
+                            members[a][where[i]] = last
+                            where[last] = where[i]
+                    if type(members[b]) is bytes:
+                        members[b] = array("q", members[b])
+                    where[i] = len(members[b])
+                    members[b].append(i)
                     accepted += 1
                     touched.update((a, b))
         pass_index += 1
@@ -405,7 +441,7 @@ def local_search(g, cfg):
         trace.append(PassTrace(pass_index, accepted, obj.total,
                                obj.variance_sum, obj.covariance_sum,
                                time.perf_counter() - start, kernel_visits,
-                               stale))
+                               stale, cluster_visits))
         if cfg.time_budget is not None and \
                 time.perf_counter() - start > cfg.time_budget:
             break
@@ -484,10 +520,12 @@ def write_trace_csv(trace, path):
     """Search trace as CSV; elapsed is wall-clock and thus run-specific."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pass,moves_accepted,objective_total,variance_sum,"
-                 "covariance_sum,elapsed,kernel_visits,stale_recomputes\n")
+                 "covariance_sum,elapsed,kernel_visits,stale_recomputes,"
+                 "cluster_side_visits\n")
         for row in trace:
             fh.write(f"{row.pass_index},{row.moves_accepted},"
                      f"{float(row.objective_total)!r},"
                      f"{float(row.variance_sum)!r},"
                      f"{float(row.covariance_sum)!r},{float(row.elapsed)!r},"
-                     f"{row.kernel_visits},{row.stale_recomputes}\n")
+                     f"{row.kernel_visits},{row.stale_recomputes},"
+                     f"{row.cluster_side_visits}\n")

@@ -52,6 +52,10 @@ class NotNormalizedError(GraphError):
     pass
 
 
+class WeightOverflowError(GraphError):
+    """Finite weights whose sum overflows to infinity."""
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable weighted bipartite incidence structure.
@@ -150,7 +154,8 @@ def load_edge_list(path):
     and so, with a warning, are units left without a positive-weight edge.
 
     Raises EdgeListParseError (with line number) on malformed lines,
-    NegativeWeightError on w < 0, EmptyGraphError when nothing survives.
+    NegativeWeightError on w < 0, EmptyGraphError when nothing survives,
+    WeightOverflowError when duplicate edges sum past the largest double.
     """
     bad = partial(EdgeListParseError, path)
     outcome_index = {}
@@ -183,6 +188,13 @@ def load_edge_list(path):
                          (np.array(rows, dtype=np.int64),
                           np.array(cols, dtype=np.int64))),
                         shape=(len(outcome_ids), len(diversion_ids))).tocsr()
+    over = np.flatnonzero(~np.isfinite(mat.data))
+    if over.size:
+        edges = [(outcome_ids[i], diversion_ids[j]) for i, j in zip(
+            np.searchsorted(mat.indptr, over[:5], "right") - 1,
+            mat.indices[over[:5]])]
+        raise WeightOverflowError(f"{path}: duplicate edges sum past the "
+                                  f"largest double: {edges}")
     keep_rows = np.diff(mat.indptr) > 0
     keep_cols = np.diff(mat.tocsc().indptr) > 0
     if not keep_rows.all():
@@ -235,9 +247,15 @@ def filter_min_outcome_degree(g, min_degree):
 def normalize_rows(g):
     """Scale every row to sum to 1. Idempotent.
 
-    Raises EmptyGraphError if some outcome unit has zero total weight.
+    Raises EmptyGraphError if some outcome unit has zero total weight and
+    WeightOverflowError if its total weight overflows.
     """
-    sums = g.row_sums
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        sums = g.row_sums
+    if not np.isfinite(sums).all():
+        bad = [g.outcome_ids[i] for i in np.flatnonzero(~np.isfinite(sums))]
+        raise WeightOverflowError(
+            f"outcome unit(s) whose total weight overflows: {bad[:5]}")
     if np.any(sums <= 0):
         bad = [g.outcome_ids[i] for i in np.flatnonzero(sums <= 0)]
         raise EmptyGraphError(f"outcome unit(s) with zero total weight: {bad[:5]}")

@@ -3,7 +3,9 @@
 Each route here either walks all 2^k cluster coin patterns of a design or
 builds a dense m x m matrix of diversion-unit pair weights, so it is meant
 for small graphs and clusterings only. The production modules compute the
-same quantities in closed form and never import this module.
+same quantities in closed form and never import this module. It also
+holds the per-visit wedge sampler that the search's batched draws are
+checked against, and the exposure spread with its link to the objective.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bipx.cluster_opt import ObjectiveValue
+from bipx.cluster_opt import ObjectiveValue, objective
 from bipx.design import (DesignError, DesignSpec, cluster_aggregated_weights,
                          exposure_moments)
 from bipx.estimator import true_ate
@@ -182,6 +184,58 @@ def exposure_spread_enumerated(g, c, p=0.5):
     """E[ sum_i (x_i - mean(x))^2 ] over all coin patterns of the design."""
     exact = ExactMoments(g, DesignSpec.independent_cluster(c, p))
     return float(exact.expect(lambda x: np.sum((x - x.mean()) ** 2)))
+
+
+def exposure_spread_objective(g, c, p=0.5):
+    """Expected empirical variance of the exposure vector under the design.
+
+    E[ sum_i (x_i - mean(x))^2 ] equals the trace form
+    4p(1-p) sum_C (sum_i agg[i,C]^2 - S_C^2 / n) plus a mean term
+    (2p-1)^2 * r^T (I - 11^T/n) r with r the row sums, which vanishes for
+    row-normalized graphs.
+    """
+    g.require_normalized()
+    obj = objective(g, c, 0.0, p)
+    total = obj.variance_sum + obj.covariance_sum
+    return obj.variance_sum - total / g.n_outcome \
+        + spread_identity_constant(g, c, p)
+
+
+def spread_identity_constant(g, c, p=0.5):
+    """Additive constant linking the spread to the phi = 1/(n-1) objective.
+
+    spread = ((n-1)/n) * objective(phi = 1/(n-1)).total + constant. The
+    constant is the mean term of the spread, zero whenever rows sum to 1.
+    """
+    r = g.row_sums
+    return (2.0 * p - 1.0) ** 2 * float(np.sum((r - r.mean()) ** 2))
+
+
+def wedge_sample(g, i, rng):
+    """Draw a partner diversion unit j with probability c[i, j] / s[i].
+
+    Two stages: pick an outcome unit k with probability w[k, i] / s[i],
+    then pick j with probability w[k, j] (rows sum to 1). The marginal of
+    j is proportional to the co-weight sum_k w[k, i] w[k, j]. These are
+    the draws local_search makes for a visit, one visit at a time.
+    """
+    g.require_normalized()
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    csc, csr = g.cols, g.rows
+    if csc.indptr[i] == csc.indptr[i + 1]:
+        raise ValueError(f"diversion unit {i} has no incident edges")
+    k = _draw(csc.indptr, csc.indices, csc.data, i, rng)
+    return int(_draw(csr.indptr, csr.indices, csr.data, k, rng))
+
+
+def _draw(indptr, indices, data, i, rng):
+    """One index of compressed slice i, drawn in proportion to its data."""
+    lo, hi = indptr[i], indptr[i + 1]
+    cum = np.cumsum(data[lo:hi])
+    u = rng.random() * cum[-1]
+    return indices[lo + min(int(np.searchsorted(cum, u, side="right")),
+                            hi - lo - 1)]
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from bipx.cli import main as cli_main
-from bipx.cluster_opt import (LocalSearchConfig, local_search, objective,
-                              spread_identity_constant, wedge_sample)
+from bipx.cluster_opt import LocalSearchConfig, local_search, objective
 from bipx.design import (Clustering, DesignSpec, cluster_aggregated_weights,
                          exposure_moments)
 from bipx.estimator import OutcomeModel, mse_zero_slope, true_ate
@@ -21,7 +20,8 @@ from bipx.graph_core import BipartiteGraph
 from bipx.oracle import (ExactMoments, corr_clust_cs_rewrite,
                          expected_estimate, exposure_spread_enumerated,
                          mse_decomposition, mse_exact, mse_zero_intercept_bound,
-                         objective_by_moments, objective_by_omega)
+                         objective_by_moments, objective_by_omega,
+                         spread_identity_constant, wedge_sample)
 from bipx.simulate import ScenarioSpec, generate_outcome_model, run_simulation
 from bipx.synth import (nondegenerate_clustering, paired_pool_instance,
                         partitions_equal, perf_instance, planted_four_block,

@@ -313,6 +313,14 @@ def test_sweep_rejects_empty_phis(workspace, runner):
     (["rerun", "{bad_argv}"], 1, "argv is not a non-empty list of strings"),
     (["rerun", "{self_rerun}"], 1, "argv replays rerun itself"),
     (["ingest", "{d}/latin.txt", "{d}/g2.bin"], 1, "latin.txt:2: not UTF-8"),
+    (["ingest", "{d}/overflow.txt", "{d}/g2.bin"], 1,
+     "overflow.txt: duplicate edges sum past the largest double: "
+     "[('a', 'u')]"),
+    (["ingest", "{d}/overflow.txt", "{d}/g2.bin", "--no-normalize"], 1,
+     "overflow.txt: duplicate edges sum past the largest double"),
+    (["ingest", "{d}/row_overflow.txt", "{d}/g2.bin"], 1,
+     "row_overflow.txt: outcome unit(s) whose total weight overflows: "
+     "['a']"),
     (["moments", "{g}", "{d}/latin.tsv", "{d}/m.csv"], 1,
      "latin.tsv:3: not UTF-8"),
     (["simulate", "{g}", "{d}/latin.scn", "{d}/sim", "--bernoulli"], 1,
@@ -337,6 +345,7 @@ def test_sweep_rejects_empty_phis(workspace, runner):
         "design-raw-search", "moments-raw", "simulate-raw", "sweep-raw",
         "ingest-min-degree", "ingest-empty", "rerun-not-json",
         "rerun-list-inputs", "rerun-bad-argv", "rerun-self", "ingest-latin",
+        "ingest-overflow", "ingest-overflow-raw", "ingest-row-overflow",
         "moments-latin", "simulate-latin", "simulate-nan-var",
         "simulate-inf-mean", "simulate-bad-seed", "ingest-negative-degree",
         "design-negative-seed", "simulate-negative-seed",
@@ -367,7 +376,9 @@ def test_bad_input_exits_without_traceback(workspace, runner, args, code,
               "latin.scn": b"kind = PositiveTE\n# caf\xe9\n",
               "nan_var.scn": b"kind = PositiveTE\nslope_var = nan\n",
               "inf_mean.scn": b"kind = PositiveTE\nslope_mean = inf\n",
-              "bad_seed.scn": b"kind = PositiveTE\nmodel_seed = x\n"}
+              "bad_seed.scn": b"kind = PositiveTE\nmodel_seed = x\n",
+              "overflow.txt": b"a u 1e308\na u 1e308\na v 1\nb v 1\n",
+              "row_overflow.txt": b"a u 1e308\na v 1e308\nb v 1\n"}
     for name, blob in inputs.items():
         (tmp_path / name).write_bytes(blob)
     args = [a.format(g=graph_path, c=cpath, s=scenario_path, d=tmp_path,
@@ -382,6 +393,8 @@ def test_bad_input_exits_without_traceback(workspace, runner, args, code,
         assert len(result.output.splitlines()) == 1, result.output
     if message is not None:
         assert message in result.output
+    if args[0] == "ingest":
+        assert not (tmp_path / "g2.bin").exists()
 
 
 def test_fault_inside_bipx_keeps_its_exception(workspace, runner,

@@ -1,4 +1,5 @@
 import csv
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -7,18 +8,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from bipx import cluster_opt
-from bipx.cluster_opt import (ACCEPT_EPS, LocalSearchConfig, _draw,
-                              _draw_many, _slice_cumsum,
-                              balanced_partition_baseline,
-                              exposure_spread_objective, local_search,
-                              local_search_restarts, move_delta, objective,
-                              spread_identity_constant, wedge_sample,
-                              write_trace_csv)
+from bipx.cluster_opt import (ACCEPT_EPS, LocalSearchConfig, _draw_many,
+                              _slice_cumsum, balanced_partition_baseline,
+                              local_search, local_search_restarts, move_delta,
+                              objective, write_trace_csv)
 from bipx.design import Clustering, DesignSpec
 from bipx.graph_core import BipartiteGraph, normalize_rows
-from bipx.oracle import (corr_clust_cs_rewrite, exposure_spread_enumerated,
+from bipx.oracle import (_draw, corr_clust_cs_rewrite,
+                         exposure_spread_enumerated, exposure_spread_objective,
                          objective_by_moments, objective_by_omega,
-                         omega_matrix)
+                         omega_matrix, spread_identity_constant, wedge_sample)
 from bipx.synth import (paired_pool_instance, partitions_equal,
                         planted_four_block, random_clustering, random_instance)
 
@@ -224,6 +223,80 @@ def test_local_search_cap_binds_inside_block(monkeypatch):
                                   serial.clustering.assignment)
     assert [row.moves_accepted for row in blocked.trace] == \
         [row.moves_accepted for row in serial.trace]
+
+
+def _cluster_state(g, labels):
+    """Members and summed column degrees of every label in [0, m), kept
+    as local_search keeps them."""
+    m = g.n_diversion
+    members = [array("q") for _ in range(m)]
+    for i, c in enumerate(labels.tolist()):
+        members[c].append(i)
+    cdeg = np.bincount(labels, weights=np.diff(g.cols.indptr), minlength=m)
+    return members, cdeg.astype(np.int64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10**6), phi=st.sampled_from([0.0, 0.3, 1.0]),
+       p=st.sampled_from([0.3, 0.5]))
+def test_cluster_side_gains_match_gather(seed, phi, p):
+    rng = np.random.default_rng(seed)
+    g = random_instance(rng)
+    m = g.n_diversion
+    # Clusters of at most `cap` units under scattered labels, some unused.
+    cap = int(rng.integers(1, m + 1))
+    labels = rng.permutation(m)[rng.permutation(m) // cap]
+    members, cdeg = _cluster_state(g, labels)
+    S = np.bincount(labels, weights=g.col_sums, minlength=m)
+    # A batch may repeat a unit; a target may be the own cluster or an
+    # unused label, which makes the unit a new singleton.
+    size = int(rng.integers(1, 2 * m + 1))
+    units = rng.integers(0, m, size)
+    targets = rng.integers(0, m, size)
+    delta = cluster_opt._MoveDelta(g, phi, p)
+    gains = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for side in (False, True):
+            mp.setattr(cluster_opt, "_cluster_side", lambda *_, s=side: s)
+            gains[side], on_clusters = delta.score(labels, S, units,
+                                                   targets, members, cdeg)
+            assert on_clusters is side
+            # A visit scored alone, as a stale visit is.
+            for v in range(size):
+                alone, on_clusters = delta.score(
+                    labels, S, units[v:v + 1], targets[v:v + 1], members,
+                    cdeg)
+                assert on_clusters is side
+                assert alone[0] == pytest.approx(gains[side][v], abs=1e-12)
+    np.testing.assert_allclose(gains[True], gains[False], rtol=0, atol=1e-12)
+    # The gain of a move to another cluster is its objective change.
+    for v in np.flatnonzero(targets != labels[units])[:3]:
+        moved = labels.copy()
+        moved[units[v]] = targets[v]
+        change = objective(g, Clustering.from_labels(moved), phi, p).total \
+            - objective(g, Clustering.from_labels(labels), phi, p).total
+        assert gains[True][v] == pytest.approx(change, rel=1e-9, abs=1e-10)
+
+
+def test_local_search_routes_match_naive_search(monkeypatch):
+    rng = np.random.default_rng(32)
+    graphs = [random_instance(rng) for _ in range(10)]
+    graphs.append(paired_pool_instance(n_pairs=3, spokes=2, pool=2)[0])
+    for t, g in enumerate(graphs):
+        for phi in (0.0, 1.0):
+            for k_max in (None, 2):
+                cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=4,
+                                        convergence=False, seed=t)
+                naive = _naive_search(g, phi, k_max, t, 4)
+                for side in (False, True):
+                    monkeypatch.setattr(cluster_opt, "_cluster_side",
+                                        lambda *_, s=side: s)
+                    result = local_search(g, cfg)
+                    np.testing.assert_array_equal(
+                        result.clustering.assignment, naive)
+                    for row in result.trace:
+                        assert row.cluster_side_visits == (
+                            row.kernel_visits if side else 0)
 
 
 class _FixedDouble:
@@ -506,8 +579,10 @@ def test_write_trace_csv(tmp_path):
     # The counters follow elapsed, so the first six columns keep their
     # places.
     assert list(rows[0])[5:] == ["elapsed", "kernel_visits",
-                                 "stale_recomputes"]
+                                 "stale_recomputes", "cluster_side_visits"]
     for row, step in zip(rows, result.trace):
         assert int(row["kernel_visits"]) == step.kernel_visits
         assert int(row["stale_recomputes"]) == step.stale_recomputes
+        assert int(row["cluster_side_visits"]) == step.cluster_side_visits
         assert step.stale_recomputes <= step.kernel_visits <= g.n_diversion
+        assert step.cluster_side_visits <= step.kernel_visits

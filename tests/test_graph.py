@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
                              EmptyGraphError, GraphError, NegativeWeightError,
-                             NotNormalizedError, exposures,
+                             NotNormalizedError, WeightOverflowError,
+                             exposures,
                              filter_min_outcome_degree, load_edge_list,
                              load_snapshot, normalize_rows, save_snapshot,
                              validate_assignment, write_edge_list,
@@ -76,6 +77,20 @@ def test_load_edge_list_negative_weight(tmp_path):
     path.write_text("a u -0.5\n")
     with pytest.raises(NegativeWeightError):
         load_edge_list(path)
+
+
+def test_weight_sums_past_the_largest_double_are_refused(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("a u 1e308\nb v 1\na u 1e308\nb u 2\n")
+    with pytest.raises(WeightOverflowError, match=r"\('a', 'u'\)"):
+        load_edge_list(path)
+    # Each entry finite, but row a's total is not.
+    path.write_text("b v 1\na u 1e308\na v 1e308\n")
+    g = load_edge_list(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightOverflowError, match=r"\['a'\]"):
+            normalize_rows(g)
 
 
 def test_load_edge_list_empty(tmp_path):
