@@ -9,8 +9,10 @@ in the directory it was made in; with --check it also verifies that the
 regenerated outputs digest-match the original ones. Outputs whose bytes
 legitimately vary between runs (wall-clock trace columns, the manifest
 itself) are listed under volatile_outputs and excluded from the
-byte-identity contract. A bipx error exits 1 with one line, a bad flag
-value exits 2, and any other exception is a fault that keeps its traceback.
+byte-identity contract; --check refuses a manifest that records no other
+output, since it would pass without comparing anything. A bipx error
+exits 1 with one line, a bad flag value exits 2, and any other exception
+is a fault that keeps its traceback.
 """
 
 from __future__ import annotations
@@ -311,7 +313,8 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
 @click.option("--max-passes", type=int, default=None)
 def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
               search_seed, max_passes):
-    """Optimize a design per phi value and tabulate Monte Carlo MSE."""
+    """Optimize a design per phi value and tabulate its Monte Carlo and
+    exact MSE."""
     phi_values = [tok for tok in (t.strip() for t in phis.split(",")) if tok]
     if not phi_values:
         raise click.UsageError("--phis must list at least one value")
@@ -332,7 +335,8 @@ def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
                     seeds={"seed": seed, "search_seed": search_seed,
                            "model_seed": spec.model_seed})
     for row in rows:
-        click.echo(f"phi={row.phi!r} k={row.n_clusters} mse={row.mse!r}")
+        click.echo(f"phi={row.phi!r} k={row.n_clusters} mse={row.mse!r} "
+                   f"exact_mse={row.exact_mse!r}")
     click.echo(f"wrote {len(rows)} rows -> {out_csv}")
 
 
@@ -373,6 +377,12 @@ def _read_manifest(path):
 def cmd_rerun(manifest, check):
     """Replay a recorded run from its manifest."""
     record = _read_manifest(manifest)
+    volatile = set(record.get("volatile_outputs", []))
+    checked = {path: digest
+               for path, digest in record.get("outputs", {}).items()
+               if path not in volatile}
+    if check and not checked:
+        raise click.ClickException(f"{manifest}: records no output to check")
     changed = []
     for path, digest in record.get("inputs", {}).items():
         if not os.path.isfile(path):
@@ -398,11 +408,8 @@ def cmd_rerun(manifest, check):
     finally:
         os.chdir(here)
     if check:
-        volatile = set(record.get("volatile_outputs", []))
         failures = []
-        for path, digest in record.get("outputs", {}).items():
-            if path in volatile:
-                continue
+        for path, digest in checked.items():
             if not os.path.exists(path):
                 failures.append(f"{path}: missing")
                 continue

@@ -197,31 +197,17 @@ class ExposureMoments:
 
     mean: np.ndarray
     variance: np.ndarray
-    design: DesignSpec = field(repr=False)
 
     def degenerate_units(self):
         return np.flatnonzero(self.variance < VAR_FLOOR)
 
 
-@dataclass(frozen=True)
-class ClusterAggregatedWeights:
-    """Sparse per-(outcome, cluster) aggregates of the incidence weights.
-
-    agg[i, C] = sum over cluster C's members j of w[i, j]; row sums stay 1
-    for a normalized graph. cluster_col_sums[C] aggregates the per-column
-    totals, S_C = sum_{j in C} s_j.
-    """
-
-    agg: sp.csr_matrix
-    cluster_col_sums: np.ndarray
-
-    @property
-    def k(self):
-        return self.agg.shape[1]
-
-
 def cluster_aggregated_weights(g, c):
-    """Aggregate the incidence matrix column-wise by cluster."""
+    """The n x k CSR aggregates agg[i, C] = sum_{j in C} w[i, j].
+
+    The incidence matrix summed column-wise by cluster; row sums stay 1
+    for a normalized graph.
+    """
     if c.m != g.n_diversion:
         raise ValueError("clustering does not cover the graph's diversion units")
     member = sp.csr_matrix(
@@ -229,8 +215,7 @@ def cluster_aggregated_weights(g, c):
         shape=(c.m, c.k))
     agg = (g.rows @ member).tocsr()
     agg.sort_indices()
-    s_c = np.bincount(c.assignment, weights=g.col_sums, minlength=c.k)
-    return ClusterAggregatedWeights(agg, s_c)
+    return agg
 
 
 def sample_assignment(d, rng, m=None):
@@ -264,20 +249,20 @@ def exposure_moments(g, d, check=True):
     return aggregate_moments(g, d, cluster_aggregated_weights(g, c), check)
 
 
-def aggregate_moments(g, d, caw, check=True):
+def aggregate_moments(g, d, agg, check=True):
     """exposure_moments from the design's prebuilt cluster aggregates.
 
-    For callers that also need `caw`, so it is built once.
+    For callers that also need `agg`, so it is built once.
     """
     mean = (2.0 * d.p - 1.0) * np.asarray(g.rows.sum(axis=1)).ravel()
-    sq = caw.agg.copy()
+    sq = agg.copy()
     sq.data = sq.data ** 2
     variance = d.coin_variance * np.asarray(sq.sum(axis=1)).ravel()
     if check:
         bad = np.flatnonzero(variance < VAR_FLOOR)
         if bad.size:
             raise DegenerateDesignError(bad, variance, g.outcome_ids)
-    return ExposureMoments(mean, variance, d)
+    return ExposureMoments(mean, variance)
 
 
 def write_moments_csv(mom, g, path):

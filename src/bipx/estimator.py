@@ -8,10 +8,11 @@ tau = (2/n) sum_i m_i. The ERL estimator
 
 is unbiased whenever every exposure variance is positive, and reduces to
 the standard Horvitz-Thompson contrast when the incidence matrix is the
-identity. The MSE diagnostic here takes the model as ground truth; it is
-a simulation-side tool and the estimator itself never sees the model. The
-enumeration routes to the exact MSE and E[tau_hat], which the tests check
-the estimator against, are in bipx.oracle.
+identity. `mse` gives its exact MSE under any Bernoulli or cluster design
+at any p, in closed form from the cluster aggregates. It takes the model
+as ground truth; it is a simulation-side tool and the estimator itself
+never sees the model. The enumeration routes to the exact MSE and
+E[tau_hat], which the tests check both against, are in bipx.oracle.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from bipx.design import (VAR_FLOOR, DegenerateDesignError,
-                         cluster_aggregated_weights, exposure_moments)
+from bipx.design import (VAR_FLOOR, DegenerateDesignError, aggregate_moments,
+                         cluster_aggregated_weights)
+
+# Clusters per column block of A^T diag(u) A in `mse`, which bounds the
+# block's memory.
+_FROBENIUS_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -75,24 +81,41 @@ def mse_exact(g, d, model):
     return oracle.mse_exact(g, d, model)
 
 
-def mse_zero_slope(g, d, model):
-    """Closed-form MSE when every slope is exactly zero.
+def mse(g, d, model):
+    """Exact E[(tau_hat - tau)^2] under design d, in closed form at any p.
 
-    (4/n^2) [ sum_i b_i^2 / V_i
-              + 2 sum_{i<j} b_i b_j Cov[x_i, x_j] / (V_i V_j) ]
-    using analytic moments only (no enumeration).
+    With A the cluster aggregates, V and mu the exposure variances and
+    means, u = m / V and v = (m o mu + b) / V, the error is
+    (2/n) [eps^T A^T diag(u) A eps - sum m + (A^T v) . eps] in the
+    centred cluster coins eps. Their variance s2 = 4p(1-p), third moment
+    mu3 = 2 s2 (1-2p) and fourth cumulant
+    k4 = 16p(1-p)(1-3p+3p^2) - 3 s2^2 give
+
+        MSE = (4/n^2) [ 2 s2^2 ||A^T diag(u) A||_F^2 + k4 ||(A o A)^T u||^2
+                        + 2 mu3 ((A o A)^T u) . (A^T v) + s2 ||A^T v||^2 ].
+
+    The k x k product A^T diag(u) A is formed _FROBENIUS_BLOCK clusters
+    at a time. Raises DegenerateDesignError as exposure_moments does.
     """
-    if np.any(model.slopes != 0):
-        raise ValueError("mse_zero_slope requires all slopes exactly zero")
-    mom = exposure_moments(g, d)
-    d_ = mom.design
-    c = d_.effective_clustering(g.n_diversion)
-    caw = cluster_aggregated_weights(g, c)
-    b = model.intercepts
-    v = mom.variance
-    u = b / v
-    # u^T Cov u via the aggregates: Cov = 4p(1-p) A A^T with A = caw.agg.
-    quad = d_.coin_variance * float(np.sum(np.asarray(caw.agg.T @ u) ** 2))
-    diag = float(np.sum(u * u * v))
-    n = model.n
-    return (4.0 / n ** 2) * (float(np.sum(b * b / v)) + (quad - diag))
+    g.require_normalized()
+    if model.n != g.n_outcome:
+        raise ValueError("exposure vector length does not match the model")
+    agg = cluster_aggregated_weights(g, d.effective_clustering(g.n_diversion))
+    mom = aggregate_moments(g, d, agg)
+    p, s2 = d.p, d.coin_variance
+    mu3 = 2.0 * s2 * (1.0 - 2.0 * p)
+    k4 = 16.0 * p * (1.0 - p) * (1.0 - 3.0 * p + 3.0 * p * p) - 3.0 * s2 * s2
+    u = model.slopes / mom.variance
+    v = (model.slopes * mom.mean + model.intercepts) / mom.variance
+    sq = agg.multiply(agg).tocsr()
+    diag = sq.T @ u
+    lin = agg.T @ v
+    at = agg.T.tocsr()
+    au = (sp.diags(u) @ agg).tocsc()
+    frob = 0.0
+    for lo in range(0, agg.shape[1], _FROBENIUS_BLOCK):
+        part = at @ au[:, lo:lo + _FROBENIUS_BLOCK]
+        frob += float(part.data @ part.data)
+    return (4.0 / model.n ** 2) * (
+        2.0 * s2 * s2 * frob + k4 * float(diag @ diag)
+        + 2.0 * mu3 * float(diag @ lin) + s2 * float(lin @ lin))

@@ -46,9 +46,8 @@ class ExactMoments:
         signs = bits * 2.0 - 1.0
         heads = bits.sum(axis=1)
         self.weights = (d.p ** heads) * ((1.0 - d.p) ** (k - heads))
-        caw = cluster_aggregated_weights(g, c)
         # exposure_matrix[r, i] = exposure of outcome i under pattern r.
-        self.exposure_matrix = (caw.agg @ signs.T).T
+        self.exposure_matrix = (cluster_aggregated_weights(g, c) @ signs.T).T
 
     def expect(self, fn):
         """E[f(x)] for any f mapping an exposure vector to a scalar/array."""
@@ -118,29 +117,6 @@ def mse_decomposition(g, d, model):
     var_sum = float(np.trace(cov))
     cov_sum = float(cov.sum() - np.trace(cov))  # ordered pairs i != j
     return (var_sum + cov_sum) / n ** 2
-
-
-def mse_zero_intercept_bound(g, d, model):
-    """Upper bound on the MSE when every intercept is zero and p = 1/2.
-
-    (4/n^2) [ sum_i m_i^2 (1/V_i - 1)
-              + 2 sum_{i<j} m_i m_j (E[x_i^2 x_j^2]/(V_i V_j) - 1) ].
-    The fourth moments E[x_i^2 x_j^2] come from enumeration.
-    """
-    if np.any(model.intercepts != 0):
-        raise ValueError("mse_zero_intercept_bound requires all intercepts zero")
-    if d.p != 0.5:
-        raise ValueError("mse_zero_intercept_bound requires p = 1/2")
-    mom = exposure_moments(g, d)
-    m2 = ExactMoments(g, d).squared_pair_moment()
-    m_ = model.slopes
-    v = mom.variance
-    n = model.n
-    diag_term = float(np.sum(m_ * m_ * (1.0 / v - 1.0)))
-    u = m_ / v
-    cross_moment = float(u @ m2 @ u - np.sum(u * u * np.diag(m2)))
-    cross_const = float(np.sum(m_) ** 2 - np.sum(m_ * m_))
-    return (4.0 / n ** 2) * (diag_term + cross_moment - cross_const)
 
 
 def expected_estimate(g, d, model):

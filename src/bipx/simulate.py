@@ -10,7 +10,8 @@ Three outcome-model scenarios over a fixed graph:
 All Normal(mean, var) draws use the inverse CDF applied to a 53-bit
 uniform, so the stream is reproducible across library versions. A model
 is drawn exactly once per model_seed; replicates only redraw treatment
-assignments.
+assignments. A simulation report gives the Monte Carlo MSE; the phi
+sweep gives each design's exact MSE (bipx.estimator.mse) next to it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from bipx.cluster_opt import local_search
 from bipx.design import DesignSpec, aggregate_moments, \
     cluster_aggregated_weights, derived_rng
-from bipx.estimator import OutcomeModel, true_ate
+from bipx.estimator import OutcomeModel, mse as exact_mse, true_ate
 from bipx.graph_core import text_lines
 
 POSITIVE_TE = "PositiveTE"
@@ -293,8 +294,8 @@ def run_simulation(g, d, model, replicates, base_seed, *,
     if model.n != g.n_outcome:
         raise ValueError("exposure vector length does not match the model")
     c = d.effective_clustering(g.n_diversion)
-    caw = cluster_aggregated_weights(g, c)
-    mom = aggregate_moments(g, d, caw)
+    agg = cluster_aggregated_weights(g, c)
+    mom = aggregate_moments(g, d, agg)
     tau = true_ate(model)
     ests = np.empty(replicates, dtype=np.float64)
     block = max(1, min(_MAX_BLOCK, _BLOCK_COINS // c.k))
@@ -307,7 +308,7 @@ def run_simulation(g, d, model, replicates, base_seed, *,
         # (n, b) from the sparse product, transposed so that each
         # replicate's terms are summed along one contiguous row: the sum
         # then has the same bits whatever the block size.
-        x = np.ascontiguousarray((caw.agg @ signs.T).T)
+        x = np.ascontiguousarray((agg @ signs.T).T)
         y = model.slopes * x + model.intercepts
         terms = y * (x - mom.mean) / mom.variance
         ests[start:start + b] = (2.0 / g.n_outcome) * terms.sum(axis=1)
@@ -374,10 +375,11 @@ class SweepRow:
     objective_total: float
     mse: float
     bias: float
+    exact_mse: float
 
 
 def phi_sweep(g, scenario, phis, cfg, replicates, base_seed, path=None):
-    """Optimize a design at each phi and measure its Monte Carlo MSE.
+    """Optimize a design at each phi; give its Monte Carlo and exact MSE.
 
     One outcome model is drawn up front and shared by every phi, so rows
     differ only through the designs. Search and simulation seeds derive
@@ -399,7 +401,8 @@ def phi_sweep(g, scenario, phis, cfg, replicates, base_seed, path=None):
                              n_clusters=result.clustering.k,
                              objective_total=result.objective.total,
                              mse=report.mse,
-                             bias=report.bias))
+                             bias=report.bias,
+                             exact_mse=exact_mse(g, d, model)))
     if path is not None:
         write_sweep_csv(rows, path)
     return rows
@@ -407,8 +410,9 @@ def phi_sweep(g, scenario, phis, cfg, replicates, base_seed, path=None):
 
 def write_sweep_csv(rows, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("phi,n_clusters,objective_total,mse,bias\n")
+        fh.write("phi,n_clusters,objective_total,mse,bias,exact_mse\n")
         for row in rows:
             fh.write(f"{row.phi!r},{row.n_clusters},"
-                     f"{row.objective_total!r},{row.mse!r},{row.bias!r}\n")
+                     f"{row.objective_total!r},{row.mse!r},{row.bias!r},"
+                     f"{row.exact_mse!r}\n")
     return path

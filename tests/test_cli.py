@@ -312,6 +312,10 @@ def test_sweep_rejects_empty_phis(workspace, runner):
      "inputs is not an object of string to string"),
     (["rerun", "{bad_argv}"], 1, "argv is not a non-empty list of strings"),
     (["rerun", "{self_rerun}"], 1, "argv replays rerun itself"),
+    (["rerun", "{no_outputs}", "--check"], 1,
+     "no_outputs.json: records no output to check"),
+    (["rerun", "{all_volatile}", "--check"], 1,
+     "all_volatile.json: records no output to check"),
     (["ingest", "{d}/latin.txt", "{d}/g2.bin"], 1, "latin.txt:2: not UTF-8"),
     (["ingest", "{d}/overflow.txt", "{d}/g2.bin"], 1,
      "overflow.txt: duplicate edges sum past the largest double: "
@@ -344,7 +348,8 @@ def test_sweep_rejects_empty_phis(workspace, runner):
         "sweep-phis-nan", "design-time-budget", "design-raw-singleton",
         "design-raw-search", "moments-raw", "simulate-raw", "sweep-raw",
         "ingest-min-degree", "ingest-empty", "rerun-not-json",
-        "rerun-list-inputs", "rerun-bad-argv", "rerun-self", "ingest-latin",
+        "rerun-list-inputs", "rerun-bad-argv", "rerun-self",
+        "rerun-no-outputs", "rerun-all-volatile", "ingest-latin",
         "ingest-overflow", "ingest-overflow-raw", "ingest-row-overflow",
         "moments-latin", "simulate-latin", "simulate-nan-var",
         "simulate-inf-mean", "simulate-bad-seed", "ingest-negative-degree",
@@ -368,7 +373,12 @@ def test_bad_input_exits_without_traceback(workspace, runner, args, code,
     manifests = {"not_json": "not json",
                  "list_inputs": '{"argv": ["moments"], "inputs": ["x"]}',
                  "bad_argv": '{"argv": ["moments", 1]}',
-                 "self_rerun": '{"argv": ["rerun", "m.json"]}'}
+                 "self_rerun": '{"argv": ["rerun", "m.json"]}',
+                 "no_outputs": '{"argv": ["--version"], "inputs": {}, '
+                               '"outputs": {}}',
+                 "all_volatile": '{"argv": ["--version"], '
+                                 '"outputs": {"t.csv": "0"}, '
+                                 '"volatile_outputs": ["t.csv"]}'}
     for name, text in manifests.items():
         (tmp_path / f"{name}.json").write_text(text)
     inputs = {"latin.txt": b"a u 1.0\n\xe9 v 1.0\n",

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from bipx import estimator
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          exposure_moments)
-from bipx.estimator import (OutcomeModel, erl_estimate, mse_zero_slope,
-                            respond, true_ate)
+from bipx.estimator import (OutcomeModel, erl_estimate, mse, respond,
+                            true_ate)
 from bipx.graph_core import BipartiteGraph, exposures
 from bipx.oracle import (estimate_distribution, expected_estimate,
-                         mse_decomposition, mse_exact, mse_zero_intercept_bound)
+                         mse_decomposition, mse_exact)
 from bipx.synth import nondegenerate_clustering, random_instance, random_model
 
 
@@ -90,37 +93,27 @@ def test_mse_worked_value_zero_slope():
     assert mse_exact(g, d, model) == pytest.approx(5.0)
     # The forwarder kept for bench/oracle.py gives the oracle's value.
     assert estimator.mse_exact(g, d, model) == mse_exact(g, d, model)
-    assert mse_zero_slope(g, d, model) == pytest.approx(5.0)
+    assert mse(g, d, model) == pytest.approx(5.0)
     assert mse_decomposition(g, d, model) == pytest.approx(5.0)
 
 
-def test_mse_zero_slope_requires_zero_slopes():
-    g = small_graph()
-    d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
-    model = OutcomeModel(slopes=np.array([1.0, 0.0]), intercepts=np.ones(2))
-    with pytest.raises(ValueError):
-        mse_zero_slope(g, d, model)
+def test_benchmark_oracle_agrees_with_mse_exact():
+    # The benchmark's correctness check calls estimator.mse_exact by name
+    # from bench/oracle.py; a change to that name must fail here first.
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    bench_oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_oracle)
+    assert bench_oracle.check_mse_form(0) <= 1e-9
 
 
 def test_bound_worked_value_zero_intercept():
+    # tau_hat - tau = 2 x_0^2 - 1 = +/-1 on every coin pattern.
     g = small_graph()
     d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
     model = OutcomeModel(slopes=np.ones(2), intercepts=np.zeros(2))
-    assert mse_zero_intercept_bound(g, d, model) == pytest.approx(1.0)
-    assert mse_exact(g, d, model) <= mse_zero_intercept_bound(g, d, model) \
-        + 1e-12
-
-
-def test_bound_requires_zero_intercepts_and_half():
-    g = small_graph()
-    d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
-    model = OutcomeModel(slopes=np.ones(2), intercepts=np.ones(2))
-    with pytest.raises(ValueError):
-        mse_zero_intercept_bound(g, d, model)
-    d3 = DesignSpec.independent_cluster(Clustering.singletons(2), 0.3)
-    zero_b = OutcomeModel(slopes=np.ones(2), intercepts=np.zeros(2))
-    with pytest.raises(ValueError):
-        mse_zero_intercept_bound(g, d3, zero_b)
+    assert mse(g, d, model) == pytest.approx(1.0)
+    assert mse_exact(g, d, model) == pytest.approx(1.0)
 
 
 def test_bound_equality_with_identity_graph():
@@ -129,8 +122,7 @@ def test_bound_equality_with_identity_graph():
     model = OutcomeModel(slopes=np.array([1.0, -2.0, 0.5]),
                          intercepts=np.zeros(3))
     assert mse_exact(g, d, model) == pytest.approx(0.0, abs=1e-15)
-    assert mse_zero_intercept_bound(g, d, model) == pytest.approx(0.0,
-                                                                  abs=1e-15)
+    assert mse(g, d, model) == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(deadline=None, max_examples=50)
@@ -158,6 +150,22 @@ def test_decomposition_matches_exact(seed, p):
         mse_exact(g, d, model), rel=1e-9, abs=1e-12)
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10**6), p=st.sampled_from([0.1, 0.3, 0.5, 0.77]),
+       bernoulli=st.booleans())
+def test_mse_matches_exact_over_random_instances(seed, p, bernoulli):
+    rng = np.random.default_rng(seed)
+    g = random_instance(rng)
+    if bernoulli:
+        d = DesignSpec.bernoulli(p)
+    else:
+        d = DesignSpec.independent_cluster(
+            nondegenerate_clustering(g, rng, p), p)
+    model = random_model(rng, g.n_outcome)
+    assert mse(g, d, model) == pytest.approx(
+        mse_exact(g, d, model), rel=1e-9, abs=1e-12)
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10**6), p=st.sampled_from([0.3, 0.5, 0.7]))
 def test_zero_slope_closed_form_matches_exact(seed, p):
@@ -167,21 +175,33 @@ def test_zero_slope_closed_form_matches_exact(seed, p):
     d = DesignSpec.independent_cluster(c, p)
     model = OutcomeModel(slopes=np.zeros(g.n_outcome),
                          intercepts=rng.normal(0, 1, g.n_outcome))
-    assert mse_zero_slope(g, d, model) == pytest.approx(
+    assert mse(g, d, model) == pytest.approx(
         mse_exact(g, d, model), rel=1e-9, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10**6))
 def test_zero_intercept_bound_holds(seed):
+    # The closed form is exact here, so the old upper bound is an equality.
     rng = np.random.default_rng(seed)
     g = random_instance(rng)
     c = nondegenerate_clustering(g, rng, 0.5)
     d = DesignSpec.independent_cluster(c, 0.5)
     model = OutcomeModel(slopes=rng.normal(0, 1, g.n_outcome),
                          intercepts=np.zeros(g.n_outcome))
-    assert mse_zero_intercept_bound(g, d, model) >= \
-        mse_exact(g, d, model) - 1e-12
+    assert mse(g, d, model) == pytest.approx(
+        mse_exact(g, d, model), rel=1e-9, abs=1e-12)
+
+
+def test_mse_refuses_degenerate_design_and_wrong_model():
+    g = small_graph()
+    model = OutcomeModel(slopes=np.ones(2), intercepts=np.ones(2))
+    d = DesignSpec.independent_cluster(Clustering.singletons(2), 1e-12)
+    with pytest.raises(DegenerateDesignError):
+        mse(g, d, model)
+    short = OutcomeModel(slopes=np.ones(3), intercepts=np.ones(3))
+    with pytest.raises(ValueError):
+        mse(g, DesignSpec.bernoulli(0.5), short)
 
 
 def test_bernoulli_design_reduces_to_unit_coins():

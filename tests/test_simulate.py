@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from bipx import simulate
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          derived_rng, exposure_moments, sample_assignment)
-from bipx.estimator import OutcomeModel, erl_estimate, respond
+from bipx.estimator import OutcomeModel, erl_estimate, mse, respond
 from bipx.graph_core import BipartiteGraph, exposures
 from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
                            ScenarioError, ScenarioSpec, build_histogram,
@@ -16,7 +17,7 @@ from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
                            outcome_linkage_labels, phi_sweep,
                            read_scenario_file, report_to_json, run_simulation,
                            write_scenario_file)
-from bipx.cluster_opt import LocalSearchConfig
+from bipx.cluster_opt import LocalSearchConfig, local_search
 from bipx.synth import (nondegenerate_clustering, paired_pool_instance,
                         random_clustering, random_instance, random_model)
 
@@ -396,9 +397,14 @@ def test_phi_sweep_rows():
     assert len(rows) == 2
     assert rows[0].phi == 0.5
     assert rows[1].phi == 1.0
-    for row in rows:
+    model = generate_outcome_model(g, scenario)
+    for idx, row in enumerate(rows):
         assert row.n_clusters >= 1
         assert row.mse >= 0
+        # The exact MSE is that of the row's own design and the shared model.
+        result = local_search(g, replace(cfg, phi=row.phi, seed=idx))
+        d = DesignSpec.independent_cluster(result.clustering, cfg.p)
+        assert row.exact_mse == mse(g, d, model)
     again = phi_sweep(g, scenario, [0.5, 1.0], cfg, replicates=20,
                       base_seed=50)
     assert rows == again
@@ -421,5 +427,6 @@ def test_sweep_csv(tmp_path):
     rows = phi_sweep(g, scenario, [1.0], cfg, replicates=10, base_seed=4,
                      path=path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "phi,n_clusters,objective_total,mse,bias"
+    assert lines[0] == "phi,n_clusters,objective_total,mse,bias,exact_mse"
     assert len(lines) == 1 + len(rows)
+    assert lines[1].split(",")[-1] == repr(rows[0].exact_mse)
