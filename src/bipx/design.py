@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from bipx.graph_core import text_lines
+from bipx.graph_core import first_appearance_codes, text_lines
 
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
@@ -71,14 +71,8 @@ class Clustering:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-d integer array")
-        uniq, first_pos, dense = np.unique(labels, return_index=True,
-                                           return_inverse=True)
-        # Remap so cluster 0 is the first label seen, cluster 1 the next, ...
-        order = np.argsort(first_pos, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        dense = rank[dense]
-        sizes = np.bincount(dense, minlength=uniq.size)
+        dense, firsts = first_appearance_codes(labels)
+        sizes = np.bincount(dense, minlength=firsts.size)
         return cls(dense.astype(np.int64), sizes.astype(np.int64))
 
     def __post_init__(self):

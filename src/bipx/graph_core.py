@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,39 +131,97 @@ class BipartiteGraph:
         return np.diff(self.rows.indptr)
 
 
+def _texts(lines, start, error):
+    """(line_no, text) of raw lines numbered from `start`, as text_lines
+    yields them."""
+    for line_no, raw in enumerate(lines, start):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(line_no, f"not UTF-8 ({exc.reason} at byte "
+                                 f"{exc.start})") from None
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield line_no, text
+
+
 def text_lines(path, error):
     """(line_no, text) of each line of a UTF-8 file, streamed, without
     `#` comments (anywhere on a line), surrounding whitespace or blank
     lines. A line that is not UTF-8 raises error(line_no, message)."""
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(line_no, f"not UTF-8 ({exc.reason} at byte "
-                                     f"{exc.start})") from None
-            text = line.split("#", 1)[0].strip()
-            if text:
-                yield line_no, text
+        yield from _texts(fh, 1, error)
 
 
-def load_edge_list(path):
-    """Load a whitespace-separated `outcome_id diversion_id weight` file.
+def first_appearance_codes(values):
+    """(codes, firsts) of a 1-d array: codes[t] is the dense index of
+    values[t], numbered in order of first appearance, and firsts holds the
+    distinct values in that order."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    # minimum.at, unlike a fancy assignment, is defined on repeated indices.
+    first = np.full(uniq.size, inverse.size, dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(inverse.size))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], uniq[order]
 
-    The file is read through text_lines. Ids are arbitrary whitespace-free
-    strings mapped to dense indices in first-appearance order. Duplicate
-    (i, j) edges have their weights summed; zero-weight edges are dropped,
-    and so, with a warning, are units left without a positive-weight edge.
 
-    Raises EdgeListParseError (with line number) on malformed lines,
-    NegativeWeightError on w < 0, EmptyGraphError when nothing survives,
-    WeightOverflowError when duplicate edges sum past the largest double.
-    """
+# Edge lists are parsed a block of this many lines at a time.
+EDGE_BLOCK_LINES = 65536
+
+# str.split() also splits on \x1c-\x1f, which bytes.split() does not, and
+# an `S` array drops trailing NULs: a block holding either takes the line loop.
+_UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_COMMENT = re.compile(rb"#[^\n]*")
+
+
+def _edge_block(lines):
+    """(outcome ids, diversion ids, weights) of a block of raw lines, the
+    ids as `S` arrays, or None when a line needs the line loop: not ASCII,
+    not 0 or 3 tokens, or a weight that is not a finite number >= 0."""
+    blob = b"".join(lines)
+    if not blob.isascii() or any(c in blob for c in _UNSAFE):
+        return None
+    # With a newline at the end, every line (and the block) ends in one.
+    blob = _COMMENT.sub(b"", blob) + b"\n"
+    byte = np.frombuffer(blob, dtype=np.uint8)
+    # The bytes.split() whitespace b" \t\n\v\f\r"; uint8 wraps below 9.
+    space = (byte == ord(" ")) | (byte - ord("\t") < 5)
+    starts = ~space
+    starts[1:] &= space[:-1]
+    line_starts = np.flatnonzero(byte[:-1] == ord("\n")) + 1
+    counts = np.add.reduceat(starts, np.r_[0, line_starts], dtype=np.intp)
+    if not np.all((counts == 0) | (counts == 3)):
+        return None
+    tokens = blob.split()
+    try:
+        weights = np.fromiter(map(float, tokens[2::3]), dtype=np.float64,
+                              count=len(tokens) // 3)
+    except ValueError:
+        return None
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        return None
+    return _id_array(tokens[0::3]), _id_array(tokens[1::3]), weights
+
+
+def _id_array(keys):
+    return np.array(keys, dtype=f"S{max(map(len, keys), default=1)}")
+
+
+def _id_key(text):
+    # '#' never occurs in an id, so it can mark one whose trailing NULs an
+    # `S` array would drop.
+    key = text.encode("utf-8")
+    return key + b"#" if key.endswith(b"\0") else key
+
+
+def _edge_lines(lines, start, path):
+    """_edge_block's arrays from raw lines numbered from `start`, read one
+    at a time; the one place that raises an edge list's line errors."""
     bad = partial(EdgeListParseError, path)
-    outcome_index = {}
-    diversion_index = {}
-    rows, cols, weights = [], [], []
-    for line_no, text in text_lines(path, bad):
+    oids, dids, weights = [], [], []
+    for line_no, text in _texts(lines, start, bad):
         parts = text.split()
         if len(parts) != 3:
             raise bad(line_no, "expected 'outcome_id diversion_id weight', "
@@ -175,18 +235,57 @@ def load_edge_list(path):
             raise bad(line_no, f"weight {w} is not finite")
         if w < 0:
             raise NegativeWeightError(path, line_no, f"negative weight {w}")
-        i = outcome_index.setdefault(oid, len(outcome_index))
-        j = diversion_index.setdefault(did, len(diversion_index))
-        if w > 0:
-            rows.append(i)
-            cols.append(j)
-            weights.append(w)
-    if not weights:
+        oids.append(_id_key(oid))
+        dids.append(_id_key(did))
+        weights.append(w)
+    return _id_array(oids), _id_array(dids), np.array(weights,
+                                                      dtype=np.float64)
+
+
+def _index_ids(columns):
+    """Dense codes of the ids in `S` columns, in first-appearance order,
+    and the ids as text in that order."""
+    keys = np.concatenate(columns)
+    if keys.dtype.itemsize <= 8:
+        keys = keys.astype("S8").view(np.uint64)
+    codes, firsts = first_appearance_codes(keys)
+    if firsts.dtype == np.uint64:
+        firsts = firsts.view("S8")
+    return codes, [(key[:-1] if key.endswith(b"#") else key).decode("utf-8")
+                   for key in firsts.tolist()]
+
+
+def load_edge_list(path):
+    """Load a whitespace-separated `outcome_id diversion_id weight` file.
+
+    The file is streamed in blocks of EDGE_BLOCK_LINES lines. A block of
+    plain ASCII lines is split and parsed at once; any other block is read
+    line by line as text_lines reads it, which raises every error. Ids are
+    arbitrary whitespace-free strings mapped to dense indices in
+    first-appearance order. Duplicate (i, j) edges have their weights
+    summed; zero-weight edges are dropped, and so, with a warning, are units
+    left without a positive-weight edge.
+
+    Raises EdgeListParseError (with line number) on malformed lines,
+    NegativeWeightError on w < 0, EmptyGraphError when nothing survives,
+    WeightOverflowError when duplicate edges sum past the largest double.
+    """
+    blocks = []
+    with open(path, "rb") as fh:
+        start = 1
+        while lines := list(islice(fh, EDGE_BLOCK_LINES)):
+            block = _edge_block(lines)
+            if block is None:
+                block = _edge_lines(lines, start, path)
+            blocks.append(block)
+            start += len(lines)
+    weights = np.concatenate([b[2] for b in blocks] or [np.empty(0)])
+    keep = weights > 0
+    if not keep.any():
         raise EmptyGraphError(f"{path}: no positive-weight edges")
-    outcome_ids, diversion_ids = list(outcome_index), list(diversion_index)
-    mat = sp.coo_matrix((np.array(weights, dtype=np.float64),
-                         (np.array(rows, dtype=np.int64),
-                          np.array(cols, dtype=np.int64))),
+    rows, outcome_ids = _index_ids([b[0] for b in blocks])
+    cols, diversion_ids = _index_ids([b[1] for b in blocks])
+    mat = sp.coo_matrix((weights[keep], (rows[keep], cols[keep])),
                         shape=(len(outcome_ids), len(diversion_ids))).tocsr()
     over = np.flatnonzero(~np.isfinite(mat.data))
     if over.size:
@@ -196,7 +295,7 @@ def load_edge_list(path):
         raise WeightOverflowError(f"{path}: duplicate edges sum past the "
                                   f"largest double: {edges}")
     keep_rows = np.diff(mat.indptr) > 0
-    keep_cols = np.diff(mat.tocsc().indptr) > 0
+    keep_cols = np.bincount(mat.indices, minlength=mat.shape[1]) > 0
     if not keep_rows.all():
         dropped = [outcome_ids[i] for i in np.flatnonzero(~keep_rows)]
         warnings.warn(f"dropping {len(dropped)} outcome unit(s) with no "

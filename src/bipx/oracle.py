@@ -69,11 +69,6 @@ class ExactMoments:
         centered = self.exposure_matrix - mu
         return (centered * self.weights[:, None]).T @ centered
 
-    def squared_pair_moment(self):
-        """Matrix of E[x_i^2 x_j^2]."""
-        sq = self.exposure_matrix ** 2
-        return (sq * self.weights[:, None]).T @ sq
-
 
 def _theta_matrix(g, d, model, exact):
     """Per-pattern per-unit terms theta[r, i] = 2 Y_i (x_i - mu_i) / V_i.

@@ -32,6 +32,25 @@ def test_clustering_from_labels_densifies_first_appearance():
     assert c.k == 3
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_clustering_from_labels_matches_the_mergesort_densifier(seed):
+    """The reversed-scatter first positions give the assignment and sizes
+    that np.unique(return_index=True) and a stable argsort give."""
+    rng = np.random.default_rng(seed)
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                         -1, 0, 1])
+    pool = np.concatenate([rng.integers(-50, 50, size=8), extremes])
+    labels = rng.choice(pool, size=int(rng.integers(1, 200)))
+    uniq, first_pos, dense = np.unique(labels, return_index=True,
+                                       return_inverse=True)
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first_pos, kind="stable")] = np.arange(uniq.size)
+    c = Clustering.from_labels(labels)
+    np.testing.assert_array_equal(c.assignment, rank[dense])
+    np.testing.assert_array_equal(c.sizes, np.bincount(rank[dense]))
+    assert c.assignment.dtype == c.sizes.dtype == np.int64
+
+
 def test_clustering_constructors():
     s = Clustering.singletons(4)
     np.testing.assert_array_equal(s.assignment, [0, 1, 2, 3])
@@ -187,14 +206,13 @@ def test_enumeration_too_large():
         ExactMoments(g, d)
 
 
-def test_exact_moments_squared_pair():
+def test_exact_moments_expect():
     g = small_graph()
     d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
     exact = ExactMoments(g, d)
-    m2 = exact.squared_pair_moment()
     # x0 in {0, +-1} with P(0)=1/2; x1 = +-1 always
-    assert m2[0, 1] == pytest.approx(0.5)
-    assert m2[0, 0] == pytest.approx(exact.expect(lambda x: x[0] ** 4))
+    assert exact.expect(lambda x: x[0] ** 2 * x[1] ** 2) == pytest.approx(0.5)
+    assert exact.expect(lambda x: x[0] ** 4) == pytest.approx(0.5)
     # generic functional evaluation agrees with the weighted sum
     assert exact.expect(lambda x: x[0]) == pytest.approx(0.0, abs=1e-15)
 

@@ -95,9 +95,11 @@ def test_weight_sums_past_the_largest_double_are_refused(tmp_path):
 
 def test_load_edge_list_empty(tmp_path):
     path = tmp_path / "edges.txt"
-    path.write_text("# nothing here\n")
-    with pytest.raises(EmptyGraphError):
-        load_edge_list(path)
+    for text in ("# nothing here\n", "", "# no newline", "\n \r\n\t\n",
+                 "a u 0\nb v 0.0  # zero weights only\n"):
+        path.write_text(text)
+        with pytest.raises(EmptyGraphError, match="no positive-weight"):
+            load_edge_list(path)
 
 
 def test_isolated_units_dropped_with_warning(tmp_path):
