@@ -21,6 +21,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def _pass_partners(g, perm, u):
     Gives the partners that _draw calls on these doubles give, visit by
     visit. A unit with no edges is its own partner. The cumulative sums
     live only for the call, so they do not add to the search's peak
-    memory, which the per-pass objective sets.
+    memory, which the final objective sets.
     """
     csc, csr = g.cols, g.rows
     partner = perm.copy()
@@ -335,8 +336,11 @@ def local_search(g, cfg):
     cluster when that strictly improves the objective and the target is
     below k_max. A unit with no edges is its own partner and stays put.
     Stops on a zero-accept pass (if cfg.convergence), the pass budget, or
-    the time budget. The per-pass trace records the recomputed objective,
-    so it is exact, not drift-accumulated.
+    the time budget, checked once before each pass: a zero-accept pass
+    that ran past the budget still reports converged. The trace carries
+    the objective from the singletons' closed form by the accepted gains,
+    so it is non-decreasing by construction; objective() runs once, on
+    the final clustering.
 
     A pass draws all its wedges up front, from the same doubles the
     per-visit draws would use: rng.permutation(m), then rng.random(2m),
@@ -373,13 +377,12 @@ def local_search(g, cfg):
     # touches it; a unit joining it turns it into a growable array.
     members = _founding_members(m)
     where = [0] * m
+    total = delta.coin_variance * float(np.sum(
+        (1.0 + cfg.phi) * delta.self_term - cfg.phi * g.col_sums ** 2))
     trace = []
     start = time.perf_counter()
     converged = False
-    pass_index = 0
-    while True:
-        if cfg.max_passes is not None and pass_index >= cfg.max_passes:
-            break
+    for pass_index in islice(count(1), cfg.max_passes):
         if cfg.time_budget is not None and \
                 time.perf_counter() - start > cfg.time_budget:
             break
@@ -413,6 +416,7 @@ def local_search(g, cfg):
                                                 np.array([b]), members, cdeg)
                 cluster_visits += side
                 if gain > ACCEPT_EPS:
+                    total += float(gain)
                     s_i, deg_i = s_at[i], deg_at[i]
                     S_at[b] += s_i
                     S_at[a] -= s_i
@@ -435,23 +439,19 @@ def local_search(g, cfg):
                     members[b].append(i)
                     accepted += 1
                     touched.update((a, b))
-        pass_index += 1
-        clustering = Clustering.from_labels(labels)
-        obj = objective(g, clustering, cfg.phi, cfg.p)
-        trace.append(PassTrace(pass_index, accepted, obj.total,
-                               obj.variance_sum, obj.covariance_sum,
+        # total = (1 + phi) variance_sum - phi s_sq, s_sq = cv S.S.
+        s_sq = delta.coin_variance * float(S @ S)
+        variance_sum = (total + cfg.phi * s_sq) / (1.0 + cfg.phi)
+        trace.append(PassTrace(pass_index, accepted, total, variance_sum,
+                               s_sq - variance_sum,
                                time.perf_counter() - start, kernel_visits,
                                stale, cluster_visits))
-        if cfg.time_budget is not None and \
-                time.perf_counter() - start > cfg.time_budget:
-            break
         if cfg.convergence and accepted == 0:
             converged = True
             break
-    if not trace:  # the time budget ran out before the first pass
-        clustering = Clustering.singletons(m)
-        obj = objective(g, clustering, cfg.phi, cfg.p)
-    return SearchResult(clustering=clustering, objective=obj,
+    clustering = Clustering.from_labels(labels)
+    return SearchResult(clustering=clustering,
+                        objective=objective(g, clustering, cfg.phi, cfg.p),
                         trace=tuple(trace), converged=converged,
                         seed=cfg.seed)
 

@@ -251,12 +251,12 @@ def aggregate_moments(g, d, agg, check=True):
     mean = (2.0 * d.p - 1.0) * np.asarray(g.rows.sum(axis=1)).ravel()
     sq = agg.copy()
     sq.data = sq.data ** 2
-    variance = d.coin_variance * np.asarray(sq.sum(axis=1)).ravel()
-    if check:
-        bad = np.flatnonzero(variance < VAR_FLOOR)
-        if bad.size:
-            raise DegenerateDesignError(bad, variance, g.outcome_ids)
-    return ExposureMoments(mean, variance)
+    mom = ExposureMoments(
+        mean, d.coin_variance * np.asarray(sq.sum(axis=1)).ravel())
+    if check and mom.degenerate_units().size:
+        raise DegenerateDesignError(mom.degenerate_units(), mom.variance,
+                                    g.outcome_ids)
+    return mom
 
 
 def write_moments_csv(mom, g, path):

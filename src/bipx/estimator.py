@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from bipx.design import (VAR_FLOOR, DegenerateDesignError, aggregate_moments,
+from bipx.design import (DegenerateDesignError, aggregate_moments,
                          cluster_aggregated_weights)
 
 # Clusters per column block of A^T diag(u) A in `mse`, which bounds the
@@ -47,9 +47,9 @@ class OutcomeModel:
 
 
 def respond(model, x):
-    """Potential outcomes Y_i = m_i x_i + b_i at exposure vector x."""
+    """Potential outcomes Y_i = m_i x_i + b_i at exposures x (or each row)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.slopes.shape:
+    if x.shape[-1:] != model.slopes.shape:
         raise ValueError("exposure vector length does not match the model")
     return model.slopes * x + model.intercepts
 
@@ -60,16 +60,17 @@ def true_ate(model):
 
 
 def erl_estimate(y, x, mom):
-    """(2/n) sum_i y_i (x_i - E[x_i]) / Var[x_i]."""
+    """(2/n) sum_i y_i (x_i - E[x_i]) / Var[x_i], a float; for (replicates,
+    n) blocks, one estimate per row, each summed along its own row."""
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if not (y.shape == x.shape == mom.mean.shape):
+    if not (y.shape == x.shape and x.shape[-1:] == mom.mean.shape):
         raise ValueError("y, x and moments must have equal length")
-    if np.any(mom.variance < VAR_FLOOR):
-        raise DegenerateDesignError(list(np.flatnonzero(mom.variance < VAR_FLOOR)),
-                                    mom.variance)
-    n = y.size
-    return (2.0 / n) * float(np.sum(y * (x - mom.mean) / mom.variance))
+    bad = mom.degenerate_units()
+    if bad.size:
+        raise DegenerateDesignError(bad, mom.variance)
+    est = (2.0 / x.shape[-1]) * (y * (x - mom.mean) / mom.variance).sum(-1)
+    return float(est) if est.ndim == 0 else est
 
 
 def mse_exact(g, d, model):

@@ -25,7 +25,8 @@ import numpy as np
 from bipx.cluster_opt import local_search
 from bipx.design import DesignSpec, aggregate_moments, \
     cluster_aggregated_weights, derived_rng
-from bipx.estimator import OutcomeModel, mse as exact_mse, true_ate
+from bipx.estimator import OutcomeModel, erl_estimate, mse as exact_mse, \
+    respond, true_ate
 from bipx.graph_core import text_lines
 
 POSITIVE_TE = "PositiveTE"
@@ -209,12 +210,10 @@ def generate_outcome_model(g, spec):
                                  spec.intercept_var)
         return OutcomeModel(slopes=slopes, intercepts=intercepts)
     labels = outcome_linkage_labels(g, spec.n_outcome_clusters)
-    uniq = np.unique(labels)
+    uniq, pos = np.unique(labels, return_inverse=True)
     slopes_c = normal_draw(rng, uniq.size, spec.slope_mean, spec.slope_var)
     inter_c = normal_draw(rng, uniq.size, spec.intercept_mean,
                           spec.intercept_var)
-    lookup = {lab: k for k, lab in enumerate(uniq)}
-    pos = np.array([lookup[lab] for lab in labels], dtype=np.int64)
     return OutcomeModel(slopes=slopes_c[pos], intercepts=inter_c[pos])
 
 
@@ -309,9 +308,7 @@ def run_simulation(g, d, model, replicates, base_seed, *,
         # replicate's terms are summed along one contiguous row: the sum
         # then has the same bits whatever the block size.
         x = np.ascontiguousarray((agg @ signs.T).T)
-        y = model.slopes * x + model.intercepts
-        terms = y * (x - mom.mean) / mom.variance
-        ests[start:start + b] = (2.0 / g.n_outcome) * terms.sum(axis=1)
+        ests[start:start + b] = erl_estimate(respond(model, x), x, mom)
     bias = float(ests.mean() - tau)
     mse = float(np.mean((ests - tau) ** 2))
     edges, counts = build_histogram(ests, bins)

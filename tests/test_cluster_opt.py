@@ -1,6 +1,7 @@
 import csv
 from array import array
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,6 +441,66 @@ def test_local_search_spent_time_budget_leaves_singletons():
                                   np.arange(g.n_diversion))
     assert result.trace == ()
     assert not result.converged
+
+
+def test_local_search_budget_spent_in_zero_accept_pass_converges(
+        monkeypatch):
+    g, _ = planted_four_block()
+    cfg = LocalSearchConfig(phi=1.0, seed=3)
+    passes = len(local_search(g, cfg).trace)
+    assert passes >= 2
+    # A fake clock that jumps past the budget while the last pass, which
+    # accepts nothing, draws its partners.
+    now, drawn = [0.0], []
+    real = cluster_opt._pass_partners
+
+    def pass_partners(*args):
+        drawn.append(1)
+        if len(drawn) == passes:
+            now[0] = 10.0
+        return real(*args)
+
+    monkeypatch.setattr(cluster_opt, "_pass_partners", pass_partners)
+    monkeypatch.setattr(cluster_opt, "time",
+                        SimpleNamespace(perf_counter=lambda: now[0]))
+    result = local_search(g, replace(cfg, time_budget=1.0))
+    assert len(result.trace) == passes
+    assert result.trace[-1].moves_accepted == 0
+    assert result.converged
+
+
+def test_local_search_computes_objective_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return objective(*args)
+
+    monkeypatch.setattr(cluster_opt, "objective", counted)
+    g = paired_pool_instance()[0]
+    result = local_search(g, LocalSearchConfig(
+        phi=1.0, k_max=5, max_passes=15, convergence=False, seed=0))
+    assert len(result.trace) == 15
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k_max", [5, None])
+@pytest.mark.parametrize("phi", [0.0, 1.0 / 199.0, 1.0, 5.0])
+def test_carried_trace_matches_objective(phi, k_max):
+    """The trace's carried objective against the final recompute, after
+    every pass count t."""
+    g = paired_pool_instance()[0]
+    for seed in range(3):
+        for t in range(1, 16):
+            result = local_search(g, LocalSearchConfig(
+                phi=phi, k_max=k_max, max_passes=t, convergence=False,
+                seed=seed))
+            last, obj = result.trace[-1], result.objective
+            assert last.objective_total == pytest.approx(obj.total, rel=1e-9)
+            assert last.variance_sum == pytest.approx(obj.variance_sum,
+                                                      rel=1e-9)
+            assert last.covariance_sum == pytest.approx(obj.covariance_sum,
+                                                        rel=1e-9)
 
 
 def test_local_search_unreached_time_budget_changes_nothing():
