@@ -28,9 +28,8 @@ from datetime import datetime, timezone
 import click
 
 from bipx import __version__
-from bipx.cluster_opt import (LocalSearchConfig, balanced_partition_baseline,
-                              local_search_restarts, objective,
-                              write_trace_csv)
+from bipx.cluster_opt import (LocalSearchConfig, local_search_restarts,
+                              objective, write_trace_csv)
 from bipx.design import (Clustering, DesignError, DesignSpec,
                          exposure_moments, read_clustering,
                          write_clustering, write_moments_csv)
@@ -157,27 +156,14 @@ def cmd_export(graph, out_edge_list):
     click.echo(f"wrote {g.nnz} edges -> {out_edge_list}")
 
 
-def _parse_method(method):
-    if method in ("singleton", "one-cluster", "exposure-design"):
-        return method, None
-    if method.startswith("balanced:"):
-        try:
-            k = int(method.split(":", 1)[1])
-        except ValueError:
-            raise click.UsageError(f"bad balanced cluster count in {method!r}")
-        if k < 1:
-            raise click.UsageError("balanced:k requires k >= 1")
-        return "balanced", k
-    raise click.UsageError(
-        f"unknown method {method!r}; expected singleton, one-cluster, "
-        "balanced:k, or exposure-design")
-
-
 @main.command("design")
 @click.argument("graph", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_clustering", type=click.Path(dir_okay=False))
-@click.option("--method", default="exposure-design", show_default=True,
-              help="singleton | one-cluster | balanced:k | exposure-design")
+@click.option("--method", type=click.Choice(["singleton", "one-cluster",
+                                            "exposure-design"]),
+              default="exposure-design", show_default=True,
+              help="exposure-design runs the local search; singleton and "
+                   "one-cluster are fixed baselines.")
 @click.option("--phi", type=float, default=1.0, show_default=True)
 @click.option("--k-max", type=int, default=None,
               help="Maximum cluster size for the local search.")
@@ -197,22 +183,16 @@ def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
         cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=max_passes,
                                 time_budget=time_budget, convergence=True,
                                 seed=seed, p=p)
-    kind, balanced_k = _parse_method(method)
-    if trace is not None and kind != "exposure-design":
+    if trace is not None and method != "exposure-design":
         raise click.UsageError(
             "--trace only applies to --method exposure-design")
     g = load_snapshot(graph)
     m = g.n_diversion
     result = None
-    if kind == "singleton":
+    if method == "singleton":
         c = Clustering.singletons(m)
-    elif kind == "one-cluster":
+    elif method == "one-cluster":
         c = Clustering.one_cluster(m)
-    elif kind == "balanced":
-        if balanced_k > m:
-            raise click.ClickException(
-                f"balanced:{balanced_k} exceeds the {m} diversion units")
-        c = balanced_partition_baseline(g, balanced_k, seed=seed)
     else:
         result = local_search_restarts(g, cfg, restarts)
         c = result.clustering

@@ -159,8 +159,7 @@ def _pass_partners(g, perm, u):
 
     Gives the partners that _draw calls on these doubles give, visit by
     visit. A unit with no edges is its own partner. The cumulative sums
-    live only for the call, so they do not add to the search's peak
-    memory, which the final objective sets.
+    live only for the call, so they are freed before the walk.
     """
     csc, csr = g.cols, g.rows
     partner = perm.copy()
@@ -312,7 +311,7 @@ def move_delta(g, assignment, i, target, phi, p=0.5):
                              *delta.paths(units))[0])
 
 
-# Visits per scored block in local_search and balanced_partition_baseline.
+# Visits per scored block in local_search.
 _BLOCK = 64
 
 
@@ -328,6 +327,16 @@ def _founding_members(m):
     return [ids[k:k + 8] for k in range(0, 8 * m, 8)]
 
 
+def _split_objective(total, S, phi, coin_variance):
+    """The objective `total` of a clustering with cluster totals S, split
+    into its parts: total = (1 + phi) variance_sum - phi s_sq, where
+    s_sq = 4p(1-p) S.S is variance_sum plus covariance_sum."""
+    s_sq = coin_variance * float(S @ S)
+    variance_sum = (total + phi * s_sq) / (1.0 + phi)
+    return ObjectiveValue(variance_sum=variance_sum,
+                          covariance_sum=s_sq - variance_sum, phi=phi)
+
+
 def local_search(g, cfg):
     """Greedy improvement over singletons with wedge-sampled move targets.
 
@@ -337,10 +346,10 @@ def local_search(g, cfg):
     below k_max. A unit with no edges is its own partner and stays put.
     Stops on a zero-accept pass (if cfg.convergence), the pass budget, or
     the time budget, checked once before each pass: a zero-accept pass
-    that ran past the budget still reports converged. The trace carries
+    that ran past the budget still reports converged. The search carries
     the objective from the singletons' closed form by the accepted gains,
-    so it is non-decreasing by construction; objective() runs once, on
-    the final clustering.
+    so the trace is non-decreasing by construction, and reports that
+    carried value as its result; it never calls objective().
 
     A pass draws all its wedges up front, from the same doubles the
     per-visit draws would use: rng.permutation(m), then rng.random(2m),
@@ -439,19 +448,17 @@ def local_search(g, cfg):
                     members[b].append(i)
                     accepted += 1
                     touched.update((a, b))
-        # total = (1 + phi) variance_sum - phi s_sq, s_sq = cv S.S.
-        s_sq = delta.coin_variance * float(S @ S)
-        variance_sum = (total + cfg.phi * s_sq) / (1.0 + cfg.phi)
-        trace.append(PassTrace(pass_index, accepted, total, variance_sum,
-                               s_sq - variance_sum,
+        parts = _split_objective(total, S, cfg.phi, delta.coin_variance)
+        trace.append(PassTrace(pass_index, accepted, total,
+                               parts.variance_sum, parts.covariance_sum,
                                time.perf_counter() - start, kernel_visits,
                                stale, cluster_visits))
         if cfg.convergence and accepted == 0:
             converged = True
             break
-    clustering = Clustering.from_labels(labels)
-    return SearchResult(clustering=clustering,
-                        objective=objective(g, clustering, cfg.phi, cfg.p),
+    return SearchResult(clustering=Clustering.from_labels(labels),
+                        objective=_split_objective(total, S, cfg.phi,
+                                                   delta.coin_variance),
                         trace=tuple(trace), converged=converged,
                         seed=cfg.seed)
 
@@ -466,54 +473,6 @@ def local_search_restarts(g, cfg, restarts):
         if best is None or result.objective.total > best.objective.total:
             best = result
     return best
-
-
-def balanced_partition_baseline(g, k, seed=0, max_passes=15):
-    """Size-constrained label propagation over diversion co-weights.
-
-    Starts from round-robin labels (unit j gets j mod k), then repeatedly
-    moves each unit to the label with the largest co-weight affinity among
-    its two-hop neighbors, subject to the size cap ceil(m/k). Deterministic
-    given the seed, which only shuffles the visit order.
-    """
-    g.require_normalized()
-    m = g.n_diversion
-    if k < 1 or k > m:
-        raise ValueError(f"k must be in [1, {m}]")
-    cap = -(-m // k)
-    labels = np.arange(m, dtype=np.int64) % k
-    sizes = np.bincount(labels, minlength=k)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    paths = _MoveDelta(g, 0.0, 0.5).paths  # phi and p do not enter paths
-    for _ in range(max_passes):
-        moved = 0
-        perm = rng.permutation(m)
-        for lo in range(0, m, _BLOCK):
-            # Path ends and weights do not depend on the labels, so a
-            # block's units share one gather.
-            units = perm[lo:lo + _BLOCK]
-            ends, prod, bounds = paths(units)
-            for i, a, b in zip(units.tolist(), bounds[:-1].tolist(),
-                               bounds[1:].tolist()):
-                if a == b:  # a unit with no edges has no affinity
-                    continue
-                # Affinity to every label among the path ends, summed in
-                # path order; labels come sorted, so argmax breaks ties to
-                # the smallest label. The own label cannot beat itself.
-                labs, at = np.unique(labels[ends[a:b]], return_inverse=True)
-                aff = np.bincount(at, weights=prod[a:b])
-                cur = labels[i]
-                own = aff[labs.searchsorted(cur)]
-                aff[sizes[labs] >= cap] = -np.inf
-                best = int(np.argmax(aff))
-                if aff[best] > own:
-                    labels[i] = labs[best]
-                    sizes[cur] -= 1
-                    sizes[labs[best]] += 1
-                    moved += 1
-        if moved == 0:
-            break
-    return Clustering.from_labels(labels)
 
 
 def write_trace_csv(trace, path):

@@ -105,7 +105,7 @@ def test_export_round_trip(workspace, runner):
 
 
 @pytest.mark.parametrize("method,expected_k", [
-    ("singleton", 4), ("one-cluster", 1), ("balanced:2", 2),
+    ("singleton", 4), ("one-cluster", 1),
 ])
 def test_design_fixed_methods(workspace, runner, method, expected_k):
     tmp_path, graph_path, _ = workspace
@@ -154,17 +154,37 @@ def test_design_with_edgeless_diversion_unit(tmp_path, runner):
 def test_design_rejects_bad_method(workspace, runner):
     tmp_path, graph_path, _ = workspace
     out = tmp_path / "c.tsv"
+    # balanced:k was removed; old command lines get the usage error.
+    for method in ("zigzag", "balanced:2"):
+        result = runner.invoke(main, ["design", str(graph_path), str(out),
+                                      "--method", method])
+        assert result.exit_code == 2
+        assert "exposure-design" in result.output
+        assert not out.exists()
+
+
+def test_rerun_refuses_removed_method(workspace, runner):
+    # A manifest written when balanced:k was a method replays to one
+    # error line, not a traceback.
+    tmp_path, graph_path, _ = workspace
+    out = tmp_path / "c.tsv"
     result = runner.invoke(main, ["design", str(graph_path), str(out),
-                                  "--method", "zigzag"])
-    assert result.exit_code == 2
-    assert "unknown method" in result.output
-    result = runner.invoke(main, ["design", str(graph_path), str(out),
-                                  "--method", "balanced:99"])
-    assert result.exit_code == 1
-    assert "exceeds" in result.output
-    result = runner.invoke(main, ["design", str(graph_path), str(out),
-                                  "--method", "balanced:zero"])
-    assert result.exit_code == 2
+                                  "--method", "singleton"])
+    assert result.exit_code == 0, result.output
+    manifest = tmp_path / "c.tsv.manifest.json"
+    record = json.loads(manifest.read_text())
+    record["argv"] = ["design", str(graph_path), str(out),
+                      "--method", "balanced:2", "--seed", "0"]
+    manifest.write_text(json.dumps(record))
+    result = runner.invoke(main, ["rerun", str(manifest), "--check"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    replaying, error = result.output.splitlines()
+    assert replaying.startswith("replaying in ")
+    assert error.startswith(f"Error: {manifest}: recorded argv is not a "
+                            "valid bipx command: ")
+    assert "exposure-design" in error
 
 
 def test_design_trace_requires_search(workspace, runner):

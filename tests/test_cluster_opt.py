@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from bipx import cluster_opt
 from bipx.cluster_opt import (ACCEPT_EPS, LocalSearchConfig, _draw_many,
-                              _slice_cumsum, balanced_partition_baseline,
-                              local_search, local_search_restarts, move_delta,
-                              objective, write_trace_csv)
+                              _slice_cumsum, local_search,
+                              local_search_restarts, move_delta, objective,
+                              write_trace_csv)
 from bipx.design import Clustering, DesignSpec
 from bipx.graph_core import BipartiteGraph, normalize_rows
 from bipx.oracle import (_draw, corr_clust_cs_rewrite,
@@ -441,6 +441,13 @@ def test_local_search_spent_time_budget_leaves_singletons():
                                   np.arange(g.n_diversion))
     assert result.trace == ()
     assert not result.converged
+    # With no pass run, the result is the singletons' starting value.
+    want = objective(g, Clustering.singletons(g.n_diversion), 1.0)
+    got = result.objective
+    assert got.total == pytest.approx(want.total, rel=1e-12)
+    assert got.variance_sum == pytest.approx(want.variance_sum, rel=1e-12)
+    assert got.covariance_sum == pytest.approx(want.covariance_sum,
+                                               rel=1e-12)
 
 
 def test_local_search_budget_spent_in_zero_accept_pass_converges(
@@ -469,7 +476,7 @@ def test_local_search_budget_spent_in_zero_accept_pass_converges(
     assert result.converged
 
 
-def test_local_search_computes_objective_once(monkeypatch):
+def test_local_search_never_computes_objective(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -481,26 +488,30 @@ def test_local_search_computes_objective_once(monkeypatch):
     result = local_search(g, LocalSearchConfig(
         phi=1.0, k_max=5, max_passes=15, convergence=False, seed=0))
     assert len(result.trace) == 15
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("k_max", [5, None])
 @pytest.mark.parametrize("phi", [0.0, 1.0 / 199.0, 1.0, 5.0])
 def test_carried_trace_matches_objective(phi, k_max):
-    """The trace's carried objective against the final recompute, after
-    every pass count t."""
+    """The reported objective and the last trace row, both carried by the
+    search, against a fresh objective() of its clustering, after every
+    pass count t."""
     g = paired_pool_instance()[0]
     for seed in range(3):
         for t in range(1, 16):
             result = local_search(g, LocalSearchConfig(
                 phi=phi, k_max=k_max, max_passes=t, convergence=False,
                 seed=seed))
+            fresh = objective(g, result.clustering, phi)
             last, obj = result.trace[-1], result.objective
-            assert last.objective_total == pytest.approx(obj.total, rel=1e-9)
-            assert last.variance_sum == pytest.approx(obj.variance_sum,
-                                                      rel=1e-9)
-            assert last.covariance_sum == pytest.approx(obj.covariance_sum,
-                                                        rel=1e-9)
+            for got in (obj.total, last.objective_total):
+                assert got == pytest.approx(fresh.total, rel=1e-9)
+            for got in (obj, last):
+                assert got.variance_sum == pytest.approx(fresh.variance_sum,
+                                                         rel=1e-9)
+                assert got.covariance_sum == pytest.approx(
+                    fresh.covariance_sum, rel=1e-9)
 
 
 def test_local_search_unreached_time_budget_changes_nothing():
@@ -544,85 +555,6 @@ def test_restarts_pick_best():
     assert best.objective.total == max(r.objective.total for r in singles)
     with pytest.raises(ValueError):
         local_search_restarts(g, cfg, restarts=0)
-
-
-def test_balanced_baseline_caps_and_determinism():
-    rng = np.random.default_rng(21)
-    g = random_instance(rng, n_max=8, m_max=16)
-    m = g.n_diversion
-    for k in (1, 2, 3, m):
-        c = balanced_partition_baseline(g, k, seed=7)
-        sizes = np.bincount(c.assignment)
-        assert sizes.max() <= -(-m // k)
-        assert sizes.sum() == m
-    c1 = balanced_partition_baseline(g, 3, seed=7)
-    c2 = balanced_partition_baseline(g, 3, seed=7)
-    np.testing.assert_array_equal(c1.assignment, c2.assignment)
-    with pytest.raises(ValueError):
-        balanced_partition_baseline(g, m + 1)
-    with pytest.raises(ValueError):
-        balanced_partition_baseline(g, 0)
-
-
-def _naive_balanced_partition(g, k, seed=0, max_passes=15):
-    """balanced_partition_baseline by definition: per visit, a dict of
-    label affinities summed over the two-hop paths in column-then-row
-    order; the best label that is neither the own one nor full, the
-    smallest on ties, wins when it beats the own affinity."""
-    m = g.n_diversion
-    cap = -(-m // k)
-    labels = np.arange(m, dtype=np.int64) % k
-    sizes = np.bincount(labels, minlength=k)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    csc, csr = g.cols, g.rows
-    for _ in range(max_passes):
-        moved = 0
-        for i in rng.permutation(m):
-            aff = {}
-            lo, hi = csc.indptr[i], csc.indptr[i + 1]
-            for kk, wk in zip(csc.indices[lo:hi], csc.data[lo:hi]):
-                rlo, rhi = csr.indptr[kk], csr.indptr[kk + 1]
-                for j2, w2 in zip(csr.indices[rlo:rhi], csr.data[rlo:rhi]):
-                    lab = labels[j2]
-                    aff[lab] = aff.get(lab, 0.0) + wk * w2
-            cur = labels[i]
-            best_lab, best_aff = cur, aff.get(cur, 0.0)
-            for lab in sorted(aff):
-                if lab == cur or sizes[lab] >= cap:
-                    continue
-                if aff[lab] > best_aff:
-                    best_lab, best_aff = lab, aff[lab]
-            if best_lab != cur:
-                labels[i] = best_lab
-                sizes[cur] -= 1
-                sizes[best_lab] += 1
-                moved += 1
-        if moved == 0:
-            break
-    return Clustering.from_labels(labels).assignment
-
-
-def test_balanced_baseline_matches_naive():
-    rng = np.random.default_rng(41)
-    cases = [(random_instance(rng), t) for t in range(30)]
-    # Stored zero weights and hubs give tied affinities; an edgeless
-    # column has none.
-    cases.append((_tied_skewed_graph(), 0))
-    W = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
-    cases.append((BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v", "w")), 1))
-    for g, seed in cases:
-        m = g.n_diversion
-        for k in sorted({1, min(2, m), min(3, m), max(1, m // 3), m}):
-            np.testing.assert_array_equal(
-                balanced_partition_baseline(g, k, seed=seed).assignment,
-                _naive_balanced_partition(g, k, seed=seed))
-    # The paired pool ties exactly: siblings share their affinities. At
-    # k = 450 (cap 5) units move in several passes, at 1200 (cap 2) in one.
-    g = paired_pool_instance()[0]
-    for k in (450, 1200):
-        np.testing.assert_array_equal(
-            balanced_partition_baseline(g, k, seed=3).assignment,
-            _naive_balanced_partition(g, k, seed=3))
 
 
 def test_write_trace_csv(tmp_path):
