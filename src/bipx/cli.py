@@ -258,8 +258,7 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
         design_name = f"independent-cluster[k={c.k}]"
     model = generate_outcome_model(g, spec)
     report = run_simulation(g, d, model, replicates, seed,
-                            design_name=design_name, scenario_name=spec.kind,
-                            bins=bins)
+                            design_name=design_name, scenario_name=spec.kind)
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     estimates_path = os.path.join(out_dir, "estimates.csv")
@@ -384,7 +383,8 @@ def cmd_rerun(manifest, check):
         main.main(args=record["argv"], standalone_mode=False)
     except click.UsageError as exc:
         raise click.ClickException(f"{manifest}: recorded argv is not a "
-                                   f"valid bipx command: {exc.message}")
+                                   f"valid bipx command: "
+                                   f"{exc.format_message()}")
     finally:
         os.chdir(here)
     if check:

@@ -10,7 +10,8 @@ coin outcomes, which the tests check these against, is in bipx.oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,9 +37,8 @@ class DegenerateDesignError(DesignError):
     `ids` (the graph's outcome ids) when given, else by index.
     """
 
-    def __init__(self, units, variances=None, ids=None):
+    def __init__(self, units, ids=None):
         self.units = [int(u) for u in units]
-        self.variances = variances
         names = [str(u) if ids is None else ids[u] for u in self.units[:20]]
         more = len(self.units) - len(names)
         super().__init__(
@@ -55,12 +55,11 @@ def derived_rng(base_seed, replicate):
 class Clustering:
     """A partition of the m diversion units into k non-empty clusters.
 
-    assignment[j] is the dense cluster id of unit j; sizes[c] its member
-    count. Every id in [0, k) is non-empty.
+    assignment[j] is the dense cluster id of unit j, and every id in
+    [0, k) is non-empty. sizes[c], its member count, is derived from it.
     """
 
     assignment: np.ndarray
-    sizes: np.ndarray = field(repr=False)
 
     @classmethod
     def from_labels(cls, labels):
@@ -71,18 +70,21 @@ class Clustering:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-d integer array")
-        dense, firsts = first_appearance_codes(labels)
-        sizes = np.bincount(dense, minlength=firsts.size)
-        return cls(dense.astype(np.int64), sizes.astype(np.int64))
+        return cls(first_appearance_codes(labels)[0].astype(np.int64))
 
     def __post_init__(self):
         a = self.assignment
         if a.ndim != 1:
             raise ValueError("assignment must be 1-d")
-        if self.sizes.sum() != a.size:
-            raise ValueError("sizes must sum to the number of diversion units")
+        # np.bincount refuses a negative id, so it is checked first.
+        if a.size and a.min() < 0:
+            raise ValueError("cluster ids must be >= 0")
         if np.any(self.sizes <= 0):
             raise ValueError("cluster ids must be dense (no empty clusters)")
+
+    @cached_property
+    def sizes(self):
+        return np.bincount(self.assignment)
 
     @property
     def m(self):
@@ -94,12 +96,11 @@ class Clustering:
 
     @classmethod
     def singletons(cls, m):
-        return cls(np.arange(m, dtype=np.int64), np.ones(m, dtype=np.int64))
+        return cls(np.arange(m, dtype=np.int64))
 
     @classmethod
     def one_cluster(cls, m):
-        return cls(np.zeros(m, dtype=np.int64),
-                   np.array([m], dtype=np.int64))
+        return cls(np.zeros(m, dtype=np.int64))
 
 
 def write_clustering(c, g, path):
@@ -248,14 +249,13 @@ def aggregate_moments(g, d, agg, check=True):
 
     For callers that also need `agg`, so it is built once.
     """
-    mean = (2.0 * d.p - 1.0) * np.asarray(g.rows.sum(axis=1)).ravel()
+    mean = (2.0 * d.p - 1.0) * g.row_sums
     sq = agg.copy()
     sq.data = sq.data ** 2
     mom = ExposureMoments(
         mean, d.coin_variance * np.asarray(sq.sum(axis=1)).ravel())
     if check and mom.degenerate_units().size:
-        raise DegenerateDesignError(mom.degenerate_units(), mom.variance,
-                                    g.outcome_ids)
+        raise DegenerateDesignError(mom.degenerate_units(), g.outcome_ids)
     return mom
 
 

@@ -68,7 +68,7 @@ def erl_estimate(y, x, mom):
         raise ValueError("y, x and moments must have equal length")
     bad = mom.degenerate_units()
     if bad.size:
-        raise DegenerateDesignError(bad, mom.variance)
+        raise DegenerateDesignError(bad)
     est = (2.0 / x.shape[-1]) * (y * (x - mom.mean) / mom.variance).sum(-1)
     return float(est) if est.ndim == 0 else est
 

@@ -5,8 +5,8 @@ through non-negative weights w[i, j]. After row normalization every row
 sums to 1, so the exposure of outcome unit i under a +/-1 assignment z is
 the weighted average x[i] = sum_j w[i, j] * z[j], which lies in [-1, 1].
 
-Storage is dual sparse: a CSR matrix for row access and a CSC view for
-column access, kept consistent. Graphs are immutable after construction;
+Storage is one CSR matrix; the CSC copy that the local search reads is
+built from it on first use. Graphs are immutable after construction;
 every operation returns a new graph.
 """
 
@@ -17,7 +17,7 @@ import os
 import re
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
 
@@ -64,15 +64,13 @@ class BipartiteGraph:
 
     Attributes:
         rows: CSR matrix of shape (n_outcome, n_diversion), row-major weights.
-        cols: CSC view of the same matrix, kept consistent with `rows`.
-        col_sums: per-diversion-unit totals s[j] = sum_i w[i, j].
         outcome_ids: original outcome unit ids, index order.
         diversion_ids: original diversion unit ids, index order.
+        cols, col_sums: a CSC copy of `rows` and the per-diversion-unit
+            totals s[j] = sum_i w[i, j], both computed on first use.
     """
 
     rows: sp.csr_matrix
-    cols: sp.csc_matrix = field(repr=False)
-    col_sums: np.ndarray = field(repr=False)
     outcome_ids: tuple
     diversion_ids: tuple
 
@@ -81,10 +79,15 @@ class BipartiteGraph:
         rows = sp.csr_matrix(rows, dtype=np.float64)
         rows.sum_duplicates()
         rows.sort_indices()
-        cols = rows.tocsc()
-        col_sums = np.asarray(rows.sum(axis=0)).ravel()
-        return cls(rows, cols, col_sums,
-                   tuple(outcome_ids), tuple(diversion_ids))
+        return cls(rows, tuple(outcome_ids), tuple(diversion_ids))
+
+    @cached_property
+    def cols(self):
+        return self.rows.tocsc()
+
+    @cached_property
+    def col_sums(self):
+        return np.asarray(self.rows.sum(axis=0)).ravel()
 
     @property
     def n_outcome(self):
@@ -334,8 +337,7 @@ def filter_min_outcome_degree(g, min_degree):
         raise EmptyGraphError(f"no outcome unit has degree >= {min_degree}")
     mat = g.rows[keep_rows, :]
     outcome_ids = [x for x, k in zip(g.outcome_ids, keep_rows) if k]
-    col_deg = np.diff(sp.csc_matrix(mat).indptr)
-    keep_cols = col_deg > 0
+    keep_cols = np.bincount(mat.indices, minlength=mat.shape[1]) > 0
     mat = mat[:, keep_cols]
     diversion_ids = [x for x, k in zip(g.diversion_ids, keep_cols) if k]
     if mat.shape[1] == 0:
@@ -422,7 +424,8 @@ def load_snapshot(path):
     Raises GraphError unless the file is one that save_snapshot could have
     written: the counts must fit the file size with no trailing bytes, the
     row pointers must run from 0 to nnz without decreasing, every column
-    index must lie in [0, m) and every weight must be finite and >= 0.
+    index must lie in [0, m), the column indices must strictly increase
+    within each row and every weight must be finite and >= 0.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -455,6 +458,9 @@ def load_snapshot(path):
         raise GraphError(f"{path}: weights must be finite and non-negative")
     mat = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()),
                         shape=(n, m))
+    # Canonical: the indices strictly increase within each row.
+    if not mat.has_canonical_format:
+        raise GraphError(f"{path}: repeated or unsorted column indices")
     return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
 
 

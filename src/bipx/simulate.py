@@ -227,7 +227,6 @@ class SimulationReport:
     estimates: np.ndarray
     bias: float
     mse: float
-    histogram: tuple  # (edges ndarray, counts ndarray)
 
     @property
     def n_replicates(self):
@@ -275,7 +274,7 @@ def build_histogram(values, bins):
 
 
 def run_simulation(g, d, model, replicates, base_seed, *,
-                   design_name="", scenario_name="", bins=50):
+                   design_name="", scenario_name=""):
     """Replicate the experiment: assign, expose, respond, estimate.
 
     Replicate r uses the generator seeded by (base_seed, r), so results
@@ -283,12 +282,10 @@ def run_simulation(g, d, model, replicates, base_seed, *,
     the same estimates. Its cluster coins are the doubles
     `sample_assignment` draws from that generator, and its exposures are
     agg @ coins over the design's cluster aggregates, computed for a block
-    of replicates per sparse product.
+    of replicates per sparse product. export_histogram bins the estimates.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     g.require_normalized()
     if model.n != g.n_outcome:
         raise ValueError("exposure vector length does not match the model")
@@ -311,14 +308,12 @@ def run_simulation(g, d, model, replicates, base_seed, *,
         ests[start:start + b] = erl_estimate(respond(model, x), x, mom)
     bias = float(ests.mean() - tau)
     mse = float(np.mean((ests - tau) ** 2))
-    edges, counts = build_histogram(ests, bins)
     return SimulationReport(design_name=design_name or d.kind,
                             scenario_name=scenario_name,
                             true_ate=float(tau),
                             estimates=ests,
                             bias=bias,
-                            mse=mse,
-                            histogram=(edges, counts))
+                            mse=mse)
 
 
 def export_histogram(report, bins, path):
@@ -342,8 +337,7 @@ def export_estimates_csv(report, path):
 
 
 def report_to_json(report, path=None):
-    """Aggregate metadata as JSON; per-replicate data stays in the CSVs."""
-    edges, counts = report.histogram
+    """Aggregate metadata as JSON; estimates and histogram are in the CSVs."""
     se = report.mse_standard_error()
     payload = {
         "design_name": report.design_name,
@@ -355,8 +349,6 @@ def report_to_json(report, path=None):
         "mse": report.mse,
         # null for a single replicate, where it is not defined.
         "mse_standard_error": None if np.isnan(se) else se,
-        "histogram_edges": [float(e) for e in edges],
-        "histogram_counts": [int(c) for c in counts],
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path is not None:

@@ -184,6 +184,7 @@ def test_rerun_refuses_removed_method(workspace, runner):
     assert replaying.startswith("replaying in ")
     assert error.startswith(f"Error: {manifest}: recorded argv is not a "
                             "valid bipx command: ")
+    assert "--method" in error
     assert "exposure-design" in error
 
 

@@ -60,8 +60,18 @@ def test_clustering_constructors():
 
 
 def test_clustering_rejects_non_dense():
-    with pytest.raises(ValueError):
-        Clustering(assignment=np.array([0, 2]), sizes=np.array([1, 0, 1]))
+    with pytest.raises(ValueError, match="dense"):
+        Clustering(assignment=np.array([0, 2]))
+
+
+def test_clustering_sizes_derive_from_assignment():
+    a = np.array([0, 0, 1, 2, 1, 0])
+    np.testing.assert_array_equal(Clustering(a).sizes, np.bincount(a))
+
+
+def test_clustering_rejects_negative_id():
+    with pytest.raises(ValueError, match=">= 0"):
+        Clustering(np.array([0, -1, 1]))
 
 
 def test_clustering_file_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import struct
 import warnings
@@ -7,6 +8,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from bipx.cluster_opt import LocalSearchConfig, local_search, objective
+from bipx.design import Clustering, DesignSpec, exposure_moments
+from bipx.estimator import OutcomeModel
 from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
                              EmptyGraphError, GraphError, NegativeWeightError,
                              NotNormalizedError, WeightOverflowError,
@@ -15,6 +19,7 @@ from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
                              load_snapshot, normalize_rows, save_snapshot,
                              validate_assignment, write_edge_list,
                              write_id_maps)
+from bipx.simulate import run_simulation
 from bipx.synth import random_instance
 
 
@@ -181,6 +186,27 @@ def test_row_col_views_consistent(seed):
         np.testing.assert_allclose(dense[idx, j], w)
 
 
+def test_graph_stores_rows_and_builds_columns_for_the_search(tmp_path):
+    assert [f.name for f in dataclasses.fields(BipartiteGraph)] == [
+        "rows", "outcome_ids", "diversion_ids"]
+    path = tmp_path / "g.bin"
+    save_snapshot(normalize_rows(random_instance(np.random.default_rng(3))),
+                  path)
+    g = load_snapshot(path)
+    assert "cols" not in g.__dict__
+    c = Clustering.one_cluster(g.n_diversion)
+    exposure_moments(g, DesignSpec.independent_cluster(c))
+    model = OutcomeModel(slopes=np.ones(g.n_outcome),
+                         intercepts=np.zeros(g.n_outcome))
+    run_simulation(g, DesignSpec.independent_cluster(c), model, 3, 0)
+    objective(g, c, phi=1.0)
+    assert "cols" not in g.__dict__
+    local_search(g, LocalSearchConfig(max_passes=1, convergence=False))
+    assert "cols" in g.__dict__
+    assert g.cols.format == "csc"
+    np.testing.assert_array_equal(g.cols.toarray(), g.rows.toarray())
+
+
 def test_validate_assignment():
     validate_assignment(np.array([1.0, -1.0]), 2)
     with pytest.raises(ValueError):
@@ -221,6 +247,12 @@ def corrupt_snapshot(path, kind):
         struct.pack_into("<q", buf, indices_at, 10**6)
     elif kind == "negative-index":
         struct.pack_into("<q", buf, indices_at, -1)
+    elif kind == "duplicate-index":
+        # Row 0's indices [0, 1] become [0, 0].
+        struct.pack_into("<q", buf, indices_at + 8, 0)
+    elif kind == "unsorted-index":
+        # Row 0's indices [0, 1] become [1, 0].
+        struct.pack_into("<qq", buf, indices_at, 1, 0)
     elif kind == "indptr-decreasing":
         struct.pack_into("<q", buf, indptr_at + 8, nnz + 1)
     elif kind == "indptr-start":
@@ -242,7 +274,8 @@ def corrupt_snapshot(path, kind):
     path.write_bytes(bytes(buf))
 
 
-SNAPSHOT_CORRUPTIONS = ("index-past-m", "negative-index", "indptr-decreasing",
+SNAPSHOT_CORRUPTIONS = ("index-past-m", "negative-index", "duplicate-index",
+                        "unsorted-index", "indptr-decreasing",
                         "indptr-start", "nan-weight", "negative-weight",
                         "huge-count", "huge-id-map", "trailing-bytes",
                         "truncated")

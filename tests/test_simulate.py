@@ -258,17 +258,13 @@ def _count_replicate_seeds(monkeypatch):
     return calls
 
 
-def test_run_simulation_checks_bins_before_replicates(monkeypatch):
+def test_run_simulation_seeds_each_replicate_once(monkeypatch):
     g = small_graph()
     d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
     model = OutcomeModel(slopes=np.zeros(2), intercepts=np.ones(2))
     calls = _count_replicate_seeds(monkeypatch)
     run_simulation(g, d, model, 5, base_seed=0)
     assert calls == list(range(5))
-    calls.clear()
-    with pytest.raises(ValueError, match="bins"):
-        run_simulation(g, d, model, 100, base_seed=0, bins=0)
-    assert calls == []
 
 
 def test_run_simulation_rejects_degenerate_design_first(monkeypatch):
@@ -384,7 +380,8 @@ def test_report_to_json_deterministic(tmp_path):
     payload = json.loads(text1)
     assert payload["design_name"] == "demo"
     assert payload["n_replicates"] == 15
-    assert sum(payload["histogram_counts"]) == 15
+    # The histogram lives in histogram.csv only.
+    assert not any(key.startswith("histogram") for key in payload)
 
 
 def test_phi_sweep_rows():
