@@ -1,4 +1,5 @@
-"""Command-line interface: ingest, design, moments, simulate, sweep, rerun.
+"""Command-line interface: ingest, export, design, moments, simulate, sweep,
+rerun.
 
 Every command writes a JSON manifest next to its outputs recording the
 replayable argument vector and every parameter value (both read from
@@ -21,6 +22,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -128,7 +130,12 @@ def main(ctx):
               help="Rescale each outcome row to sum to 1.")
 def cmd_ingest(edge_list, out_graph, min_degree, normalize):
     """Parse an edge list into a binary graph snapshot plus id maps."""
-    g = load_edge_list(edge_list)
+    # Each warning (units the parser drops) is one line, without the line
+    # of bipx source that warnings.showwarning would print after it.
+    with warnings.catch_warnings(record=True) as caught:
+        g = load_edge_list(edge_list)
+    for warning in caught:
+        click.echo(f"warning: {warning.message}", err=True)
     if min_degree > 0:
         g = filter_min_outcome_degree(g, min_degree)
     if normalize:
@@ -153,6 +160,8 @@ def cmd_export(graph, out_edge_list):
     """Write a graph snapshot back out as a plain edge list."""
     g = load_snapshot(graph)
     write_edge_list(g, out_edge_list)
+    _write_manifest(out_edge_list + ".manifest.json", [graph],
+                    [out_edge_list])
     click.echo(f"wrote {g.nnz} edges -> {out_edge_list}")
 
 

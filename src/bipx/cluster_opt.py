@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from itertools import count, islice
 
 import numpy as np
 
 from bipx.design import Clustering, DesignSpec, exposure_moments
+from bipx.graph_core import write_rows
 
 # Strict improvement threshold; prevents cycling on exact ties.
 ACCEPT_EPS = 1e-12
@@ -95,7 +96,6 @@ class SearchResult:
     objective: ObjectiveValue
     trace: tuple
     converged: bool
-    seed: int
 
 
 def objective(g, c, phi, p=0.5):
@@ -459,8 +459,7 @@ def local_search(g, cfg):
     return SearchResult(clustering=Clustering.from_labels(labels),
                         objective=_split_objective(total, S, cfg.phi,
                                                    delta.coin_variance),
-                        trace=tuple(trace), converged=converged,
-                        seed=cfg.seed)
+                        trace=tuple(trace), converged=converged)
 
 
 def local_search_restarts(g, cfg, restarts):
@@ -476,15 +475,10 @@ def local_search_restarts(g, cfg, restarts):
 
 
 def write_trace_csv(trace, path):
-    """Search trace as CSV; elapsed is wall-clock and thus run-specific."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pass,moves_accepted,objective_total,variance_sum,"
-                 "covariance_sum,elapsed,kernel_visits,stale_recomputes,"
-                 "cluster_side_visits\n")
-        for row in trace:
-            fh.write(f"{row.pass_index},{row.moves_accepted},"
-                     f"{float(row.objective_total)!r},"
-                     f"{float(row.variance_sum)!r},"
-                     f"{float(row.covariance_sum)!r},{float(row.elapsed)!r},"
-                     f"{row.kernel_visits},{row.stale_recomputes},"
-                     f"{row.cluster_side_visits}\n")
+    """Search trace as CSV, one row of PassTrace fields per pass; elapsed
+    is wall-clock and thus run-specific."""
+    write_rows(path, map(astuple, trace),
+               header=("pass", "moves_accepted", "objective_total",
+                       "variance_sum", "covariance_sum", "elapsed",
+                       "kernel_visits", "stale_recomputes",
+                       "cluster_side_visits"))

@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from bipx.graph_core import first_appearance_codes, text_lines
+from bipx.graph_core import first_appearance_codes, text_lines, \
+    write_rows
 
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
@@ -105,9 +106,7 @@ class Clustering:
 
 def write_clustering(c, g, path):
     """Write `diversion_id<TAB>cluster_id` lines in diversion index order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for j in range(c.m):
-            fh.write(f"{g.diversion_ids[j]}\t{c.assignment[j]}\n")
+    write_rows(path, zip(g.diversion_ids, c.assignment.tolist()), sep="\t")
 
 
 def read_clustering(g, path):
@@ -260,9 +259,8 @@ def aggregate_moments(g, d, agg, check=True):
 
 
 def write_moments_csv(mom, g, path):
-    """CSV export with columns (outcome_id, mean, variance)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("outcome_id,mean,variance\n")
-        for i in range(g.n_outcome):
-            fh.write(f"{g.outcome_ids[i]},{float(mom.mean[i])!r},"
-                     f"{float(mom.variance[i])!r}\n")
+    """CSV export with columns (outcome_id, mean, variance), each value by
+    its shortest repr."""
+    write_rows(path, zip(g.outcome_ids, mom.mean.tolist(),
+                         mom.variance.tolist()),
+               header=("outcome_id", "mean", "variance"))

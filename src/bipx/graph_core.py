@@ -120,16 +120,6 @@ class BipartiteGraph:
                 "edge list again without --no-normalize, or call "
                 "normalize_rows")
 
-    def row(self, i):
-        """Sparse row i as (diversion indices, weights)."""
-        lo, hi = self.rows.indptr[i], self.rows.indptr[i + 1]
-        return self.rows.indices[lo:hi], self.rows.data[lo:hi]
-
-    def col(self, j):
-        """Sparse column j as (outcome indices, weights)."""
-        lo, hi = self.cols.indptr[j], self.cols.indptr[j + 1]
-        return self.cols.indices[lo:hi], self.cols.data[lo:hi]
-
     def outcome_degrees(self):
         return np.diff(self.rows.indptr)
 
@@ -154,6 +144,24 @@ def text_lines(path, error):
     lines. A line that is not UTF-8 raises error(line_no, message)."""
     with open(path, "rb") as fh:
         yield from _texts(fh, 1, error)
+
+
+def write_rows(path, rows, header=None, sep=","):
+    """Write one UTF-8 line per row (after `header`, if given), its cells
+    joined by `sep`. Every cell is written by str(), which for a Python
+    float or a numpy float64 is its shortest repr: it reads back through
+    float() as the same double, so a rerun writes the same bytes. The
+    rows are tuples of one width."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        line = sep.join(["%s"] * len(first)) + "\n"
+        fh.write(line % first)
+        fh.writelines(line % row for row in rows)
 
 
 def first_appearance_codes(values):
@@ -315,13 +323,13 @@ def load_edge_list(path):
 
 
 def write_edge_list(g, path):
-    """Write the graph back out in the edge-list format (repr-exact weights)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(g.n_outcome):
-            idx, w = g.row(i)
-            for j, wij in zip(idx, w):
-                fh.write(f"{g.outcome_ids[i]} {g.diversion_ids[j]} "
-                         f"{float(wij)!r}\n")
+    """Write the graph back out in the edge-list format, one edge a line in
+    CSR order, each weight by its shortest repr."""
+    outcome = np.repeat(np.array(g.outcome_ids, dtype=object),
+                        g.outcome_degrees())
+    diversion = np.array(g.diversion_ids, dtype=object)[g.rows.indices]
+    write_rows(path, zip(outcome.tolist(), diversion.tolist(),
+                         g.rows.data.tolist()), sep=" ")
 
 
 def filter_min_outcome_degree(g, min_degree):
@@ -466,9 +474,5 @@ def load_snapshot(path):
 
 def write_id_maps(g, outcome_path, diversion_path):
     """Emit `index<TAB>original_id` companion files."""
-    with open(outcome_path, "w", encoding="utf-8") as fh:
-        for i, oid in enumerate(g.outcome_ids):
-            fh.write(f"{i}\t{oid}\n")
-    with open(diversion_path, "w", encoding="utf-8") as fh:
-        for j, did in enumerate(g.diversion_ids):
-            fh.write(f"{j}\t{did}\n")
+    write_rows(outcome_path, enumerate(g.outcome_ids), sep="\t")
+    write_rows(diversion_path, enumerate(g.diversion_ids), sep="\t")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from bipx.design import DesignSpec, aggregate_moments, \
     cluster_aggregated_weights, derived_rng
 from bipx.estimator import OutcomeModel, erl_estimate, mse as exact_mse, \
     respond, true_ate
-from bipx.graph_core import text_lines
+from bipx.graph_core import text_lines, write_rows
 
 POSITIVE_TE = "PositiveTE"
 ZERO_TE = "ZeroTE"
@@ -143,15 +143,11 @@ def read_scenario_file(path):
 
 
 def write_scenario_file(spec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"kind = {spec.kind}\n")
-        fh.write(f"slope_mean = {spec.slope_mean!r}\n")
-        fh.write(f"slope_var = {spec.slope_var!r}\n")
-        fh.write(f"intercept_mean = {spec.intercept_mean!r}\n")
-        fh.write(f"intercept_var = {spec.intercept_var!r}\n")
-        if spec.kind == GRAPH_DEPENDENT:
-            fh.write(f"n_outcome_clusters = {spec.n_outcome_clusters}\n")
-        fh.write(f"model_seed = {spec.model_seed}\n")
+    """`key = value` lines in _FIELD_TYPES order; n_outcome_clusters only
+    for GraphDependent."""
+    write_rows(path, ((key, getattr(spec, key)) for key in _FIELD_TYPES
+                      if key != "n_outcome_clusters"
+                      or spec.kind == GRAPH_DEPENDENT), sep=" = ")
 
 
 def normal_draw(rng, size, mean, var):
@@ -319,20 +315,15 @@ def run_simulation(g, d, model, replicates, base_seed, *,
 def export_histogram(report, bins, path):
     """Histogram CSV plus a `true_ate` marker row (for the plot's rule)."""
     edges, counts = build_histogram(report.estimate_array(), bins)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for k in range(counts.size):
-            fh.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},"
-                     f"{int(counts[k])}\n")
-        fh.write(f"true_ate,{report.true_ate!r},\n")
+    write_rows(path, [*zip(edges[:-1].tolist(), edges[1:].tolist(),
+                           counts.tolist()), ("true_ate", report.true_ate, "")],
+               header=("bin_left", "bin_right", "count"))
     return path
 
 
 def export_estimates_csv(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("replicate,estimate\n")
-        for r, x in enumerate(report.estimates.tolist()):
-            fh.write(f"{r},{x!r}\n")
+    write_rows(path, enumerate(report.estimates.tolist()),
+               header=("replicate", "estimate"))
     return path
 
 
@@ -398,10 +389,7 @@ def phi_sweep(g, scenario, phis, cfg, replicates, base_seed, path=None):
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("phi,n_clusters,objective_total,mse,bias,exact_mse\n")
-        for row in rows:
-            fh.write(f"{row.phi!r},{row.n_clusters},"
-                     f"{row.objective_total!r},{row.mse!r},{row.bias!r},"
-                     f"{row.exact_mse!r}\n")
+    write_rows(path, map(astuple, rows),
+               header=("phi", "n_clusters", "objective_total", "mse", "bias",
+                       "exact_mse"))
     return path

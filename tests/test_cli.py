@@ -80,6 +80,20 @@ def test_ingest_rejects_malformed_line(tmp_path, runner):
     assert ":2:" in result.output
 
 
+def test_ingest_warns_in_one_line_each(tmp_path):
+    edge_path = tmp_path / "edges.txt"
+    edge_path.write_text(EDGES + "z u 0.0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bipx.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bipx.cli", "ingest", str(edge_path),
+         str(tmp_path / "g.bin")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: dropping 1 outcome unit(s) with no "
+                           "positive-weight edge: ['z']\n")
+    assert "graph_core.py" not in proc.stderr
+
+
 def test_ingest_min_degree(tmp_path, runner):
     edge_path = tmp_path / "edges.txt"
     edge_path.write_text(EDGES)
@@ -612,6 +626,8 @@ def test_manifest_records_every_parameter(workspace, runner):
          d / "sw.csv.manifest.json",
          {"phis": "0.5, 1", "k_max": 2, "p": 0.5, "replicates": 20,
           "seed": 0, "search_seed": 0, "max_passes": 3}),
+        (["export", g, str(d / "back.txt")], d / "back.txt.manifest.json",
+         {}),
     ]
     for argv, manifest, flags in runs:
         result = runner.invoke(main, argv)

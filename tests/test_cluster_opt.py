@@ -557,6 +557,19 @@ def test_restarts_pick_best():
         local_search_restarts(g, cfg, restarts=0)
 
 
+def test_write_trace_csv_bytes(tmp_path):
+    trace = [cluster_opt.PassTrace(1, 3, 1e16, np.float64(0.1), -0.0,
+                                   5e-324, 4, 0, 2),
+             cluster_opt.PassTrace(2, 0, 2.0, 1 / 3, 1.0, 0.25, 0, 0, 0)]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == (
+        b"pass,moves_accepted,objective_total,variance_sum,covariance_sum,"
+        b"elapsed,kernel_visits,stale_recomputes,cluster_side_visits\n"
+        b"1,3,1e+16,0.1,-0.0,5e-324,4,0,2\n"
+        b"2,0,2.0,0.3333333333333333,1.0,0.25,0,0,0\n")
+
+
 def test_write_trace_csv(tmp_path):
     g = small_graph()
     cfg = LocalSearchConfig(phi=1.0, max_passes=3, convergence=False, seed=0)

@@ -83,6 +83,12 @@ def test_clustering_file_round_trip(tmp_path):
     np.testing.assert_array_equal(c2.assignment, c.assignment)
 
 
+def test_write_clustering_bytes(tmp_path):
+    path = tmp_path / "c.tsv"
+    write_clustering(Clustering(np.array([1, 0])), small_graph(), path)
+    assert path.read_bytes() == b"u\t1\nv\t0\n"
+
+
 def test_read_clustering_errors(tmp_path):
     g = small_graph()
     path = tmp_path / "c.tsv"

@@ -1,12 +1,14 @@
+import ast
 import dataclasses
 import io
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bipx.cluster_opt import LocalSearchConfig, local_search, objective
 from bipx.design import Clustering, DesignSpec, exposure_moments
@@ -18,7 +20,7 @@ from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
                              filter_min_outcome_degree, load_edge_list,
                              load_snapshot, normalize_rows, save_snapshot,
                              validate_assignment, write_edge_list,
-                             write_id_maps)
+                             write_id_maps, write_rows)
 from bipx.simulate import run_simulation
 from bipx.synth import random_instance
 
@@ -35,12 +37,12 @@ def test_basic_accessors():
     assert g.nnz == 3
     np.testing.assert_allclose(g.row_sums, [1.0, 1.0])
     np.testing.assert_allclose(g.col_sums, [1.5, 0.5])
-    idx, w = g.row(0)
-    assert list(idx) == [0, 1]
-    np.testing.assert_allclose(w, [0.5, 0.5])
-    idx, w = g.col(0)
-    assert list(idx) == [0, 1]
-    np.testing.assert_allclose(w, [0.5, 1.0])
+    row = g.rows[0]
+    assert list(row.indices) == [0, 1]
+    np.testing.assert_allclose(row.data, [0.5, 0.5])
+    col = g.cols[:, 0]
+    assert list(col.indices) == [0, 1]
+    np.testing.assert_allclose(col.data, [0.5, 1.0])
     assert g.is_normalized()
 
 
@@ -57,8 +59,7 @@ def test_load_edge_list_parses_comments_and_sums_duplicates(tmp_path):
     assert g.outcome_ids == ("alice", "bob")
     assert g.diversion_ids == ("item1", "item2")
     assert g.nnz == 3  # duplicate alice->item2 edges summed
-    idx, w = g.row(0)
-    np.testing.assert_allclose(w, [0.5, 0.5])
+    np.testing.assert_allclose(g.rows[0].data, [0.5, 0.5])
 
 
 def test_load_edge_list_reports_malformed_line(tmp_path):
@@ -128,6 +129,16 @@ def test_edge_list_round_trip(tmp_path):
     np.testing.assert_array_equal(g2.rows.toarray(), g.rows.toarray())
 
 
+def test_write_edge_list_bytes(tmp_path):
+    W = sp.csr_matrix(np.array([[1 / 3, 0.0, 2 / 3], [0.0, 1e16, 5e-324]]))
+    g = BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v", "w"))
+    out = tmp_path / "out.txt"
+    write_edge_list(g, out)
+    assert out.read_bytes() == (b"a u 0.3333333333333333\n"
+                                b"a w 0.6666666666666666\n"
+                                b"b v 1e+16\nb w 5e-324\n")
+
+
 def test_filter_min_outcome_degree():
     g = small_graph()
     g2 = filter_min_outcome_degree(g, 2)
@@ -178,12 +189,12 @@ def test_row_col_views_consistent(seed):
     g = random_instance(rng)
     dense = g.rows.toarray()
     for i in range(g.n_outcome):
-        idx, w = g.row(i)
-        np.testing.assert_allclose(dense[i, idx], w)
-        assert np.count_nonzero(dense[i]) == idx.size
+        row = g.rows[i]
+        np.testing.assert_allclose(dense[i, row.indices], row.data)
+        assert np.count_nonzero(dense[i]) == row.nnz
     for j in range(g.n_diversion):
-        idx, w = g.col(j)
-        np.testing.assert_allclose(dense[idx, j], w)
+        col = g.cols[:, j]
+        np.testing.assert_allclose(dense[col.indices, j], col.data)
 
 
 def test_graph_stores_rows_and_builds_columns_for_the_search(tmp_path):
@@ -300,3 +311,79 @@ def test_write_id_maps(tmp_path):
     write_id_maps(g, op, dp)
     assert op.read_text() == "0\ta\n1\tb\n"
     assert dp.read_text() == "0\tu\n1\tv\n"
+
+
+# Doubles whose shortest repr is easy to get wrong: signed zero, the
+# subnormals, and the 1e16 switch to exponent form.
+EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                2.225073858507201e-308, 9999999999999998.0, 1e16,
+                1.0000000000000002e16, 1e-05, 0.0001, 1.7976931348623157e308)
+
+float_cells = st.tuples(
+    st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_DOUBLES),
+              st.floats(9e15, 2e16)),
+    st.booleans()).map(lambda t: np.float64(t[0]) if t[1] else t[0])
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(
+           float_cells, st.integers(-2**70, 2**70),
+           st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\n\t ,=")),
+           float_cells), max_size=20),
+       sep=st.sampled_from([",", "\t", " = ", " "]))
+def test_write_rows_reads_back_exactly(tmp_path, rows, sep):
+    path = tmp_path / "rows.txt"
+    write_rows(path, rows, header=("x", "n", "s", "y"), sep=sep)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[0] == sep.join(("x", "n", "s", "y"))
+    assert lines[-1] == ""
+    assert len(lines) == len(rows) + 2
+    for line, row in zip(lines[1:], rows):
+        x, n, s, y = line.split(sep)
+        assert struct.pack("<d", float(x)) == struct.pack("<d", row[0])
+        assert struct.pack("<d", float(y)) == struct.pack("<d", row[3])
+        assert (n, s) == (str(row[1]), row[2])
+
+
+def test_write_rows_header_only(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows(path, iter(()), header=("a", "b"))
+    assert path.read_bytes() == b"a,b\n"
+    write_rows(path, [])
+    assert path.read_bytes() == b""
+
+
+# (module, function) -> the one mode in which it may open a file to write.
+WRITERS = {("graph_core", "write_rows"): "w",
+           ("graph_core", "save_snapshot"): "wb",
+           ("cli", "_write_manifest"): "w",
+           ("simulate", "report_to_json"): "w"}
+
+
+def _opens(node, func=None):
+    """(enclosing function, mode) of each open() call under node; a mode
+    that is not a literal is "?"."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func_here = child.name
+        else:
+            func_here = func
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "open"):
+            modes = child.args[1:2] + [kw.value for kw in child.keywords
+                                       if kw.arg == "mode"]
+            yield func, getattr(modes[0], "value", "?") if modes else "r"
+        yield from _opens(child, func_here)
+
+
+def test_only_the_writers_open_files_to_write():
+    found = {}
+    src = Path(__file__).resolve().parents[1] / "src" / "bipx"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, mode in _opens(tree):
+            if mode == "?" or set(mode) & set("wax+"):
+                found.setdefault((path.stem, func), set()).add(mode)
+    assert found == {key: {mode} for key, mode in WRITERS.items()}

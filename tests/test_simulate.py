@@ -68,6 +68,22 @@ def test_scenario_file_round_trip(tmp_path):
     assert read_scenario_file(path) == spec
 
 
+@pytest.mark.parametrize("spec,text", [
+    (ScenarioSpec.positive_te(model_seed=3, slope_mean=0.1),
+     "kind = PositiveTE\nslope_mean = 0.1\nslope_var = 0.25\n"
+     "intercept_mean = 0.0\nintercept_var = 0.125\nmodel_seed = 3\n"),
+    # Only GraphDependent writes n_outcome_clusters.
+    (ScenarioSpec.graph_dependent(4, model_seed=9, intercept_mean=-2.5e-300),
+     "kind = GraphDependent\nslope_mean = 1.0\nslope_var = 0.5\n"
+     "intercept_mean = -2.5e-300\nintercept_var = 0.125\n"
+     "n_outcome_clusters = 4\nmodel_seed = 9\n"),
+], ids=["positive-te", "graph-dependent"])
+def test_write_scenario_file_bytes(tmp_path, spec, text):
+    path = tmp_path / "scenario.txt"
+    write_scenario_file(spec, path)
+    assert path.read_bytes() == text.encode()
+
+
 def test_scenario_file_parsing(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("# comment\nkind = ZeroTE\nslope_var = 0.5  # inline\n")
@@ -366,6 +382,23 @@ def test_export_histogram_and_estimates(tmp_path):
     assert float(elines[1].split(",")[1]) == report.estimates[0]
 
 
+@pytest.mark.parametrize("estimates,tau,bins,text", [
+    ([0.1, 0.2, 0.7, -0.0], 1 / 3, 3,
+     "bin_left,bin_right,count\n0.0,0.2333333333333333,3\n"
+     "0.2333333333333333,0.4666666666666666,0\n0.4666666666666666,0.7,1\n"
+     "true_ate,0.3333333333333333,\n"),
+    # All estimates equal: one degenerate bin, whatever `bins` says.
+    ([2.5, 2.5, 2.5], 0.1, 5,
+     "bin_left,bin_right,count\n2.5,2.5,3\ntrue_ate,0.1,\n"),
+], ids=["three-bins", "one-bin"])
+def test_export_histogram_bytes(tmp_path, estimates, tau, bins, text):
+    report = simulate.SimulationReport("d", "s", tau, np.array(estimates),
+                                       0.0, 0.0)
+    path = tmp_path / "hist.csv"
+    export_histogram(report, bins, path)
+    assert path.read_bytes() == text.encode()
+
+
 def test_report_to_json_deterministic(tmp_path):
     g = small_graph()
     d = DesignSpec.independent_cluster(Clustering.singletons(2), 0.5)
@@ -427,3 +460,14 @@ def test_sweep_csv(tmp_path):
     assert lines[0] == "phi,n_clusters,objective_total,mse,bias,exact_mse"
     assert len(lines) == 1 + len(rows)
     assert lines[1].split(",")[-1] == repr(rows[0].exact_mse)
+
+
+def test_write_sweep_csv_bytes(tmp_path):
+    rows = [simulate.SweepRow(0.01, 7, 1e16, 1 / 3, -0.0, 5e-324),
+            simulate.SweepRow(1.0, 1, 2.0, 0.1, 1e-05, 123456789.0)]
+    path = tmp_path / "sweep.csv"
+    simulate.write_sweep_csv(rows, path)
+    assert path.read_bytes() == (
+        b"phi,n_clusters,objective_total,mse,bias,exact_mse\n"
+        b"0.01,7,1e+16,0.3333333333333333,-0.0,5e-324\n"
+        b"1.0,1,2.0,0.1,1e-05,123456789.0\n")
