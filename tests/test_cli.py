@@ -105,6 +105,49 @@ def test_ingest_min_degree(tmp_path, runner):
     assert g.n_outcome == 3  # every outcome unit here has two edges
 
 
+# A duplicate edge, comments, an outcome unit (c) with only a zero-weight
+# edge, an isolated diversion unit (y), and row sums that do not divide
+# evenly; d and its only diversion unit t fall to --min-degree 2.
+GOLDEN_EDGES = """\
+# golden ingest input
+a u 0.5
+a v 0.25
+a u 0.125  # duplicate of a-u
+b v 3
+b w 1e-3
+b x 7
+c y 0.0
+d t 2
+d t 1
+b u 0.1
+"""
+
+INGEST_GOLDEN = {
+    (): ("65811cb81c260014ce0f9c047357916f2db27f6a6eb673135a2e91c80e8ba0e1",
+         "bc25b79dba71cf7a84277eeb208bbd1773ee97256d07477c83223b25c0d0155a",
+         "1b96a5ba7e82577b031251a37a7d8c5b42f086bb8b53b7dda0052891f9f5a485"),
+    ("--min-degree", "2"): (
+        "830c0dd8f64a8c3d81d7b011161f2dc6b8ec97dc7f42d10d3029d17a45ae6968",
+        "a2b804b1740ccd2fc6e05d726ef2753cc62bc024e643716f632d0d01a2736de6",
+        "ca26d471372a2bd8f4a543dccf119a9784d079f504af50ba3f37b2cf7c57351f"),
+}
+
+
+@pytest.mark.parametrize("flags", list(INGEST_GOLDEN), ids=["plain",
+                                                            "min-degree"])
+def test_ingest_golden_bytes(tmp_path, runner, flags):
+    edge_path = tmp_path / "edges.txt"
+    edge_path.write_text(GOLDEN_EDGES)
+    graph_path = tmp_path / "g.bin"
+    result = runner.invoke(main, ["ingest", str(edge_path), str(graph_path),
+                                  *flags])
+    assert result.exit_code == 0, result.output
+    digests = tuple(cli._sha256(p) for p in (
+        graph_path, f"{graph_path}.outcome_ids.tsv",
+        f"{graph_path}.diversion_ids.tsv"))
+    assert digests == INGEST_GOLDEN[flags]
+
+
 def test_export_round_trip(workspace, runner):
     tmp_path, graph_path, _ = workspace
     out = tmp_path / "exported.txt"
