@@ -35,9 +35,8 @@ from bipx.cluster_opt import (LocalSearchConfig, local_search_restarts,
 from bipx.design import (Clustering, DesignError, DesignSpec,
                          exposure_moments, read_clustering,
                          write_clustering, write_moments_csv)
-from bipx.graph_core import (GraphError, WeightOverflowError,
-                             filter_min_outcome_degree, load_edge_list,
-                             load_snapshot, normalize_rows, save_snapshot,
+from bipx.graph_core import (GraphError, filter_min_outcome_degree,
+                             load_edge_list, load_snapshot, save_snapshot,
                              write_edge_list, write_id_maps)
 from bipx.simulate import (ScenarioError, export_estimates_csv,
                            export_histogram, generate_outcome_model,
@@ -55,8 +54,8 @@ def _sha256(path):
 
 def _replay_argv(ctx):
     """ctx's command and parameters as replayable argv: arguments as given,
-    options unless None, a --x/--no-x pair by its value, a plain flag when
-    set, and floats by repr so that a replay parses the same values."""
+    options unless None, a flag when set, and floats by repr so that a
+    replay parses the same values."""
     argv = [ctx.info_name]
     for param in ctx.command.params:
         value = ctx.params[param.name]
@@ -64,7 +63,7 @@ def _replay_argv(ctx):
         if isinstance(param, click.Argument):
             argv.append(text)
         elif param.is_flag:
-            argv += [param.opts[0]] if value else param.secondary_opts
+            argv += [param.opts[0]] if value else []
         elif value is not None:
             argv += [param.opts[0], text]
     return argv
@@ -126,10 +125,9 @@ def main(ctx):
 @click.option("--min-degree", type=click.IntRange(min=0), default=0,
               show_default=True,
               help="Drop outcome units with fewer incident edges.")
-@click.option("--normalize/--no-normalize", default=True, show_default=True,
-              help="Rescale each outcome row to sum to 1.")
-def cmd_ingest(edge_list, out_graph, min_degree, normalize):
-    """Parse an edge list into a binary graph snapshot plus id maps."""
+def cmd_ingest(edge_list, out_graph, min_degree):
+    """Parse an edge list into a row-normalized binary graph snapshot plus
+    id maps."""
     # Each warning (units the parser drops) is one line, without the line
     # of bipx source that warnings.showwarning would print after it.
     with warnings.catch_warnings(record=True) as caught:
@@ -138,11 +136,6 @@ def cmd_ingest(edge_list, out_graph, min_degree, normalize):
         click.echo(f"warning: {warning.message}", err=True)
     if min_degree > 0:
         g = filter_min_outcome_degree(g, min_degree)
-    if normalize:
-        try:
-            g = normalize_rows(g)
-        except WeightOverflowError as exc:
-            raise WeightOverflowError(f"{edge_list}: {exc}") from None
     save_snapshot(g, out_graph)
     outcome_map = out_graph + ".outcome_ids.tsv"
     diversion_map = out_graph + ".diversion_ids.tsv"

@@ -300,7 +300,6 @@ def move_delta(g, assignment, i, target, phi, p=0.5):
     a label no unit holds makes i a new singleton. Uses the kernel of
     local_search, with the cluster totals S computed from `assignment`.
     """
-    g.require_normalized()
     labels = np.asarray(assignment, dtype=np.int64)
     if target == labels[i]:
         return 0.0
@@ -330,8 +329,10 @@ def _founding_members(m):
 def _split_objective(total, S, phi, coin_variance):
     """The objective `total` of a clustering with cluster totals S, split
     into its parts: total = (1 + phi) variance_sum - phi s_sq, where
-    s_sq = 4p(1-p) S.S is variance_sum plus covariance_sum."""
-    s_sq = coin_variance * float(S @ S)
+    s_sq = 4p(1-p) S.S is variance_sum plus covariance_sum. S.S is summed
+    by numpy, not a BLAS dot, so that its bits do not depend on the BLAS
+    thread count."""
+    s_sq = coin_variance * float(np.sum(S * S))
     variance_sum = (total + phi * s_sq) / (1.0 + phi)
     return ObjectiveValue(variance_sum=variance_sum,
                           covariance_sum=s_sq - variance_sum, phi=phi)
@@ -368,7 +369,6 @@ def local_search(g, cfg):
     routes sum in other orders, so their gains agree to rounding, not
     bit for bit.
     """
-    g.require_normalized()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     m = g.n_diversion
     k_max = m if cfg.k_max is None else cfg.k_max

@@ -199,8 +199,8 @@ class ExposureMoments:
 def cluster_aggregated_weights(g, c):
     """The n x k CSR aggregates agg[i, C] = sum_{j in C} w[i, j].
 
-    The incidence matrix summed column-wise by cluster; row sums stay 1
-    for a normalized graph.
+    The incidence matrix summed column-wise by cluster; its rows, like
+    the graph's, sum to 1.
     """
     if c.m != g.n_diversion:
         raise ValueError("clustering does not cover the graph's diversion units")
@@ -238,7 +238,6 @@ def exposure_moments(g, d, check=True):
     Raises DegenerateDesignError when any variance falls below VAR_FLOOR
     (unless check=False, for diagnostics that want the raw values).
     """
-    g.require_normalized()
     c = d.effective_clustering(g.n_diversion)
     return aggregate_moments(g, d, cluster_aggregated_weights(g, c), check)
 

@@ -96,9 +96,10 @@ def mse(g, d, model):
                         + 2 mu3 ((A o A)^T u) . (A^T v) + s2 ||A^T v||^2 ].
 
     The k x k product A^T diag(u) A is formed _FROBENIUS_BLOCK clusters
-    at a time. Raises DegenerateDesignError as exposure_moments does.
+    at a time. The dot products are summed by numpy, not BLAS, so that
+    their bits do not depend on the BLAS thread count. Raises
+    DegenerateDesignError as exposure_moments does.
     """
-    g.require_normalized()
     if model.n != g.n_outcome:
         raise ValueError("exposure vector length does not match the model")
     agg = cluster_aggregated_weights(g, d.effective_clustering(g.n_diversion))
@@ -116,7 +117,8 @@ def mse(g, d, model):
     frob = 0.0
     for lo in range(0, agg.shape[1], _FROBENIUS_BLOCK):
         part = at @ au[:, lo:lo + _FROBENIUS_BLOCK]
-        frob += float(part.data @ part.data)
+        frob += float(np.sum(part.data * part.data))
     return (4.0 / model.n ** 2) * (
-        2.0 * s2 * s2 * frob + k4 * float(diag @ diag)
-        + 2.0 * mu3 * float(diag @ lin) + s2 * float(lin @ lin))
+        2.0 * s2 * s2 * frob + k4 * float(np.sum(diag * diag))
+        + 2.0 * mu3 * float(np.sum(diag * lin))
+        + s2 * float(np.sum(lin * lin)))

@@ -1,9 +1,10 @@
 """Weighted bipartite graph storage, validation, and exposure computation.
 
 The graph connects n outcome units (rows) to m diversion units (columns)
-through non-negative weights w[i, j]. After row normalization every row
-sums to 1, so the exposure of outcome unit i under a +/-1 assignment z is
-the weighted average x[i] = sum_j w[i, j] * z[j], which lies in [-1, 1].
+through non-negative weights w[i, j]. Every row sums to 1: `from_csr`
+scales raw weights so, and construction refuses rows that do not. So the
+exposure of outcome unit i under a +/-1 assignment z is the weighted
+average x[i] = sum_j w[i, j] * z[j], which lies in [-1, 1].
 
 Storage is one CSR matrix; the CSC copy that the local search reads is
 built from it on first use. Graphs are immutable after construction;
@@ -24,7 +25,7 @@ from itertools import islice
 import numpy as np
 import scipy.sparse as sp
 
-# Rows count as normalized when they sum to 1 within this absolute tolerance.
+# A graph's rows must sum to 1 within this absolute tolerance.
 NORM_TOL = 1e-12
 
 SNAPSHOT_MAGIC = b"BIPXGRF\x00"
@@ -50,20 +51,18 @@ class EmptyGraphError(GraphError):
     pass
 
 
-class NotNormalizedError(GraphError):
-    pass
-
-
 class WeightOverflowError(GraphError):
     """Finite weights whose sum overflows to infinity."""
 
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Immutable weighted bipartite incidence structure.
+    """Immutable weighted bipartite incidence structure whose rows sum to
+    1 within NORM_TOL; construction raises GraphError otherwise.
 
     Attributes:
-        rows: CSR matrix of shape (n_outcome, n_diversion), row-major weights.
+        rows: CSR matrix of shape (n_outcome, n_diversion), row-major
+            weights, its column indices sorted within each row.
         outcome_ids: original outcome unit ids, index order.
         diversion_ids: original diversion unit ids, index order.
         cols, col_sums: a CSC copy of `rows` and the per-diversion-unit
@@ -74,12 +73,39 @@ class BipartiteGraph:
     outcome_ids: tuple
     diversion_ids: tuple
 
+    def __post_init__(self):
+        bad = np.flatnonzero(~(np.abs(self.row_sums - 1.0) <= NORM_TOL))
+        if bad.size:
+            raise GraphError(
+                "outcome unit(s) whose weights do not sum to 1: "
+                f"{[self.outcome_ids[i] for i in bad[:5]]}")
+
     @classmethod
     def from_csr(cls, rows, outcome_ids, diversion_ids):
-        rows = sp.csr_matrix(rows, dtype=np.float64)
+        """The graph of a matrix of non-negative raw weights, each row
+        scaled to sum to 1. Duplicate entries are summed; the caller's
+        matrix is copied, never changed or shared.
+
+        Raises EmptyGraphError if some outcome unit has zero total weight
+        and WeightOverflowError if its total weight overflows.
+        """
+        rows = sp.csr_matrix(rows, dtype=np.float64, copy=True)
         rows.sum_duplicates()
         rows.sort_indices()
-        return cls(rows, tuple(outcome_ids), tuple(diversion_ids))
+        outcome_ids = tuple(outcome_ids)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            sums = np.asarray(rows.sum(axis=1)).ravel()
+        if not np.isfinite(sums).all():
+            bad = [outcome_ids[i] for i in np.flatnonzero(~np.isfinite(sums))]
+            raise WeightOverflowError(
+                f"outcome unit(s) whose total weight overflows: {bad[:5]}")
+        if np.any(sums <= 0):
+            bad = [outcome_ids[i] for i in np.flatnonzero(sums <= 0)]
+            raise EmptyGraphError(
+                f"outcome unit(s) with zero total weight: {bad[:5]}")
+        # Scale each stored entry by its row's sum.
+        rows.data = rows.data / np.repeat(sums, np.diff(rows.indptr))
+        return cls(rows, outcome_ids, tuple(diversion_ids))
 
     @cached_property
     def cols(self):
@@ -104,21 +130,6 @@ class BipartiteGraph:
     @property
     def row_sums(self):
         return np.asarray(self.rows.sum(axis=1)).ravel()
-
-    @cached_property
-    def _normalized(self):
-        # Checked once per graph: its arrays do not change after construction.
-        return bool(np.all(np.abs(self.row_sums - 1.0) <= NORM_TOL))
-
-    def is_normalized(self):
-        return self._normalized
-
-    def require_normalized(self):
-        if not self.is_normalized():
-            raise NotNormalizedError(
-                "operation requires a row-normalized graph: ingest the "
-                "edge list again without --no-normalize, or call "
-                "normalize_rows")
 
     def outcome_degrees(self):
         return np.diff(self.rows.indptr)
@@ -275,11 +286,13 @@ def load_edge_list(path):
     arbitrary whitespace-free strings mapped to dense indices in
     first-appearance order. Duplicate (i, j) edges have their weights
     summed; zero-weight edges are dropped, and so, with a warning, are units
-    left without a positive-weight edge.
+    left without a positive-weight edge. Each row is then scaled to sum
+    to 1, as from_csr scales it.
 
     Raises EdgeListParseError (with line number) on malformed lines,
     NegativeWeightError on w < 0, EmptyGraphError when nothing survives,
-    WeightOverflowError when duplicate edges sum past the largest double.
+    WeightOverflowError when duplicate edges, or an outcome unit's edges,
+    sum past the largest double.
     """
     blocks = []
     with open(path, "rb") as fh:
@@ -319,7 +332,10 @@ def load_edge_list(path):
                       f"{dropped[:5]}")
         mat = mat[:, keep_cols]
         diversion_ids = [x for x, k in zip(diversion_ids, keep_cols) if k]
-    return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
+    try:
+        return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
+    except WeightOverflowError as exc:
+        raise WeightOverflowError(f"{path}: {exc}") from None
 
 
 def write_edge_list(g, path):
@@ -350,29 +366,14 @@ def filter_min_outcome_degree(g, min_degree):
     diversion_ids = [x for x, k in zip(g.diversion_ids, keep_cols) if k]
     if mat.shape[1] == 0:
         raise EmptyGraphError("no diversion units left after degree filter")
-    return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
+    # Whole rows are kept, so each still sums to 1.
+    return BipartiteGraph(mat, tuple(outcome_ids), tuple(diversion_ids))
 
 
 def normalize_rows(g):
-    """Scale every row to sum to 1. Idempotent.
-
-    Raises EmptyGraphError if some outcome unit has zero total weight and
-    WeightOverflowError if its total weight overflows.
-    """
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        sums = g.row_sums
-    if not np.isfinite(sums).all():
-        bad = [g.outcome_ids[i] for i in np.flatnonzero(~np.isfinite(sums))]
-        raise WeightOverflowError(
-            f"outcome unit(s) whose total weight overflows: {bad[:5]}")
-    if np.any(sums <= 0):
-        bad = [g.outcome_ids[i] for i in np.flatnonzero(sums <= 0)]
-        raise EmptyGraphError(f"outcome unit(s) with zero total weight: {bad[:5]}")
-    mat = g.rows.copy()
-    # Scale each stored entry by its row's reciprocal sum.
-    reps = np.diff(mat.indptr)
-    mat.data = mat.data / np.repeat(sums, reps)
-    return BipartiteGraph.from_csr(mat, g.outcome_ids, g.diversion_ids)
+    """The graph itself, whose rows already sum to 1; for callers that
+    normalize after building a graph."""
+    return g
 
 
 def validate_assignment(z, m):
@@ -387,7 +388,6 @@ def validate_assignment(z, m):
 
 def exposures(g, z):
     """Exposure vector x[i] = sum_j w[i, j] z[j] for a +/-1 assignment."""
-    g.require_normalized()
     z = validate_assignment(z, g.n_diversion)
     return g.rows @ z
 
@@ -433,7 +433,8 @@ def load_snapshot(path):
     written: the counts must fit the file size with no trailing bytes, the
     row pointers must run from 0 to nnz without decreasing, every column
     index must lie in [0, m), the column indices must strictly increase
-    within each row and every weight must be finite and >= 0.
+    within each row, every weight must be finite and >= 0 and every row
+    must sum to 1.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -469,7 +470,10 @@ def load_snapshot(path):
     # Canonical: the indices strictly increase within each row.
     if not mat.has_canonical_format:
         raise GraphError(f"{path}: repeated or unsorted column indices")
-    return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
+    try:
+        return BipartiteGraph(mat, tuple(outcome_ids), tuple(diversion_ids))
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def write_id_maps(g, outcome_path, diversion_path):

@@ -35,7 +35,6 @@ class ExactMoments:
     """
 
     def __init__(self, g, d):
-        g.require_normalized()
         c = d.effective_clustering(g.n_diversion)
         if c.k > MAX_ENUM_CLUSTERS:
             raise EnumerationTooLargeError(
@@ -122,7 +121,6 @@ def expected_estimate(g, d, model):
 
 def omega_matrix(g, phi):
     """Dense m x m pair weights (1 + phi) c[i, j] - phi s[i] s[j]."""
-    g.require_normalized()
     gram = (g.cols.T @ g.cols).toarray()
     s = g.col_sums
     return (1.0 + phi) * gram - phi * np.outer(s, s)
@@ -162,10 +160,9 @@ def exposure_spread_objective(g, c, p=0.5):
 
     E[ sum_i (x_i - mean(x))^2 ] equals the trace form
     4p(1-p) sum_C (sum_i agg[i,C]^2 - S_C^2 / n) plus a mean term
-    (2p-1)^2 * r^T (I - 11^T/n) r with r the row sums, which vanishes for
-    row-normalized graphs.
+    (2p-1)^2 * r^T (I - 11^T/n) r with r the row sums, which vanishes
+    when the row sums are equal, as a graph's are to rounding.
     """
-    g.require_normalized()
     obj = objective(g, c, 0.0, p)
     total = obj.variance_sum + obj.covariance_sum
     return obj.variance_sum - total / g.n_outcome \
@@ -190,7 +187,6 @@ def wedge_sample(g, i, rng):
     j is proportional to the co-weight sum_k w[k, i] w[k, j]. These are
     the draws local_search makes for a visit, one visit at a time.
     """
-    g.require_normalized()
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     csc, csr = g.cols, g.rows

@@ -17,13 +17,10 @@ from bipx.estimator import OutcomeModel
 
 
 def _graph_from_coo(rows, cols, data, n, m):
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, m)).tocsr()
-    mat.sum_duplicates()
-    scale = np.asarray(mat.sum(axis=1)).ravel()
-    mat = sp.diags(1.0 / scale) @ mat
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, m))
     outcome_ids = tuple(f"o{i}" for i in range(n))
     diversion_ids = tuple(f"d{j}" for j in range(m))
-    return BipartiteGraph.from_csr(mat.tocsr(), outcome_ids, diversion_ids)
+    return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
 
 
 def random_instance(rng, n_max=6, m_max=12):
@@ -58,7 +55,7 @@ def nondegenerate_clustering(g, rng, p=0.5, attempts=50):
     """Random clustering with all exposure variances above the floor.
 
     Falls back to the one-cluster design, whose variances equal
-    4p(1-p) row_sum^2 > 0 on a normalized graph, if sampling keeps
+    4p(1-p) row_sum^2 = 4p(1-p) > 0, if sampling keeps
     hitting degenerate clusterings.
     """
     m = g.n_diversion

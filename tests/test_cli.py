@@ -245,6 +245,21 @@ def test_rerun_refuses_removed_method(workspace, runner):
     assert "exposure-design" in error
 
 
+def test_rerun_refuses_removed_normalize_option(workspace, runner):
+    # Manifests of ingest runs made while --normalize/--no-normalize was an
+    # option record it; a replay ends in one error line.
+    tmp_path, graph_path, _ = workspace
+    manifest = tmp_path / "graph.bin.manifest.json"
+    record = json.loads(manifest.read_text())
+    record["argv"] = record["argv"] + ["--normalize"]
+    manifest.write_text(json.dumps(record))
+    result = runner.invoke(main, ["rerun", str(manifest), "--check"])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines()[1] == (
+        f"Error: {manifest}: recorded argv is not a valid bipx command: "
+        "No such option '--normalize'.")
+
+
 def test_design_trace_requires_search(workspace, runner):
     tmp_path, graph_path, _ = workspace
     result = runner.invoke(main, ["design", str(graph_path),
@@ -351,6 +366,22 @@ def test_sweep_rejects_empty_phis(workspace, runner):
     assert "--phis" in result.output
 
 
+# The error of a snapshot whose rows do not sum to 1, as `raw` below.
+RAW = "raw.bin: outcome unit(s) whose weights do not sum to 1: ['a', 'b', 'c']"
+
+
+def doubled_weights(snapshot):
+    """A snapshot's bytes with every weight doubled."""
+    buf = bytearray(snapshot)
+    n, _, nnz = np.frombuffer(buf, np.uint64, 3, 12).tolist()
+    # The weights follow the 36-byte header, n + 1 row pointers and nnz
+    # column indices.
+    at = 36 + 8 * (n + 1 + nnz)
+    buf[at:at + 8 * nnz] = (2 * np.frombuffer(buf, np.float64, nnz,
+                                              at)).tobytes()
+    return bytes(buf)
+
+
 @pytest.mark.parametrize("args,code,message", [
     (["moments", "{g}", "{c}", "{d}/m.csv", "--p", "1.5"], 2, None),
     (["simulate", "{g}", "{s}", "{d}/sim", "--clustering", "{c}",
@@ -373,14 +404,12 @@ def test_sweep_rejects_empty_phis(workspace, runner):
     (["sweep", "{g}", "{s}", "{d}/s.csv", "--phis", "nan,1"], 2, "phi"),
     (["design", "{g}", "{d}/c2.tsv", "--time-budget", "-1"], 2,
      "time_budget"),
-    (["design", "{raw}", "{d}/c2.tsv", "--method", "singleton"], 1,
-     "row-normalized"),
-    (["design", "{raw}", "{d}/c2.tsv"], 1, "row-normalized"),
-    (["moments", "{raw}", "{c}", "{d}/m.csv"], 1, "row-normalized"),
-    (["simulate", "{raw}", "{s}", "{d}/sim", "--bernoulli"], 1,
-     "row-normalized"),
-    (["sweep", "{raw}", "{s}", "{d}/s.csv", "--phis", "1"], 1,
-     "row-normalized"),
+    (["design", "{raw}", "{d}/c2.tsv", "--method", "singleton"], 1, RAW),
+    (["design", "{raw}", "{d}/c2.tsv"], 1, RAW),
+    (["moments", "{raw}", "{c}", "{d}/m.csv"], 1, RAW),
+    (["simulate", "{raw}", "{s}", "{d}/sim", "--bernoulli"], 1, RAW),
+    (["sweep", "{raw}", "{s}", "{d}/s.csv", "--phis", "1"], 1, RAW),
+    (["export", "{raw}", "{d}/e.txt"], 1, RAW),
     (["ingest", "{d}/edges.txt", "{d}/g2.bin", "--min-degree", "99"], 1,
      "no outcome unit has degree >= 99"),
     (["ingest", "{empty}", "{d}/g2.bin"], 1,
@@ -398,8 +427,8 @@ def test_sweep_rejects_empty_phis(workspace, runner):
     (["ingest", "{d}/overflow.txt", "{d}/g2.bin"], 1,
      "overflow.txt: duplicate edges sum past the largest double: "
      "[('a', 'u')]"),
-    (["ingest", "{d}/overflow.txt", "{d}/g2.bin", "--no-normalize"], 1,
-     "overflow.txt: duplicate edges sum past the largest double"),
+    (["ingest", "{d}/edges.txt", "{d}/g2.bin", "--no-normalize"], 2,
+     "No such option '--no-normalize'"),
     (["ingest", "{d}/row_overflow.txt", "{d}/g2.bin"], 1,
      "row_overflow.txt: outcome unit(s) whose total weight overflows: "
      "['a']"),
@@ -425,10 +454,10 @@ def test_sweep_rejects_empty_phis(workspace, runner):
         "moments-cluster-id", "design-phi-nan", "design-phi-inf",
         "sweep-phis-nan", "design-time-budget", "design-raw-singleton",
         "design-raw-search", "moments-raw", "simulate-raw", "sweep-raw",
-        "ingest-min-degree", "ingest-empty", "rerun-not-json",
+        "export-raw", "ingest-min-degree", "ingest-empty", "rerun-not-json",
         "rerun-list-inputs", "rerun-bad-argv", "rerun-self",
         "rerun-no-outputs", "rerun-all-volatile", "ingest-latin",
-        "ingest-overflow", "ingest-overflow-raw", "ingest-row-overflow",
+        "ingest-overflow", "ingest-no-normalize", "ingest-row-overflow",
         "moments-latin", "simulate-latin", "simulate-nan-var",
         "simulate-inf-mean", "simulate-bad-seed", "ingest-negative-degree",
         "design-negative-seed", "simulate-negative-seed",
@@ -440,8 +469,7 @@ def test_bad_input_exits_without_traceback(workspace, runner, args, code,
     runner.invoke(main, ["design", str(graph_path), str(cpath),
                          "--method", "singleton"])
     raw = tmp_path / "raw.bin"
-    runner.invoke(main, ["ingest", str(tmp_path / "edges.txt"), str(raw),
-                         "--no-normalize"])
+    raw.write_bytes(doubled_weights(graph_path.read_bytes()))
     partial = tmp_path / "partial.tsv"
     partial.write_text("u\t0\nv\t1\n")
     bad_id = tmp_path / "bad_id.tsv"
@@ -518,6 +546,45 @@ def test_large_graph_dependent_exits_without_traceback(
     assert isinstance(result.exception, SystemExit)
     assert "3 outcome units" in result.output
     assert "Traceback" not in result.output
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # Multithreaded BLAS splits a dot product of more than about 2e4
+    # doubles into partial sums, which changes its last bits; m = 5e4
+    # diversion units make every sum over clusters or units that long.
+    n, m = 10_000, 50_000
+    rng = np.random.default_rng(0)
+    rows = np.r_[np.arange(m) % n, rng.integers(0, n, m)]
+    cols = np.r_[np.arange(m), rng.integers(0, m, m)]
+    W = sp.coo_matrix((rng.uniform(0.1, 1.1, 2 * m), (rows, cols)),
+                      shape=(n, m))
+    save_snapshot(BipartiteGraph.from_csr(W, map(str, range(n)),
+                                          map(str, range(m))),
+                  tmp_path / "g.bin")
+    (tmp_path / "scenario.txt").write_text(SCENARIO)
+    search = ["--k-max", "50", "--max-passes", "1"]
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(bipx.__file__).parents[1]))
+        stdout = []
+        for argv in (["design", "../g.bin", "c.tsv", "--phi", "0.01",
+                      "--trace", "trace.csv", *search],
+                     ["sweep", "../g.bin", "../scenario.txt", "sweep.csv",
+                      "--phis", "0.01", "--replicates", "2", *search]):
+            proc = subprocess.run([sys.executable, "-m", "bipx.cli", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=out, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout)
+        # The trace without its wall-clock elapsed column.
+        trace = [line.split(",")[:5] + line.split(",")[6:]
+                 for line in (out / "trace.csv").read_text().splitlines()]
+        runs[threads] = (stdout, trace, (out / "c.tsv").read_bytes(),
+                         (out / "sweep.csv").read_bytes())
+    assert runs["1"] == runs["2"]
 
 
 def test_cli_import_leaves_out_linkage_modules():
@@ -647,9 +714,9 @@ def test_manifest_records_every_parameter(workspace, runner):
     c, trace = str(d / "c.tsv"), str(d / "trace.csv")
     sim = {"p": 0.5, "replicates": 20, "seed": 0, "bins": 50}
     runs = [
-        (["ingest", str(d / "edges.txt"), str(d / "raw.bin"),
-          "--no-normalize"], d / "raw.bin.manifest.json",
-         {"min_degree": 0, "normalize": False}),
+        (["ingest", str(d / "edges.txt"), str(d / "g2.bin"),
+          "--min-degree", "2"], d / "g2.bin.manifest.json",
+         {"min_degree": 2}),
         (["design", g, c, "--phi", "0.30000000000000004", "--k-max", "2",
           "--restarts", "2", "--time-budget", "600", "--trace", trace],
          d / "c.tsv.manifest.json",

@@ -13,10 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bipx.cluster_opt import LocalSearchConfig, local_search, objective
 from bipx.design import Clustering, DesignSpec, exposure_moments
 from bipx.estimator import OutcomeModel
-from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
+from bipx.graph_core import (NORM_TOL, BipartiteGraph, EdgeListParseError,
                              EmptyGraphError, GraphError, NegativeWeightError,
-                             NotNormalizedError, WeightOverflowError,
-                             exposures,
+                             WeightOverflowError, exposures,
                              filter_min_outcome_degree, load_edge_list,
                              load_snapshot, normalize_rows, save_snapshot,
                              validate_assignment, write_edge_list,
@@ -43,7 +42,6 @@ def test_basic_accessors():
     col = g.cols[:, 0]
     assert list(col.indices) == [0, 1]
     np.testing.assert_allclose(col.data, [0.5, 1.0])
-    assert g.is_normalized()
 
 
 def test_load_edge_list_parses_comments_and_sums_duplicates(tmp_path):
@@ -92,11 +90,12 @@ def test_weight_sums_past_the_largest_double_are_refused(tmp_path):
         load_edge_list(path)
     # Each entry finite, but row a's total is not.
     path.write_text("b v 1\na u 1e308\na v 1e308\n")
-    g = load_edge_list(path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(WeightOverflowError, match=r"\['a'\]"):
-            normalize_rows(g)
+        with pytest.raises(WeightOverflowError) as exc:
+            load_edge_list(path)
+    assert str(exc.value) == (f"{path}: outcome unit(s) whose total weight "
+                              "overflows: ['a']")
 
 
 def test_load_edge_list_empty(tmp_path):
@@ -120,7 +119,7 @@ def test_isolated_units_dropped_with_warning(tmp_path):
 
 
 def test_edge_list_round_trip(tmp_path):
-    g = normalize_rows(small_graph())
+    g = small_graph()
     out = tmp_path / "out.txt"
     write_edge_list(g, out)
     g2 = load_edge_list(out)
@@ -130,13 +129,14 @@ def test_edge_list_round_trip(tmp_path):
 
 
 def test_write_edge_list_bytes(tmp_path):
-    W = sp.csr_matrix(np.array([[1 / 3, 0.0, 2 / 3], [0.0, 1e16, 5e-324]]))
+    # Row b sums to 1.0 in floating point, so from_csr keeps its weights.
+    W = sp.csr_matrix(np.array([[1 / 3, 0.0, 2 / 3], [1.0, 1e-16, 5e-324]]))
     g = BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v", "w"))
     out = tmp_path / "out.txt"
     write_edge_list(g, out)
     assert out.read_bytes() == (b"a u 0.3333333333333333\n"
                                 b"a w 0.6666666666666666\n"
-                                b"b v 1e+16\nb w 5e-324\n")
+                                b"b u 1.0\nb v 1e-16\nb w 5e-324\n")
 
 
 def test_filter_min_outcome_degree():
@@ -149,13 +149,57 @@ def test_filter_min_outcome_degree():
 def test_normalize_rows_idempotent():
     W = sp.csr_matrix(np.array([[2.0, 2.0], [3.0, 1.0]]))
     g = BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
-    assert not g.is_normalized()
-    with pytest.raises(NotNormalizedError):
-        g.require_normalized()
-    gn = normalize_rows(g)
-    assert gn.is_normalized()
-    gnn = normalize_rows(gn)
-    np.testing.assert_array_equal(gn.rows.toarray(), gnn.rows.toarray())
+    np.testing.assert_array_equal(g.rows.toarray(),
+                                  [[0.5, 0.5], [0.75, 0.25]])
+    assert normalize_rows(g) is g
+    again = BipartiteGraph.from_csr(g.rows, g.outcome_ids, g.diversion_ids)
+    np.testing.assert_array_equal(again.rows.toarray(), g.rows.toarray())
+
+
+def test_from_csr_copies_its_argument():
+    # Row 0's indices are unsorted, and row 1 holds a duplicate entry.
+    W = sp.csr_matrix((np.array([2.0, 1.0, 3.0, 1.0]),
+                       np.array([1, 0, 0, 0]), np.array([0, 2, 4])),
+                      shape=(2, 2))
+    before = [a.copy() for a in (W.data, W.indices, W.indptr)]
+    g = BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
+    for a, b in zip((W.data, W.indices, W.indptr), before):
+        np.testing.assert_array_equal(a, b)
+    rows = g.rows.toarray()
+    W.data[:] = 7.0
+    W.indices[:] = 1
+    np.testing.assert_array_equal(g.rows.toarray(), rows)
+    np.testing.assert_array_equal(rows, [[1 / 3, 2 / 3], [1.0, 0.0]])
+
+
+raw_rows = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 8), st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, 7),
+        st.one_of(st.floats(5e-324, 1e300), st.sampled_from(
+            (5e-324, 1e-300, 1.0, 1 / 3, 1e300)))), min_size=1, max_size=30)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=raw_rows)
+def test_from_csr_divides_each_row_by_its_sum(case):
+    n, m, entries = case
+    i, j, w = (np.array(col) for col in zip(*entries))
+    j %= m
+    # Every row gets an entry.
+    i, j, w = (np.r_[i, np.arange(n)], np.r_[j, np.zeros(n, int)],
+               np.r_[w, np.ones(n)])
+    raw = sp.coo_matrix((w, (i, j)), shape=(n, m))
+    g = BipartiteGraph.from_csr(raw, range(n), range(m))
+    canon = raw.tocsr()
+    canon.sum_duplicates()
+    canon.sort_indices()
+    sums = np.asarray(canon.sum(axis=1)).ravel()
+    np.testing.assert_array_equal(g.rows.indptr, canon.indptr)
+    np.testing.assert_array_equal(g.rows.indices, canon.indices)
+    assert (g.rows.data.view(np.uint64).tolist() ==
+            (canon.data / np.repeat(sums, np.diff(canon.indptr)))
+            .view(np.uint64).tolist())
+    assert np.all(np.abs(g.row_sums - 1.0) <= NORM_TOL)
 
 
 @settings(deadline=None, max_examples=40)
@@ -171,15 +215,22 @@ def test_normalized_exposures_bounded(seed):
     np.testing.assert_allclose(exposures(g, -np.ones(g.n_diversion)), -1.0)
 
 
-def test_exposures_require_normalized_graph():
-    W = sp.csr_matrix(np.array([[2.0, 2.0], [3.0, 1.0]]))
-    g = BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
-    # The flag is computed once per graph; every call still refuses.
-    for _ in range(2):
-        with pytest.raises(NotNormalizedError):
-            exposures(g, np.ones(2))
-    gn = normalize_rows(g)
-    np.testing.assert_allclose(exposures(gn, np.ones(2)), 1.0)
+def test_bare_constructor_refuses_raw_rows():
+    W = sp.csr_matrix(np.array([[2.0, 2.0], [0.5, 0.5], [1.0, 0.0]]))
+    with pytest.raises(GraphError) as exc:
+        BipartiteGraph(W, ("a", "b", "c"), ("u", "v"))
+    assert str(exc.value) == ("outcome unit(s) whose weights do not sum to "
+                              "1: ['a']")
+    for off, ok in ((NORM_TOL / 2, True), (4 * NORM_TOL, False),
+                    (np.nan, False)):
+        near = sp.csr_matrix(np.array([[0.5, 0.5 + off], [1.0, 0.0]]))
+        if ok:
+            BipartiteGraph(near, ("a", "b"), ("u", "v"))
+        else:
+            with pytest.raises(GraphError, match=r"\['a'\]"):
+                BipartiteGraph(near, ("a", "b"), ("u", "v"))
+    g = BipartiteGraph.from_csr(W, ("a", "b", "c"), ("u", "v"))
+    np.testing.assert_allclose(exposures(g, np.ones(2)), 1.0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -201,8 +252,7 @@ def test_graph_stores_rows_and_builds_columns_for_the_search(tmp_path):
     assert [f.name for f in dataclasses.fields(BipartiteGraph)] == [
         "rows", "outcome_ids", "diversion_ids"]
     path = tmp_path / "g.bin"
-    save_snapshot(normalize_rows(random_instance(np.random.default_rng(3))),
-                  path)
+    save_snapshot(random_instance(np.random.default_rng(3)), path)
     g = load_snapshot(path)
     assert "cols" not in g.__dict__
     c = Clustering.one_cluster(g.n_diversion)
@@ -272,6 +322,9 @@ def corrupt_snapshot(path, kind):
         struct.pack_into("<d", buf, data_at, float("nan"))
     elif kind == "negative-weight":
         struct.pack_into("<d", buf, data_at, -0.5)
+    elif kind == "raw-weights":
+        data = np.frombuffer(buf, np.float64, nnz, data_at)
+        buf[data_at:data_at + 8 * nnz] = (2 * data).tobytes()
     elif kind == "huge-count":
         struct.pack_into("<Q", buf, 28, 10**15)
     elif kind == "huge-id-map":
@@ -288,7 +341,7 @@ def corrupt_snapshot(path, kind):
 SNAPSHOT_CORRUPTIONS = ("index-past-m", "negative-index", "duplicate-index",
                         "unsorted-index", "indptr-decreasing",
                         "indptr-start", "nan-weight", "negative-weight",
-                        "huge-count", "huge-id-map", "trailing-bytes",
+                        "raw-weights", "huge-count", "huge-id-map", "trailing-bytes",
                         "truncated")
 
 

@@ -392,8 +392,7 @@ def test_export_histogram_and_estimates(tmp_path):
      "bin_left,bin_right,count\n2.5,2.5,3\ntrue_ate,0.1,\n"),
 ], ids=["three-bins", "one-bin"])
 def test_export_histogram_bytes(tmp_path, estimates, tau, bins, text):
-    report = simulate.SimulationReport("d", "s", tau, np.array(estimates),
-                                       0.0, 0.0)
+    report = simulate.SimulationReport("d", "s", tau, np.array(estimates))
     path = tmp_path / "hist.csv"
     export_histogram(report, bins, path)
     assert path.read_bytes() == text.encode()
