@@ -161,7 +161,7 @@ def _pass_partners(g, perm, u):
     visit. A unit with no edges is its own partner. The cumulative sums
     live only for the call, so they are freed before the walk.
     """
-    csc, csr = g.cols, g.rows
+    csc, csr = g.csc, g.csr
     partner = perm.copy()
     drawn = np.diff(csc.indptr)[perm] > 0
     k = _draw_many(csc.indptr, csc.indices,
@@ -206,7 +206,7 @@ class _MoveDelta:
     """
 
     def __init__(self, g, phi, p):
-        csc, csr = g.cols, g.rows
+        csc, csr = g.csc, g.csr
         self.g = g
         self.phi = phi
         self.coin_variance = 4.0 * p * (1.0 - p)
@@ -222,7 +222,7 @@ class _MoveDelta:
         """Two-hop paths of a batch of units: the unit each path ends in,
         its weight w[k, i] w[k, j], and bounds such that unit v's paths are
         [bounds[v], bounds[v + 1]); a unit is among its own path ends."""
-        csc, csr = self.g.cols, self.g.rows
+        csc, csr = self.g.csc, self.g.csr
         lo = csc.indptr[units]
         entries = _ranges(lo, csc.indptr[units + 1] - lo)
         rows = csc.indices[entries]
@@ -276,7 +276,7 @@ class _MoveDelta:
         if not mine:  # edgeless units share no row with any unit
             zero = np.zeros(V)
             return self._gain(S, units, own, targets, zero, zero), True
-        csc = self.g.cols
+        csc = self.g.csc
         cols = np.concatenate((units, np.frombuffer(
             b"".join(map(members.__getitem__, clusters.tolist())), np.int64)))
         entries = _ranges(csc.indptr[cols], self.deg[cols])

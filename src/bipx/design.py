@@ -14,14 +14,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from bipx.graph_core import first_appearance_codes, text_lines, \
-    write_rows
+from bipx.graph_core import Compressed, compress, first_appearance_codes, \
+    sum_rows, text_lines, write_rows
 
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
 VAR_FLOOR = 1e-10
+
+# cluster_aggregated_weights sums blocks of about this many graph entries.
+_AGG_ENTRIES = 1 << 16
 
 BERNOULLI = "bernoulli"
 INDEPENDENT_CLUSTER = "independent-cluster"
@@ -197,19 +199,39 @@ class ExposureMoments:
 
 
 def cluster_aggregated_weights(g, c):
-    """The n x k CSR aggregates agg[i, C] = sum_{j in C} w[i, j].
+    """The n x k aggregates agg[i, C] = sum_{j in C} w[i, j], a Compressed
+    CSR.
 
     The incidence matrix summed column-wise by cluster; its rows, like
-    the graph's, sum to 1.
+    the graph's, sum to 1. Each sum adds its row's weights in column
+    order, and sums of zero are left out, as scipy.sparse's product of
+    g.rows with the cluster membership matrix does; the aggregates have
+    that product's bits.
     """
     if c.m != g.n_diversion:
         raise ValueError("clustering does not cover the graph's diversion units")
-    member = sp.csr_matrix(
-        (np.ones(c.m), (np.arange(c.m), c.assignment)),
-        shape=(c.m, c.k))
-    agg = (g.rows @ member).tocsr()
-    agg.sort_indices()
-    return agg
+    w = g.csr
+    # Blocks of whole rows of about _AGG_ENTRIES entries, which bounds the
+    # working memory; no sum spans two blocks.
+    cuts = np.r_[0, np.searchsorted(w.indptr, np.arange(
+        _AGG_ENTRIES, g.nnz, _AGG_ENTRIES)), g.n_outcome]
+    # The aggregates have at most as many entries as the graph.
+    indptr = np.zeros(g.n_outcome + 1, dtype=np.int64)
+    indices, data = np.empty(g.nnz, dtype=np.int64), np.empty(g.nnz)
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        entries = slice(w.indptr[lo], w.indptr[hi])
+        row = np.repeat(np.arange(hi - lo), np.diff(w.indptr[lo:hi + 1]))
+        # A zero weight adds nothing to a sum, and the product leaves out
+        # the sums that are zero.
+        nonzero = w.data[entries] != 0
+        block = compress(row[nonzero],
+                         c.assignment[w.indices[entries][nonzero]],
+                         w.data[entries][nonzero], (hi - lo, c.k))
+        indptr[lo + 1:hi + 1] = indptr[lo] + block.indptr[1:]
+        indices[indptr[lo]:indptr[hi]] = block.indices
+        data[indptr[lo]:indptr[hi]] = block.data
+    return Compressed(indptr, indices[:indptr[-1]], data[:indptr[-1]],
+                      (g.n_outcome, c.k))
 
 
 def sample_assignment(d, rng, m=None):
@@ -248,10 +270,8 @@ def aggregate_moments(g, d, agg, check=True):
     For callers that also need `agg`, so it is built once.
     """
     mean = (2.0 * d.p - 1.0) * g.row_sums
-    sq = agg.copy()
-    sq.data = sq.data ** 2
     mom = ExposureMoments(
-        mean, d.coin_variance * np.asarray(sq.sum(axis=1)).ravel())
+        mean, d.coin_variance * sum_rows(agg._replace(data=agg.data ** 2)))
     if check and mom.degenerate_units().size:
         raise DegenerateDesignError(mom.degenerate_units(), g.outcome_ids)
     return mom

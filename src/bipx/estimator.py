@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from bipx.design import (DegenerateDesignError, aggregate_moments,
                          cluster_aggregated_weights)
+from bipx.graph_core import scipy_csr
 
 # Clusters per column block of A^T diag(u) A in `mse`, which bounds the
 # block's memory.
@@ -100,10 +100,15 @@ def mse(g, d, model):
     their bits do not depend on the BLAS thread count. Raises
     DegenerateDesignError as exposure_moments does.
     """
+    # Imported here, as every sparse product is: most bipx commands
+    # multiply no sparse matrices.
+    import scipy.sparse as sp
+
     if model.n != g.n_outcome:
         raise ValueError("exposure vector length does not match the model")
     agg = cluster_aggregated_weights(g, d.effective_clustering(g.n_diversion))
     mom = aggregate_moments(g, d, agg)
+    agg = scipy_csr(agg)
     p, s2 = d.p, d.coin_variance
     mu3 = 2.0 * s2 * (1.0 - 2.0 * p)
     k4 = 16.0 * p * (1.0 - p) * (1.0 - 3.0 * p + 3.0 * p * p) - 3.0 * s2 * s2

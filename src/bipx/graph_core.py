@@ -6,9 +6,11 @@ scales raw weights so, and construction refuses rows that do not. So the
 exposure of outcome unit i under a +/-1 assignment z is the weighted
 average x[i] = sum_j w[i, j] * z[j], which lies in [-1, 1].
 
-Storage is one CSR matrix; the CSC copy that the local search reads is
-built from it on first use. Graphs are immutable after construction;
-every operation returns a new graph.
+Storage is one CSR held as numpy arrays; the CSC copy that the local
+search reads is built from it on first use. scipy.sparse is imported only
+by `scipy_csr`, the view that the sparse products multiply with, so a
+bipx command that multiplies no sparse matrix never loads it. Graphs are
+immutable after construction; every operation returns a new graph.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 # A graph's rows must sum to 1 within this absolute tolerance.
 NORM_TOL = 1e-12
@@ -55,21 +57,91 @@ class WeightOverflowError(GraphError):
     """Finite weights whose sum overflows to infinity."""
 
 
+class Compressed(NamedTuple):
+    """A CSR matrix of `shape` as numpy arrays: row s holds the increasing
+    column indices indices[indptr[s]:indptr[s + 1]] and their values in
+    data. The CSC of a matrix is the Compressed form of its transpose."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
+def compress(row, col, values, shape):
+    """The Compressed matrix of `shape` whose entries are values[t] at
+    (row[t], col[t]). The values of a repeated position are summed in
+    input order, as np.bincount adds."""
+    keys = np.asarray(row, dtype=np.int64) * shape[1]
+    keys += col
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    # position[t]: the rank of entry t's key among the distinct keys.
+    position = np.empty_like(order)
+    position[order] = np.cumsum(first)
+    position -= 1
+    del order
+    keys = keys[first]
+    rows = keys // shape[1]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    keys -= rows * shape[1]
+    return Compressed(indptr, keys, np.bincount(position, weights=values,
+                                                minlength=keys.size), shape)
+
+
+def sum_rows(a):
+    """The sum of each row of a Compressed matrix, added as scipy.sparse's
+    sum(axis=1) of a CSR adds them (np.add.reduceat); an empty row sums
+    to 0."""
+    sums = np.zeros(a.indptr.size - 1)
+    full = np.flatnonzero(np.diff(a.indptr))
+    sums[full] = np.add.reduceat(a.data, a.indptr[full])
+    return sums
+
+
+def _row_of(a, entries):
+    """The row each of the given entry positions lies in."""
+    return np.searchsorted(a.indptr, entries, "right") - 1
+
+
+def scipy_csr(a):
+    """A scipy.sparse CSR matrix over a Compressed matrix's arrays, for the
+    sparse products."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def _submatrix(a, keep_rows, keep_cols):
+    """The CSR of the kept rows and columns; every entry of a dropped
+    column lies in a dropped row."""
+    degrees = np.diff(a.indptr)
+    entries = np.repeat(keep_rows, degrees)
+    indptr = np.zeros(np.count_nonzero(keep_rows) + 1, dtype=np.int64)
+    np.cumsum(degrees[keep_rows], out=indptr[1:])
+    return Compressed(indptr, (np.cumsum(keep_cols) - 1)[a.indices[entries]],
+                      a.data[entries], (indptr.size - 1, int(keep_cols.sum())))
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable weighted bipartite incidence structure whose rows sum to
     1 within NORM_TOL; construction raises GraphError otherwise.
 
     Attributes:
-        rows: CSR matrix of shape (n_outcome, n_diversion), row-major
-            weights, its column indices sorted within each row.
+        csr: the row-major weights, its column indices increasing within
+            each row.
         outcome_ids: original outcome unit ids, index order.
         diversion_ids: original diversion unit ids, index order.
-        cols, col_sums: a CSC copy of `rows` and the per-diversion-unit
-            totals s[j] = sum_i w[i, j], both computed on first use.
+        csc, col_sums, rows: the column-major copy of `csr`, the
+            per-diversion-unit totals s[j] = sum_i w[i, j] and a
+            scipy.sparse view of `csr`, each built on first use.
     """
 
-    rows: sp.csr_matrix
+    csr: Compressed
     outcome_ids: tuple
     diversion_ids: tuple
 
@@ -82,57 +154,91 @@ class BipartiteGraph:
 
     @classmethod
     def from_csr(cls, rows, outcome_ids, diversion_ids):
-        """The graph of a matrix of non-negative raw weights, each row
-        scaled to sum to 1. Duplicate entries are summed; the caller's
-        matrix is copied, never changed or shared.
+        """The graph of a scipy.sparse matrix of non-negative raw weights,
+        each row scaled to sum to 1. Duplicate entries are summed by the
+        matrix's own sum_duplicates; the caller's matrix is copied, never
+        changed or shared.
 
-        Raises EmptyGraphError if some outcome unit has zero total weight
-        and WeightOverflowError if its total weight overflows.
+        Raises GraphError if a weight is negative or not finite,
+        EmptyGraphError if some outcome unit has zero total weight and
+        WeightOverflowError if its total weight overflows.
         """
-        rows = sp.csr_matrix(rows, dtype=np.float64, copy=True)
+        rows = rows.tocsr(copy=True)
         rows.sum_duplicates()
         rows.sort_indices()
-        outcome_ids = tuple(outcome_ids)
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            sums = np.asarray(rows.sum(axis=1)).ravel()
-        if not np.isfinite(sums).all():
-            bad = [outcome_ids[i] for i in np.flatnonzero(~np.isfinite(sums))]
-            raise WeightOverflowError(
-                f"outcome unit(s) whose total weight overflows: {bad[:5]}")
-        if np.any(sums <= 0):
-            bad = [outcome_ids[i] for i in np.flatnonzero(sums <= 0)]
-            raise EmptyGraphError(
-                f"outcome unit(s) with zero total weight: {bad[:5]}")
-        # Scale each stored entry by its row's sum.
-        rows.data = rows.data / np.repeat(sums, np.diff(rows.indptr))
-        return cls(rows, outcome_ids, tuple(diversion_ids))
+        return _row_scaled(Compressed(rows.indptr, rows.indices,
+                                      np.asarray(rows.data, np.float64),
+                                      rows.shape),
+                           outcome_ids, diversion_ids)
 
     @cached_property
-    def cols(self):
-        return self.rows.tocsc()
+    def csc(self):
+        # Entry e of the CSR sorts by the key column * nnz + e: by column,
+        # then by row, as scipy.sparse's tocsc orders them. A sort of the
+        # keys themselves is faster than an argsort, and key % nnz is e.
+        a, (n, m) = self.csr, self.csr.shape
+        order = a.indices.astype(np.int64)
+        order *= self.nnz
+        order += np.arange(self.nnz)
+        order.sort()
+        order %= self.nnz
+        rows = np.repeat(np.arange(n, dtype=a.indices.dtype),
+                         self.outcome_degrees())
+        indptr = np.zeros(m + 1, dtype=a.indptr.dtype)
+        np.cumsum(np.bincount(a.indices, minlength=m), out=indptr[1:])
+        return Compressed(indptr, rows[order], a.data[order], (m, n))
 
     @cached_property
     def col_sums(self):
-        return np.asarray(self.rows.sum(axis=0)).ravel()
+        return np.bincount(self.csr.indices, weights=self.csr.data,
+                           minlength=self.n_diversion)
+
+    @cached_property
+    def rows(self):
+        return scipy_csr(self.csr)
 
     @property
     def n_outcome(self):
-        return self.rows.shape[0]
+        return self.csr.shape[0]
 
     @property
     def n_diversion(self):
-        return self.rows.shape[1]
+        return self.csr.shape[1]
 
     @property
     def nnz(self):
-        return self.rows.nnz
+        return self.csr.data.size
 
     @property
     def row_sums(self):
-        return np.asarray(self.rows.sum(axis=1)).ravel()
+        return sum_rows(self.csr)
 
     def outcome_degrees(self):
-        return np.diff(self.rows.indptr)
+        return np.diff(self.csr.indptr)
+
+
+def _row_scaled(a, outcome_ids, diversion_ids):
+    """The graph of raw CSR weights `a`, each row divided by its sum."""
+    outcome_ids = tuple(outcome_ids)
+    bad_weight = ~((a.data >= 0) & (a.data < np.inf))  # NaN fails both
+    if bad_weight.any():
+        bad = np.unique(_row_of(a, np.flatnonzero(bad_weight)))
+        raise GraphError("outcome unit(s) with a negative or non-finite "
+                         f"weight: {[outcome_ids[i] for i in bad[:5]]}")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        sums = sum_rows(a)
+    if not np.isfinite(sums).all():
+        bad = [outcome_ids[i] for i in np.flatnonzero(~np.isfinite(sums))]
+        raise WeightOverflowError(
+            f"outcome unit(s) whose total weight overflows: {bad[:5]}")
+    if np.any(sums <= 0):
+        bad = [outcome_ids[i] for i in np.flatnonzero(sums <= 0)]
+        raise EmptyGraphError(
+            f"outcome unit(s) with zero total weight: {bad[:5]}")
+    # Scale each stored entry by its row's sum.
+    data = a.data / np.repeat(sums, np.diff(a.indptr))
+    return BipartiteGraph(a._replace(data=data), outcome_ids,
+                          tuple(diversion_ids))
 
 
 def _texts(lines, start, error):
@@ -309,31 +415,34 @@ def load_edge_list(path):
         raise EmptyGraphError(f"{path}: no positive-weight edges")
     rows, outcome_ids = _index_ids([b[0] for b in blocks])
     cols, diversion_ids = _index_ids([b[1] for b in blocks])
-    mat = sp.coo_matrix((weights[keep], (rows[keep], cols[keep])),
-                        shape=(len(outcome_ids), len(diversion_ids))).tocsr()
+    del blocks
+    if not keep.all():
+        rows, cols, weights = rows[keep], cols[keep], weights[keep]
+    mat = compress(rows, cols, weights,
+                   (len(outcome_ids), len(diversion_ids)))
+    del rows, cols, weights
     over = np.flatnonzero(~np.isfinite(mat.data))
     if over.size:
         edges = [(outcome_ids[i], diversion_ids[j]) for i, j in zip(
-            np.searchsorted(mat.indptr, over[:5], "right") - 1,
-            mat.indices[over[:5]])]
+            _row_of(mat, over[:5]), mat.indices[over[:5]])]
         raise WeightOverflowError(f"{path}: duplicate edges sum past the "
                                   f"largest double: {edges}")
     keep_rows = np.diff(mat.indptr) > 0
-    keep_cols = np.bincount(mat.indices, minlength=mat.shape[1]) > 0
+    keep_cols = np.bincount(mat.indices, minlength=len(diversion_ids)) > 0
     if not keep_rows.all():
         dropped = [outcome_ids[i] for i in np.flatnonzero(~keep_rows)]
         warnings.warn(f"dropping {len(dropped)} outcome unit(s) with no "
                       f"positive-weight edge: {dropped[:5]}")
-        mat = mat[keep_rows, :]
         outcome_ids = [x for x, k in zip(outcome_ids, keep_rows) if k]
     if not keep_cols.all():
         dropped = [diversion_ids[j] for j in np.flatnonzero(~keep_cols)]
         warnings.warn(f"dropping {len(dropped)} isolated diversion unit(s): "
                       f"{dropped[:5]}")
-        mat = mat[:, keep_cols]
         diversion_ids = [x for x, k in zip(diversion_ids, keep_cols) if k]
+    if not (keep_rows.all() and keep_cols.all()):
+        mat = _submatrix(mat, keep_rows, keep_cols)
     try:
-        return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
+        return _row_scaled(mat, outcome_ids, diversion_ids)
     except WeightOverflowError as exc:
         raise WeightOverflowError(f"{path}: {exc}") from None
 
@@ -343,9 +452,9 @@ def write_edge_list(g, path):
     CSR order, each weight by its shortest repr."""
     outcome = np.repeat(np.array(g.outcome_ids, dtype=object),
                         g.outcome_degrees())
-    diversion = np.array(g.diversion_ids, dtype=object)[g.rows.indices]
+    diversion = np.array(g.diversion_ids, dtype=object)[g.csr.indices]
     write_rows(path, zip(outcome.tolist(), diversion.tolist(),
-                         g.rows.data.tolist()), sep=" ")
+                         g.csr.data.tolist()), sep=" ")
 
 
 def filter_min_outcome_degree(g, min_degree):
@@ -359,15 +468,16 @@ def filter_min_outcome_degree(g, min_degree):
     keep_rows = g.outcome_degrees() >= min_degree
     if not keep_rows.any():
         raise EmptyGraphError(f"no outcome unit has degree >= {min_degree}")
-    mat = g.rows[keep_rows, :]
     outcome_ids = [x for x, k in zip(g.outcome_ids, keep_rows) if k]
-    keep_cols = np.bincount(mat.indices, minlength=mat.shape[1]) > 0
-    mat = mat[:, keep_cols]
+    keep_cols = np.bincount(
+        g.csr.indices[np.repeat(keep_rows, g.outcome_degrees())],
+        minlength=g.n_diversion) > 0
     diversion_ids = [x for x, k in zip(g.diversion_ids, keep_cols) if k]
-    if mat.shape[1] == 0:
+    if not diversion_ids:
         raise EmptyGraphError("no diversion units left after degree filter")
     # Whole rows are kept, so each still sums to 1.
-    return BipartiteGraph(mat, tuple(outcome_ids), tuple(diversion_ids))
+    return BipartiteGraph(_submatrix(g.csr, keep_rows, keep_cols),
+                          tuple(outcome_ids), tuple(diversion_ids))
 
 
 def normalize_rows(g):
@@ -419,9 +529,9 @@ def save_snapshot(g, path):
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<I", SNAPSHOT_VERSION))
         fh.write(struct.pack("<QQQ", g.n_outcome, g.n_diversion, g.nnz))
-        fh.write(np.asarray(g.rows.indptr, dtype=np.int64).tobytes())
-        fh.write(np.asarray(g.rows.indices, dtype=np.int64).tobytes())
-        fh.write(np.asarray(g.rows.data, dtype=np.float64).tobytes())
+        fh.write(np.asarray(g.csr.indptr, dtype=np.int64).tobytes())
+        fh.write(np.asarray(g.csr.indices, dtype=np.int64).tobytes())
+        fh.write(np.asarray(g.csr.data, dtype=np.float64).tobytes())
         _write_blob(fh, g.outcome_ids)
         _write_blob(fh, g.diversion_ids)
 
@@ -465,13 +575,14 @@ def load_snapshot(path):
     # A NaN makes min() NaN, which fails the comparison.
     if nnz and not (data.min() >= 0 and np.isfinite(data.max())):
         raise GraphError(f"{path}: weights must be finite and non-negative")
-    mat = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()),
-                        shape=(n, m))
     # Canonical: the indices strictly increase within each row.
-    if not mat.has_canonical_format:
+    starts = np.zeros(nnz, dtype=bool)
+    starts[indptr[:-1][indptr[:-1] < nnz]] = True
+    if np.any((indices[1:] <= indices[:-1]) & ~starts[1:]):
         raise GraphError(f"{path}: repeated or unsorted column indices")
     try:
-        return BipartiteGraph(mat, tuple(outcome_ids), tuple(diversion_ids))
+        return BipartiteGraph(Compressed(indptr, indices, data, (n, m)),
+                              tuple(outcome_ids), tuple(diversion_ids))
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from None
 

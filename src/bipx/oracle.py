@@ -18,6 +18,7 @@ from bipx.cluster_opt import ObjectiveValue, objective
 from bipx.design import (DesignError, DesignSpec, cluster_aggregated_weights,
                          exposure_moments)
 from bipx.estimator import true_ate
+from bipx.graph_core import scipy_csr
 
 # Enumeration walks all 2^k cluster coin outcomes.
 MAX_ENUM_CLUSTERS = 20
@@ -46,7 +47,8 @@ class ExactMoments:
         heads = bits.sum(axis=1)
         self.weights = (d.p ** heads) * ((1.0 - d.p) ** (k - heads))
         # exposure_matrix[r, i] = exposure of outcome i under pattern r.
-        self.exposure_matrix = (cluster_aggregated_weights(g, c) @ signs.T).T
+        agg = scipy_csr(cluster_aggregated_weights(g, c))
+        self.exposure_matrix = (agg @ signs.T).T
 
     def expect(self, fn):
         """E[f(x)] for any f mapping an exposure vector to a scalar/array."""
@@ -121,7 +123,7 @@ def expected_estimate(g, d, model):
 
 def omega_matrix(g, phi):
     """Dense m x m pair weights (1 + phi) c[i, j] - phi s[i] s[j]."""
-    gram = (g.cols.T @ g.cols).toarray()
+    gram = (g.rows.T @ g.rows).toarray()
     s = g.col_sums
     return (1.0 + phi) * gram - phi * np.outer(s, s)
 
@@ -142,7 +144,7 @@ def objective_by_omega(g, c, phi, p=0.5):
     """
     same = c.assignment[:, None] == c.assignment[None, :]
     cv = DesignSpec.independent_cluster(c, p).coin_variance
-    gram = (g.cols.T @ g.cols).toarray()
+    gram = (g.rows.T @ g.rows).toarray()
     s = g.col_sums
     var_sum = cv * float(gram[same].sum())
     cov_sum = cv * float((np.outer(s, s)[same]).sum() - gram[same].sum())
@@ -189,7 +191,7 @@ def wedge_sample(g, i, rng):
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    csc, csr = g.cols, g.rows
+    csc, csr = g.csc, g.csr
     if csc.indptr[i] == csc.indptr[i + 1]:
         raise ValueError(f"diversion unit {i} has no incident edges")
     k = _draw(csc.indptr, csc.indices, csc.data, i, rng)

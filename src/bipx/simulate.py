@@ -27,7 +27,7 @@ from bipx.design import DesignSpec, aggregate_moments, \
     cluster_aggregated_weights, derived_rng
 from bipx.estimator import OutcomeModel, erl_estimate, mse as exact_mse, \
     respond, true_ate
-from bipx.graph_core import text_lines, write_rows
+from bipx.graph_core import scipy_csr, text_lines, write_rows
 
 POSITIVE_TE = "PositiveTE"
 ZERO_TE = "ZeroTE"
@@ -49,11 +49,8 @@ _DEFAULTS = {
 }
 
 
-# A block of replicates holds at most this many coins (and at most
-# _MAX_BLOCK replicates): a larger coin block falls out of cache, which
-# made 64-replicate blocks slower than single replicates at k = 1e5.
-_BLOCK_COINS = 1 << 17
-_MAX_BLOCK = 64
+# Replicates per block of run_simulation: one sparse product per block.
+_BLOCK = 16
 
 # outcome_linkage_labels holds about 28 n^2 bytes of dense matrices; this
 # many outcome units keeps them under about 0.7 GB.
@@ -294,12 +291,12 @@ def run_simulation(g, d, model, replicates, base_seed, *,
     c = d.effective_clustering(g.n_diversion)
     agg = cluster_aggregated_weights(g, c)
     mom = aggregate_moments(g, d, agg)
+    agg = scipy_csr(agg)
     tau = true_ate(model)
     ests = np.empty(replicates, dtype=np.float64)
-    block = max(1, min(_MAX_BLOCK, _BLOCK_COINS // c.k))
-    coins = np.empty((block, c.k), dtype=np.float64)
-    for start in range(0, replicates, block):
-        b = min(block, replicates - start)
+    coins = np.empty((_BLOCK, c.k), dtype=np.float64)
+    for start in range(0, replicates, _BLOCK):
+        b = min(_BLOCK, replicates - start)
         for row in range(b):
             coins[row] = derived_rng(base_seed, start + row).random(c.k)
         signs = np.where(coins[:b] < d.p, 1.0, -1.0)

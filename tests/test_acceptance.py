@@ -16,7 +16,7 @@ from bipx.cluster_opt import LocalSearchConfig, local_search, objective
 from bipx.design import (Clustering, DesignSpec, cluster_aggregated_weights,
                          exposure_moments)
 from bipx.estimator import OutcomeModel, mse, true_ate
-from bipx.graph_core import BipartiteGraph
+from bipx.graph_core import BipartiteGraph, scipy_csr
 from bipx.oracle import (ExactMoments, corr_clust_cs_rewrite,
                          expected_estimate, exposure_spread_enumerated,
                          mse_decomposition, mse_exact,
@@ -75,7 +75,7 @@ def test_criterion_02_analytic_moments_vs_oracle():
         np.testing.assert_allclose(mom.mean, exact.mean(), atol=1e-12)
         cov = exact.covariance()
         np.testing.assert_allclose(mom.variance, np.diag(cov), atol=1e-12)
-        agg = cluster_aggregated_weights(g, c)
+        agg = scipy_csr(cluster_aggregated_weights(g, c))
         analytic = d.coin_variance * (agg @ agg.T).toarray()
         for i in range(g.n_outcome):
             for j in range(i + 1, g.n_outcome):
@@ -187,7 +187,7 @@ def test_criterion_08_corr_clust_cs_identity():
 def test_criterion_09_wedge_sampling_marginal():
     g = wedge_test_graph()
     assert (g.n_outcome, g.n_diversion) == (20, 30)
-    gram = (g.cols.T @ g.cols).toarray()
+    gram = (g.rows.T @ g.rows).toarray()
     s = g.col_sums
     i = int(np.argmax(s))  # best-connected column: widest support
     exact = gram[i] / s[i]
@@ -252,7 +252,8 @@ def _mse_at_half(g, d, model):
     slope-intercept cross terms are odd moments and vanish since E[x] = 0.
     """
     assert d.p == 0.5
-    a = cluster_aggregated_weights(g, d.effective_clustering(g.n_diversion))
+    a = scipy_csr(cluster_aggregated_weights(
+        g, d.effective_clustering(g.n_diversion)))
     a2 = a.multiply(a).tocsr()
     v = np.asarray(a2.sum(axis=1)).ravel()
     gram = (a @ a.T).toarray()

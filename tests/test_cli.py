@@ -588,18 +588,48 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_cli_import_leaves_out_linkage_modules():
-    # The linkage and normal-draw modules load only when used, and no
-    # production module imports the oracles.
+    # scipy, and with it the linkage, normal-draw and sparse modules, loads
+    # only when used, and no production module imports the oracles.
     env = dict(os.environ, PYTHONPATH=str(Path(bipx.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, bipx.cli; "
          "print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy.cluster', 'scipy.spatial', "
-         "'scipy.special', 'bipx.oracle'))))"],
+         "if m.startswith(('scipy', 'bipx.oracle'))))"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs bipx commands in one process, then prints the scipy modules loaded.
+_SCIPY_PROBE = """
+import sys
+from bipx.cli import main
+for argv in sys.argv[1:]:
+    main(argv.split(), standalone_mode=False)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_only_sparse_products_load_scipy(tmp_path):
+    (tmp_path / "edges.txt").write_text(EDGES)
+    (tmp_path / "scenario.txt").write_text(SCENARIO)
+    env = dict(os.environ, PYTHONPATH=str(Path(bipx.__file__).parents[1]))
+
+    def loaded(*commands):
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *commands],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    assert loaded("ingest edges.txt g.bin --min-degree 1",
+                  "design g.bin c.tsv --k-max 2",
+                  "moments g.bin c.tsv m.csv",
+                  "export g.bin out.txt",
+                  "rerun g.bin.manifest.json --check") == "[]"
+    assert "scipy.sparse" in loaded(
+        "simulate g.bin scenario.txt sim --clustering c.tsv --replicates 5")
 
 
 def test_export_rejects_corrupt_snapshot(workspace):

@@ -233,7 +233,7 @@ def _cluster_state(g, labels):
     members = [array("q") for _ in range(m)]
     for i, c in enumerate(labels.tolist()):
         members[c].append(i)
-    cdeg = np.bincount(labels, weights=np.diff(g.cols.indptr), minlength=m)
+    cdeg = np.bincount(labels, weights=np.diff(g.csc.indptr), minlength=m)
     return members, cdeg.astype(np.int64)
 
 
@@ -325,13 +325,13 @@ def _tied_skewed_graph():
     W = sp.csr_matrix((data, (rows, cols)), shape=(n, m))
     g = normalize_rows(BipartiteGraph.from_csr(
         W, tuple(range(n)), tuple(range(m))))
-    assert (g.cols.data == 0.0).any() and (g.rows.data == 0.0).any()
+    assert (g.csc.data == 0.0).any() and (g.csr.data == 0.0).any()
     return g
 
 
 def test_pass_draws_match_per_visit_draws():
     g = _tied_skewed_graph()
-    csc, csr = g.cols, g.rows
+    csc, csr = g.csc, g.csr
     col_cum = _slice_cumsum(csc.indptr, csc.data)
     row_cum = _slice_cumsum(csr.indptr, csr.data)
     for indptr, data, cum in ((csc.indptr, csc.data, col_cum),

@@ -7,7 +7,7 @@ from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          cluster_aggregated_weights, derived_rng,
                          exposure_moments, read_clustering, sample_assignment,
                          write_clustering, write_moments_csv)
-from bipx.graph_core import BipartiteGraph
+from bipx.graph_core import BipartiteGraph, scipy_csr
 from bipx.oracle import EnumerationTooLargeError, ExactMoments
 from bipx.synth import nondegenerate_clustering, random_clustering, \
     random_instance
@@ -20,7 +20,8 @@ def small_graph():
 
 def exposure_covariance(g, d):
     """Cov[x_i, x_j] = 4p(1-p) sum_C agg[i, C] agg[j, C], as a dense matrix."""
-    agg = cluster_aggregated_weights(g, d.effective_clustering(g.n_diversion))
+    agg = scipy_csr(cluster_aggregated_weights(
+        g, d.effective_clustering(g.n_diversion)))
     return d.coin_variance * (agg @ agg.T).toarray()
 
 
@@ -208,7 +209,7 @@ def test_degenerate_design_detected():
 def test_cluster_aggregated_weights():
     g = small_graph()
     agg = cluster_aggregated_weights(g, Clustering.one_cluster(2))
-    np.testing.assert_allclose(agg.toarray(), [[1.0], [1.0]])
+    np.testing.assert_allclose(scipy_csr(agg).toarray(), [[1.0], [1.0]])
 
 
 def test_enumeration_too_large():

@@ -3,18 +3,23 @@ import dataclasses
 import io
 import struct
 import warnings
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bipx import design
 from bipx.cluster_opt import LocalSearchConfig, local_search, objective
-from bipx.design import Clustering, DesignSpec, exposure_moments
+from bipx.design import (Clustering, DesignSpec, cluster_aggregated_weights,
+                         exposure_moments)
 from bipx.estimator import OutcomeModel
-from bipx.graph_core import (NORM_TOL, BipartiteGraph, EdgeListParseError,
-                             EmptyGraphError, GraphError, NegativeWeightError,
+from bipx.graph_core import (NORM_TOL, BipartiteGraph, Compressed,
+                             EdgeListParseError, EmptyGraphError, GraphError,
+                             NegativeWeightError,
                              WeightOverflowError, exposures,
                              filter_min_outcome_degree, load_edge_list,
                              load_snapshot, normalize_rows, save_snapshot,
@@ -29,6 +34,16 @@ def small_graph():
     return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
 
 
+def compressed(W):
+    return Compressed(W.indptr, W.indices, W.data, W.shape)
+
+
+def column(g, j):
+    """(row indices, weights) of column j of g's CSC."""
+    lo, hi = g.csc.indptr[j], g.csc.indptr[j + 1]
+    return g.csc.indices[lo:hi], g.csc.data[lo:hi]
+
+
 def test_basic_accessors():
     g = small_graph()
     assert g.n_outcome == 2
@@ -39,9 +54,9 @@ def test_basic_accessors():
     row = g.rows[0]
     assert list(row.indices) == [0, 1]
     np.testing.assert_allclose(row.data, [0.5, 0.5])
-    col = g.cols[:, 0]
-    assert list(col.indices) == [0, 1]
-    np.testing.assert_allclose(col.data, [0.5, 1.0])
+    indices, data = column(g, 0)
+    assert list(indices) == [0, 1]
+    np.testing.assert_allclose(data, [0.5, 1.0])
 
 
 def test_load_edge_list_parses_comments_and_sums_duplicates(tmp_path):
@@ -172,34 +187,119 @@ def test_from_csr_copies_its_argument():
     np.testing.assert_array_equal(rows, [[1 / 3, 2 / 3], [1.0, 0.0]])
 
 
+# (n, m, entries, labels): entries (i, j, w, copies) with j reduced mod m
+# and each entry given `copies` times; labels[:m] cluster the columns.
 raw_rows = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, 8), st.lists(st.tuples(
         st.integers(0, n - 1), st.integers(0, 7),
         st.one_of(st.floats(5e-324, 1e300), st.sampled_from(
-            (5e-324, 1e-300, 1.0, 1 / 3, 1e300)))), min_size=1, max_size=30)))
+            (0.0, 5e-324, 1e-300, 1.0, 1 / 3, 1e300))),
+        st.integers(1, 2)), min_size=1, max_size=30),
+    st.lists(st.integers(0, 3), min_size=8, max_size=8)))
+
+
+def raw_entries(case):
+    """(n, m, i, j, w) of a raw_rows case, each row given one more entry so
+    that none sums to 0."""
+    n, m, entries, _ = case
+    i, j, w = (np.array(col) for col in zip(*(
+        (i, j % m, w) for i, j, w, copies in entries for _ in range(copies))))
+    return (n, m, np.r_[i, np.arange(n)], np.r_[j, np.zeros(n, int)],
+            np.r_[w, np.ones(n)])
+
+
+def assert_same_csr(a, ref):
+    """a's arrays equal the scipy matrix ref's, every double bit for bit."""
+    np.testing.assert_array_equal(a.indptr, ref.indptr)
+    np.testing.assert_array_equal(a.indices, ref.indices)
+    assert a.data.view(np.uint64).tolist() == ref.data.view(np.uint64).tolist()
+
+
+def scaled(canon):
+    """The weights of a canonical scipy CSR divided by scipy's row sums."""
+    sums = np.asarray(canon.sum(axis=1)).ravel()
+    return sp.csr_matrix((canon.data / np.repeat(sums, np.diff(canon.indptr)),
+                          canon.indices, canon.indptr), shape=canon.shape)
 
 
 @settings(deadline=None, max_examples=200)
 @given(case=raw_rows)
 def test_from_csr_divides_each_row_by_its_sum(case):
-    n, m, entries = case
-    i, j, w = (np.array(col) for col in zip(*entries))
-    j %= m
-    # Every row gets an entry.
-    i, j, w = (np.r_[i, np.arange(n)], np.r_[j, np.zeros(n, int)],
-               np.r_[w, np.ones(n)])
+    n, m, i, j, w = raw_entries(case)
     raw = sp.coo_matrix((w, (i, j)), shape=(n, m))
     g = BipartiteGraph.from_csr(raw, range(n), range(m))
     canon = raw.tocsr()
     canon.sum_duplicates()
     canon.sort_indices()
-    sums = np.asarray(canon.sum(axis=1)).ravel()
-    np.testing.assert_array_equal(g.rows.indptr, canon.indptr)
-    np.testing.assert_array_equal(g.rows.indices, canon.indices)
-    assert (g.rows.data.view(np.uint64).tolist() ==
-            (canon.data / np.repeat(sums, np.diff(canon.indptr)))
-            .view(np.uint64).tolist())
+    assert_same_csr(g.csr, scaled(canon))
     assert np.all(np.abs(g.row_sums - 1.0) <= NORM_TOL)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=raw_rows)
+def test_numpy_csc_and_aggregates_match_scipy(case):
+    n, m, i, j, w = raw_entries(case)
+    g = BipartiteGraph.from_csr(sp.coo_matrix((w, (i, j)), shape=(n, m)),
+                                range(n), range(m))
+    assert_same_csr(g.csc, g.rows.tocsc())
+    c = Clustering.from_labels(case[3][:m])
+    member = sp.csr_matrix((np.ones(m), (np.arange(m), c.assignment)),
+                           shape=(m, c.k))
+    product = (g.rows @ member).tocsr()
+    product.sort_indices()
+    # Blocks of 1 and 3 entries cut the rows at other places.
+    for entries in (1, 3, design._AGG_ENTRIES):
+        with mock.patch.object(design, "_AGG_ENTRIES", entries):
+            assert_same_csr(cluster_aggregated_weights(g, c), product)
+    np.testing.assert_array_equal(
+        g.row_sums, np.asarray(g.rows.sum(axis=1)).ravel())
+    np.testing.assert_array_equal(
+        g.col_sums, np.asarray(g.rows.sum(axis=0)).ravel())
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=raw_rows)
+def test_load_edge_list_csr_matches_scipy(tmp_path, case):
+    n, m, i, j, w = raw_entries(case)
+    # Three or more copies of an edge are summed in file order, which
+    # scipy's unstable sort does not promise; two copies sum alike in
+    # either order.
+    i, j, w = i[w > 0], j[w > 0], w[w > 0]  # ingest drops zero weights
+    copies = Counter()
+    keep = np.ones(w.size, dtype=bool)
+    for t, key in enumerate(zip(i.tolist(), j.tolist())):
+        copies[key] += 1
+        keep[t] = copies[key] <= 2
+    i, j, w = i[keep], j[keep], w[keep]
+    path = tmp_path / "edges.txt"
+    write_rows(path, zip((f"o{x}" for x in i), (f"d{x}" for x in j),
+                         w.tolist()), sep=" ")
+    g = load_edge_list(path)
+    # Ids are numbered in order of first appearance.
+    order_i, order_j = list(dict.fromkeys(i.tolist())), list(dict.fromkeys(
+        j.tolist()))
+    assert g.outcome_ids == tuple(f"o{x}" for x in order_i)
+    assert g.diversion_ids == tuple(f"d{x}" for x in order_j)
+    rows = np.array([order_i.index(x) for x in i.tolist()])
+    cols = np.array([order_j.index(x) for x in j.tolist()])
+    canon = sp.coo_matrix((w, (rows, cols)),
+                          shape=(len(order_i), len(order_j))).tocsr()
+    canon.sum_duplicates()
+    canon.sort_indices()
+    assert_same_csr(g.csr, scaled(canon))
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_from_csr_refuses_negative_and_non_finite_weights(bad):
+    # A negative weight used to give the exposure 3 under [-1, 1], and a
+    # NaN was reported as an overflow.
+    W = sp.csr_matrix(np.array([[bad, 2.0]]))
+    with pytest.raises(GraphError) as exc:
+        BipartiteGraph.from_csr(W, "a", "uv")
+    assert type(exc.value) is GraphError
+    assert str(exc.value) == ("outcome unit(s) with a negative or "
+                              "non-finite weight: ['a']")
 
 
 @settings(deadline=None, max_examples=40)
@@ -218,17 +318,17 @@ def test_normalized_exposures_bounded(seed):
 def test_bare_constructor_refuses_raw_rows():
     W = sp.csr_matrix(np.array([[2.0, 2.0], [0.5, 0.5], [1.0, 0.0]]))
     with pytest.raises(GraphError) as exc:
-        BipartiteGraph(W, ("a", "b", "c"), ("u", "v"))
+        BipartiteGraph(compressed(W), ("a", "b", "c"), ("u", "v"))
     assert str(exc.value) == ("outcome unit(s) whose weights do not sum to "
                               "1: ['a']")
     for off, ok in ((NORM_TOL / 2, True), (4 * NORM_TOL, False),
                     (np.nan, False)):
         near = sp.csr_matrix(np.array([[0.5, 0.5 + off], [1.0, 0.0]]))
         if ok:
-            BipartiteGraph(near, ("a", "b"), ("u", "v"))
+            BipartiteGraph(compressed(near), ("a", "b"), ("u", "v"))
         else:
             with pytest.raises(GraphError, match=r"\['a'\]"):
-                BipartiteGraph(near, ("a", "b"), ("u", "v"))
+                BipartiteGraph(compressed(near), ("a", "b"), ("u", "v"))
     g = BipartiteGraph.from_csr(W, ("a", "b", "c"), ("u", "v"))
     np.testing.assert_allclose(exposures(g, np.ones(2)), 1.0)
 
@@ -244,28 +344,33 @@ def test_row_col_views_consistent(seed):
         np.testing.assert_allclose(dense[i, row.indices], row.data)
         assert np.count_nonzero(dense[i]) == row.nnz
     for j in range(g.n_diversion):
-        col = g.cols[:, j]
-        np.testing.assert_allclose(dense[col.indices, j], col.data)
+        indices, data = column(g, j)
+        np.testing.assert_allclose(dense[indices, j], data)
+        assert np.count_nonzero(dense[:, j]) == indices.size
 
 
 def test_graph_stores_rows_and_builds_columns_for_the_search(tmp_path):
     assert [f.name for f in dataclasses.fields(BipartiteGraph)] == [
-        "rows", "outcome_ids", "diversion_ids"]
+        "csr", "outcome_ids", "diversion_ids"]
     path = tmp_path / "g.bin"
     save_snapshot(random_instance(np.random.default_rng(3)), path)
     g = load_snapshot(path)
-    assert "cols" not in g.__dict__
+    assert all(isinstance(a, np.ndarray)
+               for a in (g.csr.indptr, g.csr.indices, g.csr.data))
     c = Clustering.one_cluster(g.n_diversion)
     exposure_moments(g, DesignSpec.independent_cluster(c))
     model = OutcomeModel(slopes=np.ones(g.n_outcome),
                          intercepts=np.zeros(g.n_outcome))
     run_simulation(g, DesignSpec.independent_cluster(c), model, 3, 0)
     objective(g, c, phi=1.0)
-    assert "cols" not in g.__dict__
+    # Neither the CSC copy nor the scipy view is built for these.
+    assert "csc" not in g.__dict__ and "rows" not in g.__dict__
     local_search(g, LocalSearchConfig(max_passes=1, convergence=False))
-    assert "cols" in g.__dict__
-    assert g.cols.format == "csc"
-    np.testing.assert_array_equal(g.cols.toarray(), g.rows.toarray())
+    assert "csc" in g.__dict__ and "rows" not in g.__dict__
+    np.testing.assert_array_equal(
+        sp.csc_matrix((g.csc.data, g.csc.indices, g.csc.indptr),
+                      shape=(g.n_outcome, g.n_diversion)).toarray(),
+        g.rows.toarray())
 
 
 def test_validate_assignment():

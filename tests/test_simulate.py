@@ -324,9 +324,7 @@ def test_run_simulation_matches_replicate_loop(p):
 
 
 @pytest.mark.parametrize("constant,value", [
-    ("_MAX_BLOCK", 1), ("_MAX_BLOCK", 3), (None, None),
-    # Bernoulli's 2000 coins then make blocks of 2.
-    ("_BLOCK_COINS", 4001)])
+    ("_BLOCK", 1), ("_BLOCK", 3), (None, None)])
 def test_run_simulation_estimates_do_not_depend_on_block(
         monkeypatch, constant, value):
     g, _ = paired_pool_instance()
