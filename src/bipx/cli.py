@@ -101,14 +101,19 @@ def _usage_errors():
 
 
 class _Main(click.Group):
-    """A bipx error, or a file that cannot be read or written, ends in one
-    line and exit 1; any other exception is a fault and propagates."""
+    """A bipx error, a file that cannot be read or written, or an input
+    too large for memory ends in one line and exit 1; any other exception
+    is a fault and propagates."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (GraphError, DesignError, ScenarioError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
+        except MemoryError as exc:
+            # numpy's names the allocation it refused; a bare one is empty.
+            raise click.ClickException(
+                "out of memory" + (f": {exc}" if str(exc) else "")) from exc
 
 
 @click.group(cls=_Main)

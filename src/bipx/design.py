@@ -10,7 +10,8 @@ coin outcomes, which the tests check these against, is in bipx.oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -112,8 +113,76 @@ def write_clustering(c, g, path):
 
 
 def read_clustering(g, path):
-    """Read a `diversion_id<TAB>cluster_id` file through text_lines; every
-    diversion unit must appear exactly once, with an integer cluster id."""
+    """Read a `diversion_id<TAB>cluster_id` file; every diversion unit must
+    appear exactly once, with a 64-bit integer cluster id.
+
+    A file of plain `id<TAB>cluster id` lines is split and matched to the
+    graph's ids at once; any other file, and so every bad one, is read
+    line by line by _clustering_lines, which raises its `path:line` errors.
+    """
+    with open(path, "rb") as fh:
+        labels = _clustering_block(g, fh.read())
+    if labels is None:
+        labels = _clustering_lines(g, path)
+    return Clustering.from_labels(labels)
+
+
+# The bytes of a clustering file that the block split takes: ASCII but for
+# the whitespace str.strip() removes other than \t and \n, '#' (a comment)
+# and NUL, which an `S` array drops at the end of an id.
+_BLOCK_BYTES = np.zeros(256, dtype=bool)
+_BLOCK_BYTES[[*range(1, 11), *range(14, 28), *range(33, 128)]] = True
+_BLOCK_BYTES[ord("#")] = False
+
+
+def _clustering_block(g, blob):
+    """The labels, in diversion index order, of a clustering file's bytes,
+    or None when the file needs the line loop: a byte outside _BLOCK_BYTES,
+    a line that is not exactly `id<TAB>cluster id`, a cluster id that int()
+    refuses or that overflows int64, or ids that are not the graph's
+    diversion ids, each once."""
+    if not blob.endswith(b"\n"):
+        blob += b"\n"
+    byte = np.frombuffer(blob, dtype=np.uint8)
+    if not _BLOCK_BYTES[byte].all():
+        return None
+    # Tabs and newlines alternate, and every line holds two tokens: then
+    # each line is one non-empty id, a tab and a non-empty cluster id.
+    seps = byte[(byte == ord("\t")) | (byte == ord("\n"))]
+    tokens = blob.split()
+    if not (len(tokens) == seps.size == 2 * g.n_diversion
+            and (seps[0::2] == ord("\t")).all()
+            and (seps[1::2] == ord("\n")).all()):
+        return None
+    try:
+        labels = np.fromiter(map(int, tokens[1::2]), dtype=np.int64,
+                             count=g.n_diversion)
+        known = "\n".join(g.diversion_ids).encode("utf-8")
+    except (ValueError, OverflowError, UnicodeEncodeError):
+        return None
+    # A graph id holding a newline or NUL cannot be split or kept whole.
+    if b"\0" in known or known.count(b"\n") != g.n_diversion - 1:
+        return None
+    ids, graph_ids = np.array(tokens[0::2]), np.array(known.split(b"\n"))
+    # The same ids have the same longest id.
+    if ids.dtype != graph_ids.dtype:
+        return None
+    if ids.itemsize <= 8:
+        ids = ids.astype("S8").view(np.uint64)
+        graph_ids = graph_ids.astype("S8").view(np.uint64)
+    line_order, order = np.argsort(ids), np.argsort(graph_ids)
+    graph_ids = graph_ids[order]
+    if not (np.array_equal(ids[line_order], graph_ids)
+            and (graph_ids[1:] != graph_ids[:-1]).all()):
+        return None
+    out = np.empty(g.n_diversion, dtype=np.int64)
+    out[order] = labels[line_order]
+    return out
+
+
+def _clustering_lines(g, path):
+    """_clustering_block's labels from the lines of text_lines, read one at
+    a time; the one place that raises a clustering file's errors."""
     def bad(line_no, why):
         return DesignError(f"{path}:{line_no}: {why}")
 
@@ -139,7 +208,7 @@ def read_clustering(g, path):
     if not seen.all():
         missing = [g.diversion_ids[j] for j in np.flatnonzero(~seen)]
         raise DesignError(f"{path}: missing diversion unit(s): {missing[:5]}")
-    return Clustering.from_labels(labels)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -153,6 +222,10 @@ class DesignSpec:
     kind: str
     p: float = 0.5
     clustering: Clustering | None = None
+    # design_aggregates' memo: (weakref to a graph, its aggregates, its raw
+    # moments).
+    _built: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.kind not in (BERNOULLI, INDEPENDENT_CLUSTER):
@@ -163,6 +236,10 @@ class DesignSpec:
             raise ValueError("independent-cluster design requires a clustering")
         if self.kind == BERNOULLI and self.clustering is not None:
             raise ValueError("Bernoulli design does not take a clustering")
+
+    def __getstate__(self):
+        # The memo holds a weak reference, which pickle cannot take.
+        return {**self.__dict__, "_built": None}
 
     @classmethod
     def bernoulli(cls, p=0.5):
@@ -252,29 +329,43 @@ def sample_assignment(d, rng, m=None):
     return coins[c.assignment]
 
 
-def exposure_moments(g, d, check=True):
-    """Closed-form exposure mean and variance under the design.
+def design_aggregates(g, d, check=True):
+    """(aggregates, moments) of design d on graph g: the Compressed
+    cluster_aggregated_weights and the closed-form exposure moments.
 
     E[x_i] = (2p - 1) * (row sum); Var[x_i] = 4p(1-p) * sum_C agg[i, C]^2,
     because cluster coins are independent with variance 4p(1-p) each.
-    Raises DegenerateDesignError when any variance falls below VAR_FLOOR
-    (unless check=False, for diagnostics that want the raw values).
+    Both are built once per design for the graph object they were built
+    on, kept on d beside a weak reference to g, and handed out read-only;
+    another graph object rebuilds them. Raises DegenerateDesignError on
+    every call whose moments have a variance below VAR_FLOOR, unless
+    check=False, for diagnostics that want the raw values.
     """
-    c = d.effective_clustering(g.n_diversion)
-    return aggregate_moments(g, d, cluster_aggregated_weights(g, c), check)
-
-
-def aggregate_moments(g, d, agg, check=True):
-    """exposure_moments from the design's prebuilt cluster aggregates.
-
-    For callers that also need `agg`, so it is built once.
-    """
-    mean = (2.0 * d.p - 1.0) * g.row_sums
-    mom = ExposureMoments(
-        mean, d.coin_variance * sum_rows(agg._replace(data=agg.data ** 2)))
+    built = d._built
+    if built is None or built[0]() is not g:
+        agg = cluster_aggregated_weights(
+            g, d.effective_clustering(g.n_diversion))
+        # scipy's sparse products take int32 indices wherever they fit, and
+        # then share these arrays rather than copy them.
+        if max(agg.indptr[-1], *agg.shape) <= np.iinfo(np.int32).max:
+            agg = agg._replace(indptr=agg.indptr.astype(np.int32),
+                               indices=agg.indices.astype(np.int32))
+        mom = ExposureMoments(
+            (2.0 * d.p - 1.0) * g.row_sums,
+            d.coin_variance * sum_rows(agg._replace(data=agg.data ** 2)))
+        for a in (agg.indptr, agg.indices, agg.data, mom.mean, mom.variance):
+            a.flags.writeable = False
+        built = (weakref.ref(g), agg, mom)
+        object.__setattr__(d, "_built", built)
+    _, agg, mom = built
     if check and mom.degenerate_units().size:
         raise DegenerateDesignError(mom.degenerate_units(), g.outcome_ids)
-    return mom
+    return agg, mom
+
+
+def exposure_moments(g, d, check=True):
+    """The design's exposure moments on g, as design_aggregates gives them."""
+    return design_aggregates(g, d, check)[1]
 
 
 def write_moments_csv(mom, g, path):

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bipx.design import (DegenerateDesignError, aggregate_moments,
-                         cluster_aggregated_weights)
+from bipx.design import DegenerateDesignError, design_aggregates
 from bipx.graph_core import scipy_csr
 
 # Clusters per column block of A^T diag(u) A in `mse`, which bounds the
@@ -106,8 +105,7 @@ def mse(g, d, model):
 
     if model.n != g.n_outcome:
         raise ValueError("exposure vector length does not match the model")
-    agg = cluster_aggregated_weights(g, d.effective_clustering(g.n_diversion))
-    mom = aggregate_moments(g, d, agg)
+    agg, mom = design_aggregates(g, d)
     agg = scipy_csr(agg)
     p, s2 = d.p, d.coin_variance
     mu3 = 2.0 * s2 * (1.0 - 2.0 * p)

@@ -23,8 +23,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from bipx.cluster_opt import local_search
-from bipx.design import DesignSpec, aggregate_moments, \
-    cluster_aggregated_weights, derived_rng
+from bipx.design import DesignSpec, design_aggregates, derived_rng
 from bipx.estimator import OutcomeModel, erl_estimate, mse as exact_mse, \
     respond, true_ate
 from bipx.graph_core import scipy_csr, text_lines, write_rows
@@ -288,17 +287,16 @@ def run_simulation(g, d, model, replicates, base_seed, *,
         raise ValueError("replicates must be >= 1")
     if model.n != g.n_outcome:
         raise ValueError("exposure vector length does not match the model")
-    c = d.effective_clustering(g.n_diversion)
-    agg = cluster_aggregated_weights(g, c)
-    mom = aggregate_moments(g, d, agg)
+    agg, mom = design_aggregates(g, d)
     agg = scipy_csr(agg)
+    k = agg.shape[1]
     tau = true_ate(model)
     ests = np.empty(replicates, dtype=np.float64)
-    coins = np.empty((_BLOCK, c.k), dtype=np.float64)
+    coins = np.empty((_BLOCK, k), dtype=np.float64)
     for start in range(0, replicates, _BLOCK):
         b = min(_BLOCK, replicates - start)
         for row in range(b):
-            coins[row] = derived_rng(base_seed, start + row).random(c.k)
+            coins[row] = derived_rng(base_seed, start + row).random(k)
         signs = np.where(coins[:b] < d.p, 1.0, -1.0)
         # (n, b) from the sparse product, transposed so that each
         # replicate's terms are summed along one contiguous row: the sum

@@ -548,6 +548,29 @@ def test_large_graph_dependent_exits_without_traceback(
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("target", ["run_simulation", "export_histogram"])
+def test_memory_error_ends_in_one_error_line(workspace, runner, monkeypatch,
+                                              target):
+    # As `--replicates 100000000000000` fails in run_simulation's np.empty,
+    # and `--bins 100000000000` in export_histogram's np.linspace, without
+    # allocating either size here.
+    tmp_path, graph_path, scenario_path = workspace
+
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with "
+                          "shape (100000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, target, refused)
+    result = runner.invoke(main, ["simulate", str(graph_path),
+                                  str(scenario_path), str(tmp_path / "sim"),
+                                  "--bernoulli", "--replicates", "4"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("Error: out of memory: Unable to allocate 745. "
+                             "GiB for an array with shape (100000000000,) "
+                             "and data type float64\n")
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # Multithreaded BLAS splits a dot product of more than about 2e4
     # doubles into partial sums, which changes its last bits; m = 5e4

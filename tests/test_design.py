@@ -1,16 +1,22 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from bipx import design, estimator, simulate
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          cluster_aggregated_weights, derived_rng,
-                         exposure_moments, read_clustering, sample_assignment,
-                         write_clustering, write_moments_csv)
+                         design_aggregates, exposure_moments, read_clustering,
+                         sample_assignment, write_clustering,
+                         write_moments_csv)
 from bipx.graph_core import BipartiteGraph, scipy_csr
 from bipx.oracle import EnumerationTooLargeError, ExactMoments
 from bipx.synth import nondegenerate_clustering, random_clustering, \
-    random_instance
+    random_instance, random_model
 
 
 def small_graph():
@@ -260,3 +266,116 @@ def test_nondegenerate_clustering_helper():
     c = nondegenerate_clustering(g, rng)
     mom = exposure_moments(g, DesignSpec.independent_cluster(c, 0.5))
     assert np.all(mom.variance >= 1e-10)
+
+
+def memo_instance(seed=0, n=30, m=60):
+    """A graph whose rows each reach 4 of m diversion units, a cluster
+    design on it and an outcome model."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(n), 4)
+    cols = (rows * 7 + np.tile(np.arange(4), n) * 11) % m
+    W = sp.csr_matrix((rng.uniform(0.1, 1.0, rows.size), (rows, cols)),
+                      shape=(n, m))
+    g = BipartiteGraph.from_csr(W, tuple(f"o{i}" for i in range(n)),
+                                tuple(f"d{j}" for j in range(m)))
+    c = Clustering.from_labels(rng.integers(0, 12, m))
+    return g, c, random_model(rng, n)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the calls of cluster_aggregated_weights."""
+    calls = []
+
+    def counted(g, c):
+        calls.append(g)
+        return cluster_aggregated_weights(g, c)
+
+    monkeypatch.setattr(design, "cluster_aggregated_weights", counted)
+    return calls
+
+
+def test_moments_simulation_and_exact_mse_share_one_build(builds):
+    g, c, model = memo_instance()
+    d = DesignSpec.independent_cluster(c, 0.4)
+    exposure_moments(g, d)
+    simulate.run_simulation(g, d, model, 20, base_seed=1)
+    estimator.mse(g, d, model)
+    assert len(builds) == 1
+
+
+def test_another_graph_object_gets_its_own_build(builds):
+    g, c, model = memo_instance(0)
+    other = memo_instance(1)[0]
+    assert other.csr.shape == g.csr.shape
+    d = DesignSpec.independent_cluster(c, 0.5)
+    mom, mom_other = exposure_moments(g, d), exposure_moments(other, d)
+    assert builds == [g, other]
+    assert not np.array_equal(mom.variance, mom_other.variance)
+    for graph, got in ((g, mom), (other, mom_other)):
+        fresh = exposure_moments(graph, DesignSpec.independent_cluster(c, 0.5))
+        np.testing.assert_array_equal(got.variance, fresh.variance)
+        np.testing.assert_array_equal(got.mean, fresh.mean)
+
+
+def test_memoized_design_gives_the_bits_of_a_fresh_one():
+    g, c, model = memo_instance()
+    d = DesignSpec.independent_cluster(c, 0.3)
+    exposure_moments(g, d)
+    twice = [simulate.run_simulation(g, d, model, 40, base_seed=7).estimates
+             for _ in range(2)]
+    fresh = simulate.run_simulation(
+        g, DesignSpec.independent_cluster(c, 0.3), model, 40,
+        base_seed=7).estimates
+    assert twice[0].tobytes() == twice[1].tobytes() == fresh.tobytes()
+    assert estimator.mse(g, d, model) == estimator.mse(
+        g, DesignSpec.independent_cluster(c, 0.3), model)
+
+
+def test_degenerate_design_raises_on_every_call(monkeypatch):
+    g, c, model = memo_instance()
+    draws = []
+    monkeypatch.setattr(simulate, "derived_rng",
+                        lambda *seed: draws.append(seed))
+    d = DesignSpec.independent_cluster(c, 1e-12)
+    for _ in range(2):
+        with pytest.raises(DegenerateDesignError):
+            simulate.run_simulation(g, d, model, 5, base_seed=0)
+        with pytest.raises(DegenerateDesignError):
+            exposure_moments(g, d)
+        with pytest.raises(DegenerateDesignError):
+            estimator.mse(g, d, model)
+    assert draws == []
+    assert exposure_moments(g, d, check=False).degenerate_units().size == 30
+
+
+def test_memo_does_not_keep_the_graph_alive(builds):
+    g, c, _ = memo_instance()
+    d = DesignSpec.independent_cluster(c, 0.5)
+    exposure_moments(g, d)
+    alive = weakref.ref(g)
+    del g, builds[:]
+    gc.collect()
+    assert alive() is None
+    g = memo_instance()[0]
+    exposure_moments(g, d)
+    assert builds == [g]
+
+
+def test_memoized_arrays_are_read_only():
+    g, c, _ = memo_instance()
+    agg, mom = design_aggregates(g, DesignSpec.independent_cluster(c, 0.5))
+    for a in (agg.indptr, agg.indices, agg.data, mom.mean, mom.variance):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+
+def test_design_pickles_without_its_memo(builds):
+    g, c, _ = memo_instance()
+    d = DesignSpec.independent_cluster(c, 0.5)
+    exposure_moments(g, d)
+    copy = pickle.loads(pickle.dumps(d))
+    assert (copy.kind, copy.p, copy._built) == (d.kind, d.p, None)
+    np.testing.assert_array_equal(copy.clustering.assignment, c.assignment)
+    exposure_moments(g, copy)
+    assert len(builds) == 2
