@@ -28,6 +28,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 import click
+import numpy as np
 
 from bipx import __version__
 from bipx.cluster_opt import (LocalSearchConfig, local_search_restarts,
@@ -252,6 +253,13 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
     if (clustering is None) == (not bernoulli):
         raise click.UsageError(
             "exactly one of --clustering PATH or --bernoulli is required")
+    try:
+        # The histogram's edges, which numpy refuses here at a size it
+        # cannot allocate, before any replicate runs.
+        np.empty(bins + 1)
+    except ValueError as exc:
+        raise click.BadParameter(f"{bins} bins: {exc}",
+                                 param_hint="'--bins'") from None
     g = load_snapshot(graph)
     spec = read_scenario_file(scenario)
     if bernoulli:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from bipx.graph_core import Compressed, compress, first_appearance_codes, \
-    sum_rows, text_lines, write_rows
+    id_keys, sum_rows, text_lines, write_rows
 
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
@@ -167,9 +167,7 @@ def _clustering_block(g, blob):
     # The same ids have the same longest id.
     if ids.dtype != graph_ids.dtype:
         return None
-    if ids.itemsize <= 8:
-        ids = ids.astype("S8").view(np.uint64)
-        graph_ids = graph_ids.astype("S8").view(np.uint64)
+    ids, graph_ids = id_keys(ids), id_keys(graph_ids)
     line_order, order = np.argsort(ids), np.argsort(graph_ids)
     graph_ids = graph_ids[order]
     if not (np.array_equal(ids[line_order], graph_ids)

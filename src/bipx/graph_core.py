@@ -7,10 +7,12 @@ exposure of outcome unit i under a +/-1 assignment z is the weighted
 average x[i] = sum_j w[i, j] * z[j], which lies in [-1, 1].
 
 Storage is one CSR held as numpy arrays; the CSC copy that the local
-search reads is built from it on first use. scipy.sparse is imported only
-by `scipy_csr`, the view that the sparse products multiply with, so a
-bipx command that multiplies no sparse matrix never loads it. Graphs are
-immutable after construction; every operation returns a new graph.
+search reads is built from it on first use. Both constructors, the CSC
+copy and design's cluster aggregates turn entries into a CSR by one
+rule, `compress`. scipy.sparse is imported only by `scipy_csr`, the view
+that the sparse products multiply with, so a bipx command that
+multiplies no sparse matrix never loads it. Graphs are immutable after
+construction; every operation returns a new graph.
 """
 
 from __future__ import annotations
@@ -70,27 +72,36 @@ class Compressed(NamedTuple):
 
 def compress(row, col, values, shape):
     """The Compressed matrix of `shape` whose entries are values[t] at
-    (row[t], col[t]). The values of a repeated position are summed in
-    input order, as np.bincount adds."""
-    keys = np.asarray(row, dtype=np.int64) * shape[1]
-    keys += col
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
+    (row[t], col[t]): the one rule by which bipx builds a CSR. The values
+    of a repeated position are summed from left to right in input order;
+    a position given once keeps its value's bits."""
+    size = len(values)
+    keys = np.asarray(row, dtype=np.int64) * shape[1] + col
+    if shape[0] * shape[1] * size < 2**63:
+        # Keys that carry their entry's index sort by position and then
+        # in input order, so one in-place value sort orders the entries.
+        keys *= size
+        keys += np.arange(size)
+        keys.sort()
+        data = values[keys % size]
+        keys //= size
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, data = keys[order], values[order]
+    first = np.ones(size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    # position[t]: the rank of entry t's key among the distinct keys.
-    position = np.empty_like(order)
-    position[order] = np.cumsum(first)
-    position -= 1
-    del order
     keys = keys[first]
-    rows = keys // shape[1]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    keys -= rows * shape[1]
-    return Compressed(indptr, keys, np.bincount(position, weights=values,
-                                                minlength=keys.size), shape)
+    # The r-th repeated entry, at sorted place repeats[r], follows
+    # repeats[r] - r - 1 runs. np.add.at adds in index order, so each run
+    # sums in input order; an overflow is the caller's to report.
+    repeats = np.flatnonzero(~first)
+    sums = data[first]
+    with np.errstate(over="ignore"):
+        np.add.at(sums, repeats - np.arange(1, repeats.size + 1),
+                  data[repeats])
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    np.remainder(keys, shape[1], out=keys)
+    return Compressed(indptr, keys, sums, shape)
 
 
 def sum_rows(a):
@@ -155,38 +166,23 @@ class BipartiteGraph:
     @classmethod
     def from_csr(cls, rows, outcome_ids, diversion_ids):
         """The graph of a scipy.sparse matrix of non-negative raw weights,
-        each row scaled to sum to 1. Duplicate entries are summed by the
-        matrix's own sum_duplicates; the caller's matrix is copied, never
-        changed or shared.
+        each row scaled to sum to 1. Its entries go through compress in
+        the order tocoo() lists them, as load_edge_list's go in file
+        order. The caller's matrix is never changed or shared.
 
         Raises GraphError if a weight is negative or not finite,
         EmptyGraphError if some outcome unit has zero total weight and
         WeightOverflowError if its total weight overflows.
         """
-        rows = rows.tocsr(copy=True)
-        rows.sum_duplicates()
-        rows.sort_indices()
-        return _row_scaled(Compressed(rows.indptr, rows.indices,
-                                      np.asarray(rows.data, np.float64),
-                                      rows.shape),
-                           outcome_ids, diversion_ids)
+        coo = rows.tocoo()
+        a = compress(coo.row, coo.col, np.asarray(coo.data, float), coo.shape)
+        return _row_scaled(a, outcome_ids, diversion_ids)
 
     @cached_property
     def csc(self):
-        # Entry e of the CSR sorts by the key column * nnz + e: by column,
-        # then by row, as scipy.sparse's tocsc orders them. A sort of the
-        # keys themselves is faster than an argsort, and key % nnz is e.
         a, (n, m) = self.csr, self.csr.shape
-        order = a.indices.astype(np.int64)
-        order *= self.nnz
-        order += np.arange(self.nnz)
-        order.sort()
-        order %= self.nnz
-        rows = np.repeat(np.arange(n, dtype=a.indices.dtype),
-                         self.outcome_degrees())
-        indptr = np.zeros(m + 1, dtype=a.indptr.dtype)
-        np.cumsum(np.bincount(a.indices, minlength=m), out=indptr[1:])
-        return Compressed(indptr, rows[order], a.data[order], (m, n))
+        rows = np.repeat(np.arange(n), self.outcome_degrees())
+        return compress(a.indices, rows, a.data, (m, n))
 
     @cached_property
     def col_sums(self):
@@ -370,13 +366,16 @@ def _edge_lines(lines, start, path):
                                                       dtype=np.float64)
 
 
+def id_keys(ids):
+    """Keys of an `S` id array that are equal where the ids are: ids of at
+    most 8 bytes as uint64, which sort faster, others as they are."""
+    return ids.astype("S8").view(np.uint64) if ids.itemsize <= 8 else ids
+
+
 def _index_ids(columns):
     """Dense codes of the ids in `S` columns, in first-appearance order,
     and the ids as text in that order."""
-    keys = np.concatenate(columns)
-    if keys.dtype.itemsize <= 8:
-        keys = keys.astype("S8").view(np.uint64)
-    codes, firsts = first_appearance_codes(keys)
+    codes, firsts = first_appearance_codes(id_keys(np.concatenate(columns)))
     if firsts.dtype == np.uint64:
         firsts = firsts.view("S8")
     return codes, [(key[:-1] if key.endswith(b"#") else key).decode("utf-8")

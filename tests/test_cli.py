@@ -548,12 +548,44 @@ def test_large_graph_dependent_exits_without_traceback(
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("bins, code, error", [
+    (2**62, 2, "Error: Invalid value for '--bins': 4611686018427387904 bins: "
+               "array is too big;"),
+    (2**63 - 1, 2, "Error: Invalid value for '--bins': 9223372036854775807 "
+                   "bins: Maximum allowed dimension exceeded"),
+    (10**20, 2, "Error: Invalid value for '--bins': 100000000000000000000 "
+                "bins: Maximum allowed dimension exceeded"),
+    (10**11, 1, "Error: out of memory: Unable to allocate 745. GiB for an "
+                "array with shape (100000000001,) and data type float64")])
+def test_simulate_refuses_bins_before_any_replicate(
+        workspace, runner, monkeypatch, bins, code, error):
+    # These ended in np.linspace's traceback, or for 10**11 in one line,
+    # after every replicate had run.
+    tmp_path, graph_path, scenario_path = workspace
+
+    def ran(*args, **kwargs):
+        raise AssertionError("run_simulation ran")
+
+    monkeypatch.setattr(cli, "run_simulation", ran)
+    result = runner.invoke(main, ["simulate", str(graph_path),
+                                  str(scenario_path), str(tmp_path / "sim"),
+                                  "--bernoulli", "--replicates", "4",
+                                  "--bins", str(bins)])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error")]
+    assert len(errors) == 1 and errors[0].startswith(error), result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "sim").exists()
+
+
 @pytest.mark.parametrize("target", ["run_simulation", "export_histogram"])
 def test_memory_error_ends_in_one_error_line(workspace, runner, monkeypatch,
                                               target):
     # As `--replicates 100000000000000` fails in run_simulation's np.empty,
-    # and `--bins 100000000000` in export_histogram's np.linspace, without
-    # allocating either size here.
+    # without allocating that size here; export_histogram stands for a
+    # step after the replicates.
     tmp_path, graph_path, scenario_path = workspace
 
     def refused(*args, **kwargs):

@@ -20,7 +20,7 @@ from bipx.estimator import OutcomeModel
 from bipx.graph_core import (NORM_TOL, BipartiteGraph, Compressed,
                              EdgeListParseError, EmptyGraphError, GraphError,
                              NegativeWeightError,
-                             WeightOverflowError, exposures,
+                             WeightOverflowError, compress, exposures,
                              filter_min_outcome_degree, load_edge_list,
                              load_snapshot, normalize_rows, save_snapshot,
                              validate_assignment, write_edge_list,
@@ -222,17 +222,88 @@ def scaled(canon):
                           canon.indices, canon.indptr), shape=canon.shape)
 
 
+def input_order_sums(i, j, w, shape):
+    """The canonical scipy CSR of the entries, each repeated position
+    summed from left to right in input order."""
+    sums = {}
+    for key, x in zip(zip(i.tolist(), j.tolist()), w.tolist()):
+        sums[key] = sums[key] + x if key in sums else x
+    keys = sorted(sums)
+    rows, cols = (np.array(col, dtype=np.int64) for col in zip(*keys))
+    return sp.csr_matrix(([sums[key] for key in keys], (rows, cols)),
+                         shape=shape)
+
+
 @settings(deadline=None, max_examples=200)
 @given(case=raw_rows)
 def test_from_csr_divides_each_row_by_its_sum(case):
     n, m, i, j, w = raw_entries(case)
     raw = sp.coo_matrix((w, (i, j)), shape=(n, m))
     g = BipartiteGraph.from_csr(raw, range(n), range(m))
-    canon = raw.tocsr()
-    canon.sum_duplicates()
-    canon.sort_indices()
-    assert_same_csr(g.csr, scaled(canon))
+    assert_same_csr(g.csr, scaled(input_order_sums(i, j, w, (n, m))))
     assert np.all(np.abs(g.row_sums - 1.0) <= NORM_TOL)
+
+
+def assert_one_rule(tmp_path, i, j, w):
+    """load_edge_list of the edges (o<i>, d<j>, w) and from_csr of the same
+    entries, ids numbered in order of first appearance, build the same
+    graph bit for bit; returns it."""
+    path = tmp_path / "edges.txt"
+    write_rows(path, zip((f"o{x}" for x in i), (f"d{x}" for x in j),
+                         w.tolist()), sep=" ")
+    g = load_edge_list(path)
+    order_i, order_j = list(dict.fromkeys(i.tolist())), list(dict.fromkeys(
+        j.tolist()))
+    rows = np.array([order_i.index(x) for x in i.tolist()])
+    cols = np.array([order_j.index(x) for x in j.tolist()])
+    ref = BipartiteGraph.from_csr(
+        sp.coo_matrix((w, (rows, cols)), shape=(len(order_i), len(order_j))),
+        (f"o{x}" for x in order_i), (f"d{x}" for x in order_j))
+    assert (g.outcome_ids, g.diversion_ids) == (ref.outcome_ids,
+                                                ref.diversion_ids)
+    assert_same_csr(g.csr, ref.csr)
+    return g
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=raw_rows)
+def test_from_csr_and_load_edge_list_sum_alike(tmp_path, case):
+    n, m, i, j, w = raw_entries(case)
+    keep = w > 0  # ingest drops zero weights
+    assert_one_rule(tmp_path, i[keep], j[keep], w[keep])
+
+
+def test_twenty_one_copies_sum_in_input_order(tmp_path):
+    # from_csr summed these copies through scipy, whose unstable sort
+    # reordered them: it gave d1 the weight 0.1119402985074627.
+    copies = np.resize([1 / 3, 0.1, 0.7], 21)
+    i = np.zeros(22, dtype=np.int64)
+    j = np.zeros(22, dtype=np.int64)
+    j[1] = 1
+    g = assert_one_rule(tmp_path, i, j, np.insert(copies, 1, 1.0))
+    total = 0.0
+    for x in copies.tolist():
+        total += x
+    assert g.diversion_ids == ("d0", "d1")
+    assert g.csr.data.tolist() == [total / (total + 1.0), 1.0 / (total + 1.0)]
+    assert g.csr.data[1] == 0.11194029850746269
+
+
+def test_compress_with_keys_past_int64_sorts_alike():
+    # At shape (2, 2**61), key * entries passes 2**63 and compress takes
+    # its stable argsort; at (2, 5) the same entries take the value sort.
+    rng = np.random.default_rng(0)
+    rows, cols = rng.integers(0, 2, 40), rng.integers(0, 5, 40)
+    values = rng.choice([1 / 3, 0.1, 0.7, 1e-300, 1.0], 40)
+    wide = np.array([0, 7, 2**40, 2**61 - 2, 2**61 - 1])
+    small = compress(rows, cols, values, (2, 5))
+    big = compress(rows, wide[cols], values, (2, 2**61))
+    assert small.indptr.tolist() == big.indptr.tolist()
+    assert wide[small.indices].tolist() == big.indices.tolist()
+    assert small.data.view(np.uint64).tolist() == \
+        big.data.view(np.uint64).tolist()
+    assert_same_csr(small, input_order_sums(rows, cols, values, (2, 5)))
 
 
 @settings(deadline=None, max_examples=200)
@@ -520,28 +591,53 @@ WRITERS = {("graph_core", "write_rows"): "w",
            ("simulate", "report_to_json"): "w"}
 
 
-def _opens(node, func=None):
-    """(enclosing function, mode) of each open() call under node; a mode
-    that is not a literal is "?"."""
+def _calls(node, func=None):
+    """(enclosing function, call) of each call under node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func_here = child.name
         else:
             func_here = func
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                and child.func.id == "open"):
-            modes = child.args[1:2] + [kw.value for kw in child.keywords
-                                       if kw.arg == "mode"]
+        if isinstance(child, ast.Call):
+            yield func, child
+        yield from _calls(child, func_here)
+
+
+def _opens(node):
+    """(enclosing function, mode) of each open() call under node; a mode
+    that is not a literal is "?"."""
+    for func, call in _calls(node):
+        if isinstance(call.func, ast.Name) and call.func.id == "open":
+            modes = call.args[1:2] + [kw.value for kw in call.keywords
+                                      if kw.arg == "mode"]
             yield func, getattr(modes[0], "value", "?") if modes else "r"
-        yield from _opens(child, func_here)
+
+
+def _package_trees():
+    src = Path(__file__).resolve().parents[1] / "src" / "bipx"
+    for path in sorted(src.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_only_the_writers_open_files_to_write():
     found = {}
-    src = Path(__file__).resolve().parents[1] / "src" / "bipx"
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _package_trees():
         for func, mode in _opens(tree):
             if mode == "?" or set(mode) & set("wax+"):
-                found.setdefault((path.stem, func), set()).add(mode)
+                found.setdefault((module, func), set()).add(mode)
     assert found == {key: {mode} for key, mode in WRITERS.items()}
+
+
+# scipy.sparse's own routes from entries to a CSR or CSC, which only the
+# exact MSE's sparse products take; every other one is graph_core.compress.
+SCIPY_COMPRESSORS = {"tocsr", "tocsc", "sum_duplicates", "sort_indices"}
+
+
+def test_only_compress_sorts_entries_into_a_csr():
+    found = set()
+    for module, tree in _package_trees():
+        for func, call in _calls(tree):
+            if (isinstance(call.func, ast.Attribute)
+                    and call.func.attr in SCIPY_COMPRESSORS):
+                found.add((module, func))
+    assert found == {("estimator", "mse")}
