@@ -92,6 +92,18 @@ def _write_manifest(path, inputs, outputs, seeds=None, volatile=()):
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _allocatable(count, what, option):
+    """Allocate `count` doubles, as the run will, before any work: a count
+    numpy refuses as too large for an array exits 2 with one usage error
+    on `option`, which starts with `what`, and one it cannot allocate
+    exits 1 as out of memory."""
+    try:
+        np.empty(count)
+    except ValueError as exc:
+        raise click.BadParameter(f"{what}: {exc}",
+                                 param_hint=f"'{option}'") from None
+
+
 @contextmanager
 def _usage_errors():
     """A spec object's ValueError names a bad flag value: exit 2."""
@@ -253,13 +265,9 @@ def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
     if (clustering is None) == (not bernoulli):
         raise click.UsageError(
             "exactly one of --clustering PATH or --bernoulli is required")
-    try:
-        # The histogram's edges, which numpy refuses here at a size it
-        # cannot allocate, before any replicate runs.
-        np.empty(bins + 1)
-    except ValueError as exc:
-        raise click.BadParameter(f"{bins} bins: {exc}",
-                                 param_hint="'--bins'") from None
+    # The estimates and the histogram's edges.
+    _allocatable(replicates, f"{replicates} replicates", "--replicates")
+    _allocatable(bins + 1, f"{bins} bins", "--bins")
     g = load_snapshot(graph)
     spec = read_scenario_file(scenario)
     if bernoulli:
@@ -322,6 +330,7 @@ def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
         # Each search's config validates its phi.
         for phi in phi_values:
             replace(cfg, phi=phi)
+    _allocatable(replicates, f"{replicates} replicates", "--replicates")
     g = load_snapshot(graph)
     spec = read_scenario_file(scenario)
     rows = phi_sweep(g, spec, phi_values, cfg, replicates, seed, path=out_csv)

@@ -18,6 +18,7 @@ the objective, which the tests check it against, are in bipx.oracle.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from array import array
 from dataclasses import astuple, dataclass, replace
@@ -53,8 +54,11 @@ class LocalSearchConfig:
             raise ValueError("phi must be finite and >= 0")
         if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.max_passes is not None and self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
+        # The search counts passes with islice, which takes at most
+        # sys.maxsize.
+        if self.max_passes is not None and not (
+                1 <= self.max_passes <= sys.maxsize):
+            raise ValueError(f"max_passes must be in [1, {sys.maxsize}]")
         if self.time_budget is not None and not (
                 math.isfinite(self.time_budget) and self.time_budget > 0):
             raise ValueError("time_budget must be finite and > 0")

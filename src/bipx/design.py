@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from bipx.graph_core import Compressed, compress, first_appearance_codes, \
-    id_keys, sum_rows, text_lines, write_rows
+from bipx.graph_core import TOKEN_PAD, Compressed, compress, \
+    decimal_tokens, first_appearance_codes, id_keys, sum_rows, text_lines, \
+    token_array, token_bounds, write_rows
 
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
@@ -116,8 +117,8 @@ def read_clustering(g, path):
     """Read a `diversion_id<TAB>cluster_id` file; every diversion unit must
     appear exactly once, with a 64-bit integer cluster id.
 
-    A file of plain `id<TAB>cluster id` lines is split and matched to the
-    graph's ids at once; any other file, and so every bad one, is read
+    A file of plain `id<TAB>cluster id` lines is tokenized and matched to
+    the graph's ids at once; any other file, and so every bad one, is read
     line by line by _clustering_lines, which raises its `path:line` errors.
     """
     with open(path, "rb") as fh:
@@ -127,12 +128,14 @@ def read_clustering(g, path):
     return Clustering.from_labels(labels)
 
 
-# The bytes of a clustering file that the block split takes: ASCII but for
+# The bytes of a clustering file that the tokenizer takes: ASCII but for
 # the whitespace str.strip() removes other than \t and \n, '#' (a comment)
 # and NUL, which an `S` array drops at the end of an id.
 _BLOCK_BYTES = np.zeros(256, dtype=bool)
 _BLOCK_BYTES[[*range(1, 11), *range(14, 28), *range(33, 128)]] = True
 _BLOCK_BYTES[ord("#")] = False
+
+_TAB, _NEWLINE = ord("\t"), ord("\n")
 
 
 def _clustering_block(g, blob):
@@ -140,30 +143,42 @@ def _clustering_block(g, blob):
     or None when the file needs the line loop: a byte outside _BLOCK_BYTES,
     a line that is not exactly `id<TAB>cluster id`, a cluster id that int()
     refuses or that overflows int64, or ids that are not the graph's
-    diversion ids, each once."""
+    diversion ids, each once. A cluster id of at most 16 digits is read
+    from the bytes at once, and any other through int()."""
     if not blob.endswith(b"\n"):
         blob += b"\n"
-    byte = np.frombuffer(blob, dtype=np.uint8)
+    byte = np.frombuffer(blob + TOKEN_PAD, dtype=np.uint8)
     if not _BLOCK_BYTES[byte].all():
         return None
-    # Tabs and newlines alternate, and every line holds two tokens: then
-    # each line is one non-empty id, a tab and a non-empty cluster id.
-    seps = byte[(byte == ord("\t")) | (byte == ord("\n"))]
-    tokens = blob.split()
-    if not (len(tokens) == seps.size == 2 * g.n_diversion
-            and (seps[0::2] == ord("\t")).all()
-            and (seps[1::2] == ord("\n")).all()):
+    # The only whitespace left is \t and \n. Every token but the first
+    # starts just after the one before, the last ends the file and the
+    # tokens end in a tab and a newline by turns: then each line is one
+    # non-empty id, a tab and a non-empty cluster id.
+    starts, ends = token_bounds((byte == _TAB) | (byte == _NEWLINE))
+    if not (starts.size == 2 * g.n_diversion > 0 and starts[0] == 0
+            and ends[-1] == len(blob) - 1
+            and (starts[1:] == ends[:-1] + 1).all()
+            and (byte[ends[0::2]] == _TAB).all()
+            and (byte[ends[1::2]] == _NEWLINE).all()):
         return None
+    labels, _, ok = decimal_tokens(byte, starts[1::2], ends[1::2], 16, False)
+    other = np.flatnonzero(~ok)
     try:
-        labels = np.fromiter(map(int, tokens[1::2]), dtype=np.int64,
-                             count=g.n_diversion)
-        known = "\n".join(g.diversion_ids).encode("utf-8")
+        labels[other] = np.fromiter(
+            (int(blob[s:e]) for s, e in zip(starts[1::2][other].tolist(),
+                                            ends[1::2][other].tolist())),
+            dtype=np.int64, count=other.size)
+        known = "\n".join(g.diversion_ids).encode("utf-8") + b"\n"
     except (ValueError, OverflowError, UnicodeEncodeError):
         return None
     # A graph id holding a newline or NUL cannot be split or kept whole.
-    if b"\0" in known or known.count(b"\n") != g.n_diversion - 1:
+    if b"\0" in known or known.count(b"\n") != g.n_diversion:
         return None
-    ids, graph_ids = np.array(tokens[0::2]), np.array(known.split(b"\n"))
+    graph_byte = np.frombuffer(known + TOKEN_PAD, dtype=np.uint8)
+    graph_ends = np.flatnonzero(graph_byte[:len(known)] == _NEWLINE)
+    ids = token_array(byte, starts[0::2], ends[0::2])
+    graph_ids = token_array(graph_byte, np.r_[0, graph_ends[:-1] + 1],
+                            graph_ends)
     # The same ids have the same longest id.
     if ids.dtype != graph_ids.dtype:
         return None

@@ -17,6 +17,7 @@ construction; every operation returns a new graph.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
@@ -24,7 +25,6 @@ import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -291,42 +291,146 @@ def first_appearance_codes(values):
     return rank[inverse], uniq[order]
 
 
-# Edge lists are parsed a block of this many lines at a time.
-EDGE_BLOCK_LINES = 65536
+# Text files are tokenized a chunk of about this many bytes at a time.
+TEXT_CHUNK_BYTES = 1 << 20
 
 # str.split() also splits on \x1c-\x1f, which bytes.split() does not, and
-# an `S` array drops trailing NULs: a block holding either takes the line loop.
+# an `S` array drops trailing NULs: a chunk holding either takes the line loop.
 _UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _COMMENT = re.compile(rb"#[^\n]*")
 
+# What the tokenizer appends to a file's bytes: blank lines, so that the
+# last line ends in a newline and every token has 8 bytes after it.
+TOKEN_PAD = b"\n" * 8
 
-def _edge_block(lines):
-    """(outcome ids, diversion ids, weights) of a block of raw lines, the
-    ids as `S` arrays, or None when a line needs the line loop: not ASCII,
-    not 0 or 3 tokens, or a weight that is not a finite number >= 0."""
-    blob = b"".join(lines)
-    if not blob.isascii() or any(c in blob for c in _UNSAFE):
+# _LOW_BYTES[b] keeps the first b bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype="<u8")
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def byte_chunks(fh):
+    """The bytes of a binary file in chunks of whole lines: each holds the
+    lines that end in a read of TEXT_CHUNK_BYTES bytes, after the part of
+    a line the previous read left over. The last chunk ends where the
+    file does, with or without a newline."""
+    parts = []
+    while data := fh.read(TEXT_CHUNK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            parts.append(data[:cut])
+            yield b"".join(parts)
+            parts = [data[cut:]]
+        else:
+            parts.append(data)
+    if tail := b"".join(parts):
+        yield tail
+
+
+def token_bounds(space):
+    """(starts, ends) of the runs of False in a bool array that ends in
+    True: the tokens of the bytes whose whitespace mask it is."""
+    bounds = np.flatnonzero(np.diff(space, prepend=True))
+    return bounds[0::2], bounds[1::2]
+
+
+def _words(byte, starts, ends, count):
+    """The first 8 * count bytes of the tokens byte[starts[t]:ends[t]], as
+    (tokens, count) little-endian 8-byte words, 0 past a token's end. Each
+    token has 8 bytes of `byte` after it."""
+    # Every 8 bytes of `byte`, from each offset: an unaligned view.
+    windows = np.ndarray((byte.size - 7,), "<u8", byte, strides=(1,))
+    lengths = ends - starts
+    words = np.empty((starts.size, count), dtype="<u8")
+    for w in range(count):
+        # A word wholly past a token's end is masked to 0, so it may be
+        # read from anywhere in `windows`.
+        at = np.minimum(starts + 8 * w, windows.size - 1)
+        words[:, w] = windows[at] & _LOW_BYTES[np.clip(lengths - 8 * w, 0, 8)]
+    return words
+
+
+def token_array(byte, starts, ends):
+    """The tokens byte[starts[t]:ends[t]], each with 8 bytes of `byte`
+    after it, as an `S` array whose width is the longest one's rounded
+    up to a multiple of 8."""
+    count = max(-(-int((ends - starts).max(initial=0)) // 8), 1)
+    return _words(byte, starts, ends, count).view(f"S{8 * count}").ravel()
+
+
+def decimal_tokens(byte, starts, ends, digits, point):
+    """(values, scales, ok) of the tokens byte[starts[t]:ends[t]], each
+    with 8 bytes of `byte` after it; at most 16 bytes of a token are read.
+    ok[t] holds where the token is 1 to `digits` ASCII digits, with at
+    most one '.' among them if `point` and none otherwise; there values[t]
+    is its digits read as one integer and scales[t] the count of them
+    after the '.'."""
+    lengths = ends - starts
+    width = 8 * min(max(-(-int(lengths.max(initial=0)) // 8), 1), 2)
+    win = _words(byte, starts, ends, width // 8).view(np.uint8)
+    digit = win - np.uint8(ord("0")) < 10  # uint8 wraps below '0'
+    dot = win == ord(".")
+    dots = _count(dot)
+    # Past its end a token's word bytes are 0: neither a digit nor a '.'.
+    ok = ((lengths <= width) & (_count(~(digit | dot)) == width - lengths)
+          & (dots <= point) & (lengths > dots) & (lengths - dots <= digits))
+    # The token's bytes as digits, '.' as 0, then shifted down past the
+    # zeros after its end.
+    whole = (np.where(digit, win - np.uint8(ord("0")), 0).astype(np.int64)
+             @ _POW10[width - 1::-1])
+    whole //= _POW10[np.where(ok, width - lengths, 0)]
+    pointed = ok & (dots > 0)
+    scales = np.where(pointed, lengths - 1 - dot.argmax(axis=1), 0)
+    # Drop the 0 in the place of the '.'.
+    values = np.where(pointed, whole // _POW10[scales + 1] * _POW10[scales]
+                      + whole % _POW10[scales], whole)
+    return values, scales, ok
+
+
+def _count(mask):
+    """The True entries in each row of a (rows, 8 * words) bool array."""
+    # Times 0x0101010101010101, an 8-byte word's byte sum (at most 8, so
+    # no carry) lands in its top byte.
+    sums = (mask.view("<u8") * np.uint64(0x0101010101010101)) >> np.uint64(56)
+    return sums.sum(axis=1, dtype=np.int64)
+
+
+def _edge_block(chunk):
+    """(outcome ids, diversion ids, weights) of a chunk of whole lines,
+    the ids as `S` arrays, or None when a line needs the line loop: not
+    ASCII, not 0 or 3 tokens, or a weight that is not a finite number
+    >= 0.
+
+    A weight of at most 15 digits with at most one '.' is its digits as
+    an integer M, exact in a double, divided by 10**f for the f digits
+    after the '.'. Both are exact and IEEE division rounds correctly, so
+    that is the double nearest the decimal, as float() reads it. Any
+    other weight goes through float()."""
+    if not chunk.isascii() or any(c in chunk for c in _UNSAFE):
         return None
-    # With a newline at the end, every line (and the block) ends in one.
-    blob = _COMMENT.sub(b"", blob) + b"\n"
-    byte = np.frombuffer(blob, dtype=np.uint8)
+    if b"#" in chunk:
+        chunk = _COMMENT.sub(b"", chunk)
+    byte = np.frombuffer(chunk + TOKEN_PAD, dtype=np.uint8)
     # The bytes.split() whitespace b" \t\n\v\f\r"; uint8 wraps below 9.
-    space = (byte == ord(" ")) | (byte - ord("\t") < 5)
-    starts = ~space
-    starts[1:] &= space[:-1]
-    line_starts = np.flatnonzero(byte[:-1] == ord("\n")) + 1
-    counts = np.add.reduceat(starts, np.r_[0, line_starts], dtype=np.intp)
+    starts, ends = token_bounds((byte == ord(" "))
+                                | (byte - np.uint8(ord("\t")) < 5))
+    newlines = np.flatnonzero(byte == ord("\n"))
+    counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
     if not np.all((counts == 0) | (counts == 3)):
         return None
-    tokens = blob.split()
-    try:
-        weights = np.fromiter(map(float, tokens[2::3]), dtype=np.float64,
-                              count=len(tokens) // 3)
-    except ValueError:
-        return None
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
-        return None
-    return _id_array(tokens[0::3]), _id_array(tokens[1::3]), weights
+    starts, ends = starts.reshape(-1, 3).T, ends.reshape(-1, 3).T
+    values, scales, ok = decimal_tokens(byte, starts[2], ends[2], 15, True)
+    weights = values / _POW10[scales]
+    other = np.flatnonzero(~ok)
+    if other.size:
+        try:
+            weights[other] = [float(chunk[s:e]) for s, e in zip(
+                starts[2][other].tolist(), ends[2][other].tolist())]
+        except ValueError:
+            return None
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            return None
+    return (token_array(byte, starts[0], ends[0]),
+            token_array(byte, starts[1], ends[1]), weights)
 
 
 def _id_array(keys):
@@ -378,16 +482,19 @@ def _index_ids(columns):
     codes, firsts = first_appearance_codes(id_keys(np.concatenate(columns)))
     if firsts.dtype == np.uint64:
         firsts = firsts.view("S8")
-    return codes, [(key[:-1] if key.endswith(b"#") else key).decode("utf-8")
-                   for key in firsts.tolist()]
+    blob = b"\n".join(firsts.tolist())
+    ids = blob.decode("utf-8").split("\n")
+    if b"#" in blob:
+        ids = [x[:-1] if x.endswith("#") else x for x in ids]
+    return codes, ids
 
 
 def load_edge_list(path):
     """Load a whitespace-separated `outcome_id diversion_id weight` file.
 
-    The file is streamed in blocks of EDGE_BLOCK_LINES lines. A block of
-    plain ASCII lines is split and parsed at once; any other block is read
-    line by line as text_lines reads it, which raises every error. Ids are
+    The file is streamed in byte_chunks. A chunk of plain ASCII lines is
+    tokenized at once by _edge_block; any other chunk is read line by line
+    as text_lines reads it, which raises every error. Ids are
     arbitrary whitespace-free strings mapped to dense indices in
     first-appearance order. Duplicate (i, j) edges have their weights
     summed; zero-weight edges are dropped, and so, with a warning, are units
@@ -402,12 +509,12 @@ def load_edge_list(path):
     blocks = []
     with open(path, "rb") as fh:
         start = 1
-        while lines := list(islice(fh, EDGE_BLOCK_LINES)):
-            block = _edge_block(lines)
+        for chunk in byte_chunks(fh):
+            block = _edge_block(chunk)
             if block is None:
-                block = _edge_lines(lines, start, path)
+                block = _edge_lines(io.BytesIO(chunk), start, path)
             blocks.append(block)
-            start += len(lines)
+            start += chunk.count(b"\n")
     weights = np.concatenate([b[2] for b in blocks] or [np.empty(0)])
     keep = weights > 0
     if not keep.any():

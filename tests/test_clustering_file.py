@@ -169,7 +169,9 @@ def test_plain_files_skip_the_line_loop(tmp_path, monkeypatch):
     # An `S` array would take the graph's "u\0" for "u".
     (("u\0", "vv"), b"u\t1\nvv\t2\n"),
     # The line loop reads "u#x" as "u" and a comment.
-    (("u#x", "v"), b"u#x\t1\nv\t2\n")])
+    (("u#x", "v"), b"u#x\t1\nv\t2\n"),
+    # Two lines' tokens on one line.
+    (("u", "v"), b"u\t1\tv\t2\n")])
 def test_files_the_block_split_refuses_take_the_line_loop(tmp_path, ids,
                                                           blob):
     g = BipartiteGraph.from_csr(sp.csr_matrix(np.ones((1, 2))), ("o",), ids)
@@ -178,3 +180,36 @@ def test_files_the_block_split_refuses_take_the_line_loop(tmp_path, ids,
     assert design._clustering_block(g, blob) is None
     assert _outcome(read_clustering, g, path) == \
         _outcome(reference_read_clustering, g, path)
+
+
+# Cluster ids the tokenizer reads (up to 16 digits) and those it leaves to
+# int(); ids past 8 and 16 bytes.
+TOKEN_CIDS = [b"0", b"7", b"-1", b"-0", b"+3", b"007", b"0000000000000012",
+              b"1_0", b"9999999999999999", b"12345678901234567",
+              b"123456789012345678", b"9223372036854775807",
+              b"-9223372036854775808", b"0009223372036854775807"]
+LONG_IDS = ["u1", "12345678", "123456789", "diversion_unit_42",
+            "diversion_unit_000000000042", "x" * 40]
+
+
+def test_tokenized_labels_match_int(tmp_path, monkeypatch):
+    def line_loop(*args):
+        raise AssertionError("a plain clustering file took the line loop")
+
+    monkeypatch.setattr(design, "_clustering_lines", line_loop)
+    rng = np.random.default_rng(5)
+    path = tmp_path / "c.tsv"
+    for _ in range(50):
+        ids = [LONG_IDS[k] for k in rng.permutation(len(LONG_IDS))]
+        g = BipartiteGraph.from_csr(sp.csr_matrix(np.ones((1, len(ids)))),
+                                    ("o",), tuple(ids))
+        cids = [TOKEN_CIDS[k] for k in rng.integers(len(TOKEN_CIDS),
+                                                    size=len(ids))]
+        path.write_bytes(b"".join(
+            ids[j].encode() + b"\t" + cids[j] + b"\n"
+            for j in rng.permutation(len(ids))))
+        want = Clustering.from_labels([int(c) for c in cids]).assignment
+        np.testing.assert_array_equal(read_clustering(g, path).assignment,
+                                      want)
+        assert _outcome(read_clustering, g, path) == \
+            _outcome(reference_read_clustering, g, path)

@@ -1,7 +1,8 @@
-"""The block reader of `load_edge_list` against the line-at-a-time reader
-it replaced, kept here as the reference: same graph, ids, warnings and
-errors on random files, with blocks of a few lines so that every file
-spans several blocks."""
+"""The tokenizer of `load_edge_list` against the line-at-a-time reader it
+replaced, kept here as the reference: same graph, ids, warnings and
+errors on random files, read in chunks of a few bytes or lines so that
+every file spans several chunks. Its decimal kernel is checked bit for
+bit against float() and int()."""
 
 import math
 import warnings
@@ -11,10 +12,10 @@ import pytest
 import scipy.sparse as sp
 
 from bipx import graph_core
-from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
+from bipx.graph_core import (TOKEN_PAD, BipartiteGraph, EdgeListParseError,
                              EmptyGraphError, NegativeWeightError,
-                             WeightOverflowError, load_edge_list,
-                             save_snapshot, write_id_maps)
+                             WeightOverflowError, decimal_tokens,
+                             load_edge_list, save_snapshot, write_id_maps)
 
 
 def reference_load_edge_list(path):
@@ -160,7 +161,8 @@ def _outcome(load, path):
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_block_reader_matches_the_line_loop(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(graph_core, "EDGE_BLOCK_LINES", block)
+    # Chunks of about `block` lines.
+    monkeypatch.setattr(graph_core, "TEXT_CHUNK_BYTES", 16 * block)
     rng = np.random.default_rng(block)
     path = tmp_path / "edges.txt"
     kinds = set()
@@ -176,7 +178,7 @@ def test_block_reader_matches_the_line_loop(tmp_path, monkeypatch, block):
 
 def test_snapshot_and_id_map_bytes_match_the_line_loop(tmp_path,
                                                        monkeypatch):
-    monkeypatch.setattr(graph_core, "EDGE_BLOCK_LINES", 5)
+    monkeypatch.setattr(graph_core, "TEXT_CHUNK_BYTES", 80)
     rng = np.random.default_rng(0)
     path = tmp_path / "edges.txt"
     written = 0
@@ -213,7 +215,7 @@ def test_plain_ascii_blocks_skip_the_line_loop(tmp_path, monkeypatch):
         raise AssertionError("a plain ASCII block took the line loop")
 
     monkeypatch.setattr(graph_core, "_edge_lines", line_loop)
-    monkeypatch.setattr(graph_core, "EDGE_BLOCK_LINES", 3)
+    monkeypatch.setattr(graph_core, "TEXT_CHUNK_BYTES", 40)
     path = tmp_path / "edges.txt"
     path.write_bytes(b"# header\r\nu1 i1 0.5\nu2\ti2 1e-3 # note\n\n"
                      b"outcome_unit_9\x0bi1\x0c0\r\nu1\rdiversion_unit_77 2")
@@ -221,3 +223,105 @@ def test_plain_ascii_blocks_skip_the_line_loop(tmp_path, monkeypatch):
         g = load_edge_list(path)
     assert g.outcome_ids == ("u1", "u2")
     assert g.diversion_ids == ("i1", "i2", "diversion_unit_77")
+
+
+# Weights the decimal kernel reads, those at its bounds (15, 16 and 17
+# significant digits) and those it leaves to float(); ids past 8 bytes.
+NUMERIC_WEIGHTS = [b"0.354235", b"123456789012345", b"1234567890123456",
+                   b"12345678901234567", b"0.123456789012345",
+                   b"0.1234567890123456", b"1.2345678901234567",
+                   b"000000000000001.5", b"0007", b"00.25", b"5.", b".5",
+                   b"+1", b"-0", b"-0.0", b"1_0", b"2e3", b"1.5E-7",
+                   b"9007199254740993", b"0.30000000000000004", b"1.",
+                   b"0.1", b"999999999999999", b"0000000000000000"]
+LONG_IDS = IDS + [b"user_0000000001", b"12345678", b"123456789",
+                  b"item-abcdefghijklmnop", b"x" * 40]
+
+
+def numeric_edge_file(rng):
+    lines = []
+    for _ in range(int(rng.integers(1, 40))):
+        lines.append(_pick(rng, LONG_IDS) + _pick(rng, SEPS)
+                     + _pick(rng, LONG_IDS) + _pick(rng, SEPS)
+                     + _pick(rng, NUMERIC_WEIGHTS) + _pick(rng, ENDS))
+        if rng.random() < 0.1:
+            lines.append(_pick(rng, EXTRAS))
+    blob = b"".join(lines)
+    return blob.rstrip(b"\r\n") if rng.random() < 0.3 else blob
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 11, 64])
+def test_chunk_cuts_inside_lines_match_the_line_loop(tmp_path, monkeypatch,
+                                                     chunk):
+    # Reads of `chunk` bytes cut lines, and a chunk starts with the part
+    # of a line the read before it left over.
+    monkeypatch.setattr(graph_core, "TEXT_CHUNK_BYTES", chunk)
+    rng = np.random.default_rng(100 + chunk)
+    path = tmp_path / "edges.txt"
+    for _ in range(150):
+        path.write_bytes(numeric_edge_file(rng) if rng.random() < 0.5
+                         else random_edge_file(rng, 3))
+        assert _outcome(load_edge_list, path) == \
+            _outcome(reference_load_edge_list, path), path.read_bytes()
+
+
+def test_numeric_weights_skip_the_line_loop(tmp_path, monkeypatch):
+    def line_loop(*args):
+        raise AssertionError("a plain ASCII chunk took the line loop")
+
+    monkeypatch.setattr(graph_core, "_edge_lines", line_loop)
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"".join(
+        b"%s x%d %s\n" % (LONG_IDS[k % len(LONG_IDS)], k, w)
+        for k, w in enumerate(NUMERIC_WEIGHTS)))
+    with pytest.warns(UserWarning, match="x23"):
+        g = load_edge_list(path)
+    assert g.nnz == len(NUMERIC_WEIGHTS) - 3
+    assert _outcome(load_edge_list, path) == \
+        _outcome(reference_load_edge_list, path)
+
+
+def _tokens(texts):
+    """The texts as one line of bytes, and their bounds in it."""
+    blob = b" ".join(texts) + b"\n"
+    ends = np.cumsum([len(t) + 1 for t in texts]) - 1
+    starts = ends - [len(t) for t in texts]
+    return np.frombuffer(blob + TOKEN_PAD, dtype=np.uint8), starts, ends
+
+
+def test_decimal_kernel_matches_float_bit_for_bit():
+    rng = np.random.default_rng(7)
+    texts = []
+    for _ in range(100_000):
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 18))))
+        if rng.random() < 0.3:
+            digits = "0" * int(rng.integers(1, 4)) + digits
+        at = int(rng.integers(0, len(digits) + 1))
+        text = digits if rng.random() < 0.2 else \
+            digits[:at] + "." + digits[at:]
+        texts.append(text.encode())
+    byte, starts, ends = _tokens(texts)
+    values, scales, ok = decimal_tokens(byte, starts, ends, 15, True)
+    count = np.array([len(t) - t.count(b".") for t in texts])
+    np.testing.assert_array_equal(ok, count <= 15)
+    assert ok.sum() > 50_000
+    got = values[ok] / 10.0 ** scales[ok]
+    want = np.array([float(t) for t, k in zip(texts, ok) if k])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_decimal_kernel_reads_integers_and_refuses_the_rest():
+    texts = [b"0", b"007", b"9999999999999999", b"10000000000000000",
+             b"-1", b"+2", b"1_0", b"1.5", b"5.", b".", b"1e3", b"a",
+             b"12345678", b"123456789"]
+    byte, starts, ends = _tokens(texts)
+    values, scales, ok = decimal_tokens(byte, starts, ends, 16, False)
+    assert ok.tolist() == [True, True, True] + [False] * 9 + [True, True]
+    assert values[ok].tolist() == [0, 7, 9999999999999999, 12345678,
+                                   123456789]
+    assert not scales.any()
+    byte, starts, ends = _tokens([b".", b"1..2", b"5.", b".5", b"0.0"])
+    values, scales, ok = decimal_tokens(byte, starts, ends, 15, True)
+    assert ok.tolist() == [False, False, True, True, True]
+    assert (values[ok].tolist(), scales[ok].tolist()) == ([5, 5, 0],
+                                                          [0, 1, 1])

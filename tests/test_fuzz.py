@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
@@ -123,6 +125,94 @@ def test_fuzz_scenario(tmp_path):
 def test_fuzz_manifest(tmp_path):
     _fuzz(tmp_path, "manifest.json", [["rerun", "bad", "--check"]],
           max_examples=100)
+
+
+# Each numeric flag of each command takes each of these values.
+FLAG_VALUES = ["0", "-1", str(2**63), str(10**20), "nan", "inf"]
+
+# Values above these that a command takes run for as long as they say:
+# restarts multiply the search time, and passes and seconds bound it. The
+# tiny graph converges in a few passes, but the test caps them anyway.
+TIME_CAPS = {"--restarts": 2, "--max-passes": 5, "--time-budget": 5.0}
+
+# A valid run of each command on the workspace's tiny graph; the flag
+# under test is appended, and so replaces a value given here.
+FLAG_RUNS = {
+    "ingest": ["ingest", "edges.txt", "g2.bin"],
+    "design": ["design", "g.bin", "c2.tsv", "--max-passes", "2"],
+    "moments": ["moments", "g.bin", "c.tsv", "m2.csv"],
+    "simulate": ["simulate", "g.bin", "scenario.txt", "sim", "--clustering",
+                 "c.tsv", "--replicates", "5"],
+    "sweep": ["sweep", "g.bin", "scenario.txt", "sweep.csv", "--phis", "0.5",
+              "--replicates", "5", "--max-passes", "2"],
+}
+
+
+def _numeric_flags(command):
+    """The options of a command that take a number, or numbers (--phis)."""
+    return [param.opts[0] for param in command.params
+            if isinstance(param, click.Option) and not param.is_flag
+            and (isinstance(param.type, (click.types.IntParamType,
+                                         click.types.FloatParamType))
+                 or param.name == "phis")]
+
+
+def _capped(flag, value):
+    cap = TIME_CAPS.get(flag)
+    if cap is not None and value not in ("nan", "inf") and float(value) > cap:
+        return str(cap)
+    return value
+
+
+def _invoke_flag(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None \
+        or isinstance(result.exception, SystemExit), (args, result.exception)
+    assert "Traceback" not in result.output, (args, result.output)
+    return result
+
+
+def test_fuzz_flags(tmp_path, monkeypatch):
+    """Every numeric flag of every command, at each of FLAG_VALUES, ends in
+    exit 0, 1 or 2 and never in a traceback. In-process: no process or
+    thread is started."""
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    _workspace(runner)
+    driven = set()
+    for name, command in main.commands.items():
+        flags = _numeric_flags(command)
+        assert not flags or name in FLAG_RUNS, f"no base run for {name}"
+        for flag in flags:
+            for value in FLAG_VALUES:
+                _invoke_flag(runner, FLAG_RUNS[name]
+                             + [flag, _capped(flag, value)])
+            driven.add((name, flag))
+    assert {("design", "--max-passes"), ("simulate", "--replicates"),
+            ("sweep", "--phis"), ("ingest", "--min-degree")} <= driven
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("design", "--max-passes", 2**63), ("sweep", "--max-passes", 2**63),
+    ("design", "--max-passes", 10**20), ("simulate", "--replicates", 2**63),
+    ("simulate", "--replicates", 10**20), ("sweep", "--replicates", 2**63),
+    ("sweep", "--replicates", 10**20)])
+def test_flag_values_past_a_machine_size_are_usage_errors(
+        tmp_path, monkeypatch, command, flag, value):
+    # These ended in islice()'s or numpy's ValueError traceback, exit 1.
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    _workspace(runner)
+    result = _invoke_flag(runner, FLAG_RUNS[command] + [flag, str(value)])
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error")]
+    # The error names the flag, or the config field it sets.
+    assert result.exit_code == 2 and len(errors) == 1 and (
+        flag in errors[0] or flag[2:].replace("-", "_") in errors[0]), \
+        result.output
+    assert not any(Path(out).exists()
+                   for out in ("c2.tsv", "sim", "sweep.csv"))
 
 
 def test_fuzz_snapshot(tmp_path):
