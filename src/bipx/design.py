@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from bipx.graph_core import TOKEN_PAD, Compressed, compress, \
-    decimal_tokens, first_appearance_codes, id_keys, sum_rows, text_lines, \
-    token_array, token_bounds, write_rows
+    first_appearance_codes, id_keys, sum_rows, text_lines, token_array, \
+    token_bounds, write_rows
 
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
@@ -142,9 +142,9 @@ def _clustering_block(g, blob):
     """The labels, in diversion index order, of a clustering file's bytes,
     or None when the file needs the line loop: a byte outside _BLOCK_BYTES,
     a line that is not exactly `id<TAB>cluster id`, a cluster id that int()
-    refuses or that overflows int64, or ids that are not the graph's
-    diversion ids, each once. A cluster id of at most 16 digits is read
-    from the bytes at once, and any other through int()."""
+    refuses or that overflows int64, a column token_array refuses, or ids
+    that are not the graph's diversion ids, each once. Cluster ids are
+    read by numpy's cast, which reads each token as int() does."""
     if not blob.endswith(b"\n"):
         blob += b"\n"
     byte = np.frombuffer(blob + TOKEN_PAD, dtype=np.uint8)
@@ -161,13 +161,11 @@ def _clustering_block(g, blob):
             and (byte[ends[0::2]] == _TAB).all()
             and (byte[ends[1::2]] == _NEWLINE).all()):
         return None
-    labels, _, ok = decimal_tokens(byte, starts[1::2], ends[1::2], 16, False)
-    other = np.flatnonzero(~ok)
+    labels = token_array(byte, starts[1::2], ends[1::2])
+    if labels is None:
+        return None
     try:
-        labels[other] = np.fromiter(
-            (int(blob[s:e]) for s, e in zip(starts[1::2][other].tolist(),
-                                            ends[1::2][other].tolist())),
-            dtype=np.int64, count=other.size)
+        labels = labels.astype(np.int64)
         known = "\n".join(g.diversion_ids).encode("utf-8") + b"\n"
     except (ValueError, OverflowError, UnicodeEncodeError):
         return None
@@ -180,7 +178,7 @@ def _clustering_block(g, blob):
     graph_ids = token_array(graph_byte, np.r_[0, graph_ends[:-1] + 1],
                             graph_ends)
     # The same ids have the same longest id.
-    if ids.dtype != graph_ids.dtype:
+    if ids is None or graph_ids is None or ids.dtype != graph_ids.dtype:
         return None
     ids, graph_ids = id_keys(ids), id_keys(graph_ids)
     line_order, order = np.argsort(ids), np.argsort(graph_ids)

@@ -305,7 +305,6 @@ TOKEN_PAD = b"\n" * 8
 
 # _LOW_BYTES[b] keeps the first b bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype="<u8")
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 def byte_chunks(fh):
@@ -333,10 +332,15 @@ def token_bounds(space):
     return bounds[0::2], bounds[1::2]
 
 
-def _words(byte, starts, ends, count):
-    """The first 8 * count bytes of the tokens byte[starts[t]:ends[t]], as
-    (tokens, count) little-endian 8-byte words, 0 past a token's end. Each
-    token has 8 bytes of `byte` after it."""
+def token_array(byte, starts, ends):
+    """The tokens byte[starts[t]:ends[t]], each with 8 bytes of `byte`
+    after it, as an `S` array whose width is the longest one's rounded
+    up to a multiple of 8; None when that array would take more than 4
+    bytes per byte of `byte`, as one long token among many short ones
+    makes it."""
+    count = max(-(-int((ends - starts).max(initial=0)) // 8), 1)
+    if 8 * count * starts.size > 4 * byte.size:
+        return None
     # Every 8 bytes of `byte`, from each offset: an unaligned view.
     windows = np.ndarray((byte.size - 7,), "<u8", byte, strides=(1,))
     lengths = ends - starts
@@ -346,65 +350,16 @@ def _words(byte, starts, ends, count):
         # read from anywhere in `windows`.
         at = np.minimum(starts + 8 * w, windows.size - 1)
         words[:, w] = windows[at] & _LOW_BYTES[np.clip(lengths - 8 * w, 0, 8)]
-    return words
-
-
-def token_array(byte, starts, ends):
-    """The tokens byte[starts[t]:ends[t]], each with 8 bytes of `byte`
-    after it, as an `S` array whose width is the longest one's rounded
-    up to a multiple of 8."""
-    count = max(-(-int((ends - starts).max(initial=0)) // 8), 1)
-    return _words(byte, starts, ends, count).view(f"S{8 * count}").ravel()
-
-
-def decimal_tokens(byte, starts, ends, digits, point):
-    """(values, scales, ok) of the tokens byte[starts[t]:ends[t]], each
-    with 8 bytes of `byte` after it; at most 16 bytes of a token are read.
-    ok[t] holds where the token is 1 to `digits` ASCII digits, with at
-    most one '.' among them if `point` and none otherwise; there values[t]
-    is its digits read as one integer and scales[t] the count of them
-    after the '.'."""
-    lengths = ends - starts
-    width = 8 * min(max(-(-int(lengths.max(initial=0)) // 8), 1), 2)
-    win = _words(byte, starts, ends, width // 8).view(np.uint8)
-    digit = win - np.uint8(ord("0")) < 10  # uint8 wraps below '0'
-    dot = win == ord(".")
-    dots = _count(dot)
-    # Past its end a token's word bytes are 0: neither a digit nor a '.'.
-    ok = ((lengths <= width) & (_count(~(digit | dot)) == width - lengths)
-          & (dots <= point) & (lengths > dots) & (lengths - dots <= digits))
-    # The token's bytes as digits, '.' as 0, then shifted down past the
-    # zeros after its end.
-    whole = (np.where(digit, win - np.uint8(ord("0")), 0).astype(np.int64)
-             @ _POW10[width - 1::-1])
-    whole //= _POW10[np.where(ok, width - lengths, 0)]
-    pointed = ok & (dots > 0)
-    scales = np.where(pointed, lengths - 1 - dot.argmax(axis=1), 0)
-    # Drop the 0 in the place of the '.'.
-    values = np.where(pointed, whole // _POW10[scales + 1] * _POW10[scales]
-                      + whole % _POW10[scales], whole)
-    return values, scales, ok
-
-
-def _count(mask):
-    """The True entries in each row of a (rows, 8 * words) bool array."""
-    # Times 0x0101010101010101, an 8-byte word's byte sum (at most 8, so
-    # no carry) lands in its top byte.
-    sums = (mask.view("<u8") * np.uint64(0x0101010101010101)) >> np.uint64(56)
-    return sums.sum(axis=1, dtype=np.int64)
+    return words.view(f"S{8 * count}").ravel()
 
 
 def _edge_block(chunk):
-    """(outcome ids, diversion ids, weights) of a chunk of whole lines,
-    the ids as `S` arrays, or None when a line needs the line loop: not
-    ASCII, not 0 or 3 tokens, or a weight that is not a finite number
-    >= 0.
-
-    A weight of at most 15 digits with at most one '.' is its digits as
-    an integer M, exact in a double, divided by 10**f for the f digits
-    after the '.'. Both are exact and IEEE division rounds correctly, so
-    that is the double nearest the decimal, as float() reads it. Any
-    other weight goes through float()."""
+    """((outcome ids, diversion ids, weights), lines) of a chunk of whole
+    lines, the ids as `S` arrays and `lines` the chunk's newline count, or
+    None when a line needs the line loop: not ASCII, not 0 or 3 tokens, a
+    weight that is not a finite number >= 0, or a column token_array
+    refuses. Weights are read by numpy's cast, which reads each token as
+    float() does."""
     if not chunk.isascii() or any(c in chunk for c in _UNSAFE):
         return None
     if b"#" in chunk:
@@ -418,19 +373,18 @@ def _edge_block(chunk):
     if not np.all((counts == 0) | (counts == 3)):
         return None
     starts, ends = starts.reshape(-1, 3).T, ends.reshape(-1, 3).T
-    values, scales, ok = decimal_tokens(byte, starts[2], ends[2], 15, True)
-    weights = values / _POW10[scales]
-    other = np.flatnonzero(~ok)
-    if other.size:
-        try:
-            weights[other] = [float(chunk[s:e]) for s, e in zip(
-                starts[2][other].tolist(), ends[2][other].tolist())]
-        except ValueError:
-            return None
-        if not (np.isfinite(weights).all() and (weights >= 0).all()):
-            return None
-    return (token_array(byte, starts[0], ends[0]),
-            token_array(byte, starts[1], ends[1]), weights)
+    columns = [token_array(byte, s, e) for s, e in zip(starts, ends)]
+    if any(c is None for c in columns):
+        return None
+    try:
+        # An overflow reads as inf, which is refused below.
+        with np.errstate(over="ignore"):
+            weights = columns[2].astype(np.float64)
+    except ValueError:
+        return None
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        return None
+    return (columns[0], columns[1], weights), newlines.size - len(TOKEN_PAD)
 
 
 def _id_array(keys):
@@ -510,11 +464,11 @@ def load_edge_list(path):
     with open(path, "rb") as fh:
         start = 1
         for chunk in byte_chunks(fh):
-            block = _edge_block(chunk)
-            if block is None:
-                block = _edge_lines(io.BytesIO(chunk), start, path)
+            block, lines = _edge_block(chunk) or (
+                _edge_lines(io.BytesIO(chunk), start, path),
+                chunk.count(b"\n"))
             blocks.append(block)
-            start += chunk.count(b"\n")
+            start += lines
     weights = np.concatenate([b[2] for b in blocks] or [np.empty(0)])
     keep = weights > 0
     if not keep.any():

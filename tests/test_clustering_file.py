@@ -182,8 +182,25 @@ def test_files_the_block_split_refuses_take_the_line_loop(tmp_path, ids,
         _outcome(reference_read_clustering, g, path)
 
 
-# Cluster ids the tokenizer reads (up to 16 digits) and those it leaves to
-# int(); ids past 8 and 16 bytes.
+@pytest.mark.parametrize("first_id, first_cid", [("u0", "0" * 4000 + "1"),
+                                                 ("x" * 4000, "1")],
+                         ids=["long-cluster-id", "long-diversion-id"])
+def test_a_long_token_makes_the_file_take_the_line_loop(tmp_path, first_id,
+                                                        first_cid):
+    ids = (first_id, *(f"u{k}" for k in range(1, 100)))
+    g = BipartiteGraph.from_csr(sp.csr_matrix(np.ones((1, 100))), ("o",),
+                                ids)
+    blob = "".join(f"{d}\t{c}\n" for d, c in zip(
+        ids, [first_cid, *(str(k % 3) for k in range(1, 100))])).encode()
+    path = tmp_path / "c.tsv"
+    path.write_bytes(blob)
+    assert design._clustering_block(g, blob) is None
+    assert _outcome(read_clustering, g, path) == \
+        _outcome(reference_read_clustering, g, path)
+
+
+# Cluster ids with signs, leading zeros, a '_' and up to 22 bytes, at
+# and inside int64's bounds; ids past 8 and 16 bytes.
 TOKEN_CIDS = [b"0", b"7", b"-1", b"-0", b"+3", b"007", b"0000000000000012",
               b"1_0", b"9999999999999999", b"12345678901234567",
               b"123456789012345678", b"9223372036854775807",

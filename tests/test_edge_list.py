@@ -1,8 +1,8 @@
 """The tokenizer of `load_edge_list` against the line-at-a-time reader it
 replaced, kept here as the reference: same graph, ids, warnings and
 errors on random files, read in chunks of a few bytes or lines so that
-every file spans several chunks. Its decimal kernel is checked bit for
-bit against float() and int()."""
+every file spans several chunks. Its weights are checked bit for bit
+against float()."""
 
 import math
 import warnings
@@ -12,10 +12,10 @@ import pytest
 import scipy.sparse as sp
 
 from bipx import graph_core
-from bipx.graph_core import (TOKEN_PAD, BipartiteGraph, EdgeListParseError,
+from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
                              EmptyGraphError, NegativeWeightError,
-                             WeightOverflowError, decimal_tokens,
-                             load_edge_list, save_snapshot, write_id_maps)
+                             WeightOverflowError, load_edge_list,
+                             save_snapshot, write_id_maps)
 
 
 def reference_load_edge_list(path):
@@ -225,8 +225,8 @@ def test_plain_ascii_blocks_skip_the_line_loop(tmp_path, monkeypatch):
     assert g.diversion_ids == ("i1", "i2", "diversion_unit_77")
 
 
-# Weights the decimal kernel reads, those at its bounds (15, 16 and 17
-# significant digits) and those it leaves to float(); ids past 8 bytes.
+# Weights of 15, 16 and 17 significant digits, with leading zeros, signs,
+# a '_' or an exponent; ids past 8 bytes.
 NUMERIC_WEIGHTS = [b"0.354235", b"123456789012345", b"1234567890123456",
                    b"12345678901234567", b"0.123456789012345",
                    b"0.1234567890123456", b"1.2345678901234567",
@@ -281,47 +281,91 @@ def test_numeric_weights_skip_the_line_loop(tmp_path, monkeypatch):
         _outcome(reference_load_edge_list, path)
 
 
-def _tokens(texts):
-    """The texts as one line of bytes, and their bounds in it."""
-    blob = b" ".join(texts) + b"\n"
-    ends = np.cumsum([len(t) + 1 for t in texts]) - 1
-    starts = ends - [len(t) for t in texts]
-    return np.frombuffer(blob + TOKEN_PAD, dtype=np.uint8), starts, ends
+def _random_weight_text(rng):
+    """A weight as float() may or may not read it: a sign, digits (16 and
+    more in some), a '.', a '_' between digits, an exponent, a stray
+    character; or inf or nan."""
+    if rng.random() < 0.02:
+        return _pick(rng, ["inf", "-inf", "nan", "Infinity", "+nan"])
+    digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 31))))
+    if rng.random() < 0.1 and len(digits) > 1:
+        at = int(rng.integers(1, len(digits)))
+        digits = digits[:at] + "_" + digits[at:]
+    at = int(rng.integers(0, len(digits) + 1))
+    text = digits if rng.random() < 0.3 else digits[:at] + "." + digits[at:]
+    if rng.random() < 0.3:
+        text += _pick(rng, ["e", "E"]) + _pick(rng, ["", "+", "-"]) \
+            + str(int(rng.integers(0, 400)))
+    if rng.random() < 0.02:
+        at = int(rng.integers(0, len(text) + 1))
+        text = text[:at] + _pick(rng, list("._e+-x")) + text[at:]
+    return _pick(rng, ["", "", "+", "-"]) + text
 
 
-def test_decimal_kernel_matches_float_bit_for_bit():
+def _is_weight(text):
+    """Whether the line loop takes `text` as a weight."""
+    try:
+        w = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(w) and w >= 0
+
+
+def _read_weights(texts):
+    chunk = "".join(f"u{t} i{t % 7} {w}\n" for t, w in enumerate(texts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return graph_core._edge_block(chunk.encode())
+
+
+def test_weights_read_as_float_reads_them_bit_for_bit():
+    # Chunks of 100 weights that float() takes, each read again with one
+    # it refuses (not a number, negative or not finite) in a random place.
     rng = np.random.default_rng(7)
-    texts = []
+    good, bad = [], []
     for _ in range(100_000):
-        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 18))))
-        if rng.random() < 0.3:
-            digits = "0" * int(rng.integers(1, 4)) + digits
-        at = int(rng.integers(0, len(digits) + 1))
-        text = digits if rng.random() < 0.2 else \
-            digits[:at] + "." + digits[at:]
-        texts.append(text.encode())
-    byte, starts, ends = _tokens(texts)
-    values, scales, ok = decimal_tokens(byte, starts, ends, 15, True)
-    count = np.array([len(t) - t.count(b".") for t in texts])
-    np.testing.assert_array_equal(ok, count <= 15)
-    assert ok.sum() > 50_000
-    got = values[ok] / 10.0 ** scales[ok]
-    want = np.array([float(t) for t, k in zip(texts, ok) if k])
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        text = _random_weight_text(rng)
+        (good if _is_weight(text) else bad).append(text)
+    assert min(len(good), len(bad)) > 10_000
+    for k in range(0, len(good), 100):
+        texts = good[k:k + 100]
+        (_, _, weights), lines = _read_weights(texts)
+        assert lines == len(texts)
+        want = np.array([float(w) for w in texts])
+        np.testing.assert_array_equal(weights.view(np.int64),
+                                      want.view(np.int64))
+        texts[int(rng.integers(len(texts)))] = _pick(rng, bad)
+        assert _read_weights(texts) is None, texts
 
 
-def test_decimal_kernel_reads_integers_and_refuses_the_rest():
-    texts = [b"0", b"007", b"9999999999999999", b"10000000000000000",
-             b"-1", b"+2", b"1_0", b"1.5", b"5.", b".", b"1e3", b"a",
-             b"12345678", b"123456789"]
-    byte, starts, ends = _tokens(texts)
-    values, scales, ok = decimal_tokens(byte, starts, ends, 16, False)
-    assert ok.tolist() == [True, True, True] + [False] * 9 + [True, True]
-    assert values[ok].tolist() == [0, 7, 9999999999999999, 12345678,
-                                   123456789]
-    assert not scales.any()
-    byte, starts, ends = _tokens([b".", b"1..2", b"5.", b".5", b"0.0"])
-    values, scales, ok = decimal_tokens(byte, starts, ends, 15, True)
-    assert ok.tolist() == [False, False, True, True, True]
-    assert (values[ok].tolist(), scales[ok].tolist()) == ([5, 5, 0],
-                                                          [0, 1, 1])
+def test_a_long_token_makes_its_chunk_take_the_line_loop(tmp_path,
+                                                         monkeypatch):
+    lines = graph_core._edge_lines
+    refused = []
+
+    def line_loop(chunk, start, path):
+        refused.append(start)
+        return lines(chunk, start, path)
+
+    monkeypatch.setattr(graph_core, "_edge_lines", line_loop)
+    path = tmp_path / "edges.txt"
+    body = [b"u%d i%d 0.%d\n" % (k, k % 7, k) for k in range(2000)]
+    for long_line in (b"u1 i1 0." + b"5" * 4000 + b"\n",
+                      b"u" + b"1" * 4000 + b" i1 0.5\n"):
+        refused.clear()
+        path.write_bytes(b"".join(body[:1000] + [long_line] + body[1000:]))
+        assert _outcome(load_edge_list, path) == \
+            _outcome(reference_load_edge_list, path)
+        assert refused == [1]
+
+
+# numpy's cast warns of the overflow on the second but not the first.
+@pytest.mark.parametrize("weight", [b"1e400", b"72803027248295368.0e312"])
+def test_a_weight_past_the_largest_double_is_not_finite(tmp_path, weight):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"u1 i1 0.5\nu2 i2 %s\n" % weight)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EdgeListParseError,
+                           match=r"edges\.txt:2: weight inf is not finite"):
+            load_edge_list(path)
