@@ -384,11 +384,32 @@ def _edge_block(chunk):
         return None
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         return None
-    return (columns[0], columns[1], weights), newlines.size - len(TOKEN_PAD)
+    return ((_id_widths(columns[0]), _id_widths(columns[1]), weights),
+            newlines.size - len(TOKEN_PAD))
 
 
-def _id_array(keys):
-    return np.array(keys, dtype=f"S{max(map(len, keys), default=1)}")
+def _id_widths(ids):
+    """A block's id column as {width: (at, ids)}: its ids grouped by their
+    length rounded up to a multiple of 8 bytes, at least 8, each group an
+    `S` array of that width with `at` its positions in the column, or None
+    for a group that is the whole column. `ids` is an `S` array or a list
+    of bytes. So one long id widens no other: an `S` array pads every id
+    to its longest."""
+    if not len(ids):
+        return {}
+    if isinstance(ids, list):
+        lengths = np.fromiter(map(len, ids), np.intp, len(ids))
+        ids = np.array(ids, dtype=object)
+    elif ids.itemsize <= 8:
+        return {8: (None, ids)}
+    else:
+        lengths = np.strings.str_len(ids)
+    widths = 8 * np.maximum(-(-lengths // 8), 1)
+    found = np.unique(widths).tolist()
+    if len(found) == 1:
+        return {found[0]: (None, ids.astype(f"S{found[0]}"))}
+    return {w: (at, ids[at].astype(f"S{w}"))
+            for w in found for at in [np.flatnonzero(widths == w)]}
 
 
 def _id_key(text):
@@ -420,8 +441,8 @@ def _edge_lines(lines, start, path):
         oids.append(_id_key(oid))
         dids.append(_id_key(did))
         weights.append(w)
-    return _id_array(oids), _id_array(dids), np.array(weights,
-                                                      dtype=np.float64)
+    return _id_widths(oids), _id_widths(dids), np.array(weights,
+                                                        dtype=np.float64)
 
 
 def id_keys(ids):
@@ -430,17 +451,49 @@ def id_keys(ids):
     return ids.astype("S8").view(np.uint64) if ids.itemsize <= 8 else ids
 
 
-def _index_ids(columns):
-    """Dense codes of the ids in `S` columns, in first-appearance order,
-    and the ids as text in that order."""
-    codes, firsts = first_appearance_codes(id_keys(np.concatenate(columns)))
+def _id_texts(firsts):
+    """The ids of first_appearance_codes' firsts of id_keys, as text."""
     if firsts.dtype == np.uint64:
         firsts = firsts.view("S8")
     blob = b"\n".join(firsts.tolist())
     ids = blob.decode("utf-8").split("\n")
     if b"#" in blob:
         ids = [x[:-1] if x.endswith("#") else x for x in ids]
-    return codes, ids
+    return ids
+
+
+def _index_ids(columns, sizes):
+    """Dense codes of the ids in the blocks' id columns, in first-appearance
+    order, and the ids as text in that order. columns[b] is block b's
+    column as _id_widths gives it and sizes[b] its length. The ids of each
+    width are keyed apart, by id_keys, and the widths' codes are then
+    merged by the position where each id first appears."""
+    widths, offset = {}, 0
+    for column, size in zip(columns, sizes):
+        for w, (at, ids) in column.items():
+            widths.setdefault(w, []).append((offset, size, at, ids))
+        offset += size
+    coded, firsts = [], []
+    for parts in widths.values():
+        group_codes, uniq = first_appearance_codes(
+            id_keys(np.concatenate([ids for *_, ids in parts])))
+        if len(widths) == 1:
+            return group_codes, _id_texts(uniq)
+        at = np.concatenate([start + (np.arange(size) if at is None else at)
+                             for start, size, at, _ in parts])
+        # Codes number a width's ids by first appearance, so an id first
+        # appears where the running maximum of the codes grows.
+        grows = np.diff(np.maximum.accumulate(group_codes), prepend=-1) > 0
+        firsts.append(at[grows])
+        coded.append((at, group_codes, _id_texts(uniq)))
+    order = np.argsort(np.concatenate(firsts))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    codes, texts = np.empty(offset, dtype=np.intp), []
+    for at, group_codes, group_texts in coded:
+        codes[at] = rank[len(texts) + group_codes]
+        texts += group_texts
+    return codes, [texts[t] for t in order.tolist()]
 
 
 def load_edge_list(path):
@@ -473,8 +526,9 @@ def load_edge_list(path):
     keep = weights > 0
     if not keep.any():
         raise EmptyGraphError(f"{path}: no positive-weight edges")
-    rows, outcome_ids = _index_ids([b[0] for b in blocks])
-    cols, diversion_ids = _index_ids([b[1] for b in blocks])
+    sizes = [b[2].size for b in blocks]
+    rows, outcome_ids = _index_ids([b[0] for b in blocks], sizes)
+    cols, diversion_ids = _index_ids([b[1] for b in blocks], sizes)
     del blocks
     if not keep.all():
         rows, cols, weights = rows[keep], cols[keep], weights[keep]

@@ -23,7 +23,8 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from bipx.cluster_opt import local_search
-from bipx.design import DesignSpec, design_aggregates, derived_rng
+from bipx.design import DesignSpec, coin_signs, design_aggregates, \
+    derived_states
 from bipx.estimator import OutcomeModel, erl_estimate, mse as exact_mse, \
     respond, true_ate
 from bipx.graph_core import scipy_csr, text_lines, write_rows
@@ -50,6 +51,10 @@ _DEFAULTS = {
 
 # Replicates per block of run_simulation: one sparse product per block.
 _BLOCK = 16
+
+# Replicates whose generator states run_simulation derives at once; a
+# multiple of _BLOCK, and it bounds the memory the states take.
+_SEED_CHUNK = 4096
 
 # outcome_linkage_labels holds about 28 n^2 bytes of dense matrices; this
 # many outcome units keeps them under about 0.7 GB.
@@ -155,8 +160,10 @@ def normal_draw(rng, size, mean, var):
     ziggurat tables, so seeded streams stay stable across versions.
     var = 0 returns the mean exactly.
     """
-    # Imported here: scipy.special takes about 65 ms to load, and most
-    # bipx commands never draw a normal.
+    # Imported here, as most bipx commands never draw a normal. On scipy
+    # 1.17.1 scipy.special takes 0.21-0.35 s to load after numpy alone and
+    # 0.05-0.13 s once scipy.sparse is loaded: it pulls in
+    # scipy._lib.array_api_compat, which loads numpy.f2py and numpy.testing.
     from scipy.special import ndtri
     u = (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) \
         / float(1 << 53)
@@ -179,7 +186,9 @@ def outcome_linkage_labels(g, n_clusters):
             f"n x n similarity and distance matrices plus their condensed "
             f"form, about 28 n^2 bytes = {28 * n * n / 1e9:.1f} GB; the "
             f"limit is {MAX_LINKAGE_UNITS} outcome units")
-    # Imported here: they add about 0.12 s to every bipx process otherwise.
+    # Imported here: on scipy 1.17.1 they take 0.29-0.58 s to load after
+    # numpy alone and 0.13-0.27 s after scipy.sparse, which every bipx
+    # process would pay otherwise.
     import scipy.cluster.hierarchy as sch
     import scipy.spatial.distance as ssd
 
@@ -276,12 +285,14 @@ def run_simulation(g, d, model, replicates, base_seed, *,
                    design_name="", scenario_name=""):
     """Replicate the experiment: assign, expose, respond, estimate.
 
-    Replicate r uses the generator seeded by (base_seed, r), so results
-    do not depend on execution order and rerunning any subset reproduces
-    the same estimates. Its cluster coins are the doubles
-    `sample_assignment` draws from that generator, and its exposures are
-    agg @ coins over the design's cluster aggregates, computed for a block
-    of replicates per sparse product. export_histogram bins the estimates.
+    Replicate r's cluster coins are the doubles `sample_assignment` draws
+    from derived_rng(base_seed, r), so results do not depend on execution
+    order and rerunning any subset reproduces the same estimates. No
+    generator is built per replicate: derived_states gives the PCG64
+    states of a chunk of replicates at once, and one generator is set to
+    each in turn. The exposures are agg @ signs over the design's cluster
+    aggregates, computed for a block of replicates per sparse product.
+    export_histogram bins the estimates.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -292,16 +303,27 @@ def run_simulation(g, d, model, replicates, base_seed, *,
     k = agg.shape[1]
     tau = true_ate(model)
     ests = np.empty(replicates, dtype=np.float64)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    state = bits.state
     coins = np.empty((_BLOCK, k), dtype=np.float64)
+    # (k, b) and C-contiguous, so the sparse product reads it in place.
+    signs_buf = np.empty(k * _BLOCK, dtype=np.float64)
     for start in range(0, replicates, _BLOCK):
+        if start % _SEED_CHUNK == 0:
+            seeds = iter(derived_states(
+                base_seed, start, min(start + _SEED_CHUNK, replicates)))
         b = min(_BLOCK, replicates - start)
         for row in range(b):
-            coins[row] = derived_rng(base_seed, start + row).random(k)
-        signs = np.where(coins[:b] < d.p, 1.0, -1.0)
+            state["state"]["state"], state["state"]["inc"] = next(seeds)
+            bits.state = state
+            rng.random(out=coins[row])
+        signs = coin_signs(coins[:b].T, d.p,
+                           out=signs_buf[:k * b].reshape(k, b))
         # (n, b) from the sparse product, transposed so that each
         # replicate's terms are summed along one contiguous row: the sum
         # then has the same bits whatever the block size.
-        x = np.ascontiguousarray((agg @ signs.T).T)
+        x = np.ascontiguousarray((agg @ signs).T)
         ests[start:start + b] = erl_estimate(respond(model, x), x, mom)
     return SimulationReport(design_name=design_name or d.kind,
                             scenario_name=scenario_name,

@@ -332,6 +332,38 @@ def test_simulate_outputs_and_determinism(workspace, runner):
     assert (out1 / "manifest.json").exists()
 
 
+# sha256 of report.json, estimates.csv and histogram.csv of `bipx simulate`
+# on the workspace graph: they pin the replicates' coins, the RNG stream
+# seeded by (--seed, replicate), bit for bit.
+SIMULATE_GOLDEN = {
+    ("--clustering", "{c}"): (
+        "1e2d4a9df42bcbab9cdc8fa025392a2946fd376abfe0a3f6d996b5b2d57b1971",
+        "1895f28bd9ed08abebfaad2e0e311be1536062fc94cd681bbca4180c47010562",
+        "e7dd07be9ad9f7f7e3f84763247850e73a4977fce3f337dee1cc8c08de358378"),
+    ("--bernoulli", "--p", "0.3"): (
+        "dbe59f7dcf5d08f6fb6a920b8748ea79d5afafa90dff81ea55aae01e47385556",
+        "2e03fd2b79a5cca8ac1d300b20a3af7a113357bf5f705532fcaafe95f8f5efbb",
+        "00c0f6015ec0b2a859559507f2e67c2209e1844a969e8f751283014660bf0bcf"),
+}
+
+
+@pytest.mark.parametrize("flags", list(SIMULATE_GOLDEN),
+                         ids=["clustering", "bernoulli-p0.3"])
+def test_simulate_golden_bytes(workspace, runner, flags):
+    tmp_path, graph_path, scenario_path = workspace
+    cpath = tmp_path / "c.tsv"
+    cpath.write_text("u\t0\nv\t0\nw\t1\nx\t1\n")
+    out = tmp_path / "sim"
+    result = runner.invoke(main, [
+        "simulate", str(graph_path), str(scenario_path), str(out),
+        "--replicates", "70", "--seed", "11", "--bins", "7",
+        *(flag.format(c=cpath) for flag in flags)])
+    assert result.exit_code == 0, result.output
+    digests = tuple(cli._sha256(out / name) for name in (
+        "report.json", "estimates.csv", "histogram.csv"))
+    assert digests == SIMULATE_GOLDEN[flags]
+
+
 def test_simulate_bernoulli(workspace, runner):
     tmp_path, graph_path, scenario_path = workspace
     out = tmp_path / "sim_b"

@@ -1,5 +1,6 @@
 import gc
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from bipx import design, estimator, simulate
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
-                         cluster_aggregated_weights, derived_rng,
-                         design_aggregates, exposure_moments, read_clustering,
+                         cluster_aggregated_weights, coin_signs,
+                         derived_rng, derived_states, design_aggregates,
+                         exposure_moments, read_clustering,
                          sample_assignment, write_clustering,
                          write_moments_csv)
 from bipx.graph_core import BipartiteGraph, scipy_csr
@@ -240,6 +242,36 @@ def test_exact_moments_expect():
     assert exact.expect(lambda x: x[0]) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("base_seed", [0, 1, 5, 2**32 - 1, 2**32,
+                                       2**64 + 3, 10**20])
+@pytest.mark.parametrize("start,stop", [(0, 16), (2**32 - 5, 2**32 + 5)])
+def test_derived_states_are_derived_rng_states(base_seed, start, stop):
+    states = [derived_rng(base_seed, r).bit_generator.state["state"]
+              for r in range(start, stop)]
+    assert derived_states(base_seed, start, stop) == [
+        (s["state"], s["inc"]) for s in states]
+
+
+@pytest.mark.parametrize("base_seed", [-1, 1.5, None])
+def test_derived_states_refuse_what_seed_sequence_refuses(base_seed):
+    with pytest.raises(Exception) as numpy_error:
+        derived_rng(base_seed, 0)
+    with pytest.raises(type(numpy_error.value),
+                       match=re.escape(str(numpy_error.value))):
+        derived_states(base_seed, 0, 4)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_coin_signs_take_plus_one_strictly_below_p(p):
+    coins = np.array([p, np.nextafter(p, 0.0), 0.0, np.nextafter(1.0, 0.0)])
+    expected = np.array([-1.0, 1.0, 1.0, -1.0])
+    out = np.empty(4)
+    assert coin_signs(coins, p, out=out) is out
+    np.testing.assert_array_equal(out, expected)
+    # In place, as sample_assignment converts its coins.
+    np.testing.assert_array_equal(coin_signs(coins, p, out=coins), expected)
+
+
 def test_derived_rng_order_independent():
     a = derived_rng(7, 3).random(4)
     b = derived_rng(7, 3).random(4)
@@ -335,8 +367,8 @@ def test_memoized_design_gives_the_bits_of_a_fresh_one():
 def test_degenerate_design_raises_on_every_call(monkeypatch):
     g, c, model = memo_instance()
     draws = []
-    monkeypatch.setattr(simulate, "derived_rng",
-                        lambda *seed: draws.append(seed))
+    monkeypatch.setattr(simulate, "derived_states",
+                        lambda *seeds: draws.append(seeds))
     d = DesignSpec.independent_cluster(c, 1e-12)
     for _ in range(2):
         with pytest.raises(DegenerateDesignError):

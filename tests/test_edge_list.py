@@ -5,7 +5,11 @@ every file spans several chunks. Its weights are checked bit for bit
 against float()."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +361,43 @@ def test_a_long_token_makes_its_chunk_take_the_line_loop(tmp_path,
         assert _outcome(load_edge_list, path) == \
             _outcome(reference_load_edge_list, path)
         assert refused == [1]
+
+
+def _load_peak_mb(path):
+    """The peak of memory traced by tracemalloc, numpy's arrays included,
+    in MB, while a fresh process loads the edge list. A process's
+    ru_maxrss would not do: it keeps its parent's peak across fork and
+    exec."""
+    code = ("import sys, tracemalloc\n"
+            "from bipx.graph_core import load_edge_list\n"
+            "tracemalloc.start()\n"
+            "load_edge_list(sys.argv[1])\n"
+            "print(tracemalloc.get_traced_memory()[1])")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(graph_core.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    return int(proc.stdout) / 1e6
+
+
+def test_one_long_id_widens_no_other(tmp_path):
+    # 60,000 lines, about 1.2 MB: one 4000-byte outcome id and one
+    # 2000-byte diversion id among ids of at most 8 bytes and some of 9-16.
+    rng = np.random.default_rng(0)
+    lines = [b"u%d i%d 0.%d\n" % (rng.integers(20000), rng.integers(100000),
+                                   rng.integers(10**6)) for _ in range(60000)]
+    lines[::97] = [b"user_%d item_%d 1\n" % (k, k)
+                   for k in range(len(lines[::97]))]
+    short = tmp_path / "short.txt"
+    short.write_bytes(b"".join(lines))
+    lines[100] = b"u1 i" + b"8" * 1999 + b" 0.5\n"
+    lines[45000] = b"u" + b"7" * 3999 + b" i5 0.5\n"
+    wide = tmp_path / "wide.txt"
+    wide.write_bytes(b"".join(lines))
+    assert _outcome(load_edge_list, wide) == \
+        _outcome(reference_load_edge_list, wide)
+    assert _load_peak_mb(wide) < 2 * _load_peak_mb(short)
 
 
 # numpy's cast warns of the overflow on the second but not the first.

@@ -641,3 +641,16 @@ def test_only_compress_sorts_entries_into_a_csr():
                     and call.func.attr in SCIPY_COMPRESSORS):
                 found.add((module, func))
     assert found == {("estimator", "mse")}
+
+
+def test_no_production_function_builds_a_generator_per_replicate():
+    # derived_rng builds a SeedSequence, a PCG64 and a Generator per call;
+    # run_simulation seeds one generator from derived_states instead, and
+    # derived_rng stays the per-replicate reference for tests and bench/.
+    found = set()
+    for module, tree in _package_trees():
+        for func, call in _calls(tree):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name == "derived_rng":
+                found.add((module, func))
+    assert found == set()

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from bipx import simulate
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
-                         derived_rng, exposure_moments, sample_assignment)
+                         derived_rng, derived_states, exposure_moments,
+                         sample_assignment)
 from bipx.estimator import OutcomeModel, erl_estimate, mse, respond
 from bipx.graph_core import BipartiteGraph, exposures
 from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
@@ -263,14 +264,15 @@ def test_run_simulation_rejects_bad_replicates():
 
 
 def _count_replicate_seeds(monkeypatch):
-    """Record every replicate generator run_simulation derives."""
+    """Record every replicate whose generator state run_simulation
+    derives."""
     calls = []
 
-    def counting(base_seed, replicate):
-        calls.append(replicate)
-        return derived_rng(base_seed, replicate)
+    def counting(base_seed, start, stop):
+        calls.extend(range(start, stop))
+        return derived_states(base_seed, start, stop)
 
-    monkeypatch.setattr(simulate, "derived_rng", counting)
+    monkeypatch.setattr(simulate, "derived_states", counting)
     return calls
 
 
@@ -323,8 +325,10 @@ def test_run_simulation_matches_replicate_loop(p):
                                    atol=1e-12 * np.abs(loop).max())
 
 
+# 40 replicates: two full blocks of 16 and a partial one, and in seed
+# chunks of 16 (a chunk is a multiple of the block) three chunks.
 @pytest.mark.parametrize("constant,value", [
-    ("_BLOCK", 1), ("_BLOCK", 3), (None, None)])
+    ("_BLOCK", 1), ("_BLOCK", 3), ("_SEED_CHUNK", 16), (None, None)])
 def test_run_simulation_estimates_do_not_depend_on_block(
         monkeypatch, constant, value):
     g, _ = paired_pool_instance()
@@ -333,12 +337,12 @@ def test_run_simulation_estimates_do_not_depend_on_block(
     designs = [DesignSpec.bernoulli(0.5),
                DesignSpec.independent_cluster(
                    random_clustering(rng, g.n_diversion, k_max=400), 0.3)]
-    expected = [run_simulation(g, d, model, 11, base_seed=9).estimates
+    expected = [run_simulation(g, d, model, 40, base_seed=9).estimates
                 for d in designs]
     if constant is not None:
         monkeypatch.setattr(simulate, constant, value)
     for d, want in zip(designs, expected):
-        got = run_simulation(g, d, model, 11, base_seed=9).estimates
+        got = run_simulation(g, d, model, 40, base_seed=9).estimates
         assert got.tobytes() == want.tobytes()
 
 
