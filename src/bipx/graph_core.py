@@ -22,9 +22,10 @@ import math
 import os
 import re
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -294,9 +295,6 @@ def first_appearance_codes(values):
 # Text files are tokenized a chunk of about this many bytes at a time.
 TEXT_CHUNK_BYTES = 1 << 20
 
-# str.split() also splits on \x1c-\x1f, which bytes.split() does not, and
-# an `S` array drops trailing NULs: a chunk holding either takes the line loop.
-_UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _COMMENT = re.compile(rb"#[^\n]*")
 
 # What the tokenizer appends to a file's bytes: blank lines, so that the
@@ -353,17 +351,54 @@ def token_array(byte, starts, ends):
     return words.view(f"S{8 * count}").ravel()
 
 
+def token_groups(byte, starts, ends):
+    """The non-empty tokens byte[starts[t]:ends[t]] as {width: (at,
+    tokens)}, grouped by their length rounded up to a multiple of 8 bytes:
+    `tokens` is token_array's array of a group and `at` indexes the group
+    among all tokens, slice(None) when it is all of them. So one long token
+    widens no other; and token_array refuses no group, as each of its
+    tokens fills over width - 8 bytes and has a byte after it."""
+    words = (ends - starts + 7) // 8
+    # Tokens of at most 8 bytes, the common case, need no count.
+    found = ([1] if words.max(initial=0) == 1
+             else np.flatnonzero(np.bincount(words)).tolist())
+    if len(found) == 1:
+        return {8 * found[0]: (slice(None), token_array(byte, starts, ends))}
+    return {8 * w: (at, token_array(byte, starts[at], ends[at]))
+            for w in found for at in [np.flatnonzero(words == w)]}
+
+
+@cache
+def _other_spaces():
+    """A bytes pattern of the UTF-8 of each character str.split() splits
+    on and bytes.split() does not; in valid UTF-8 each match is a whole
+    character. Built on first use, as the scan takes about 0.1 s."""
+    spaces = [c.encode() for c in map(chr, range(sys.maxunicode + 1))
+              if c.isspace() and not c.encode().isspace()]
+    return re.compile(b"|".join(map(re.escape, spaces)))
+
+
 def _edge_block(chunk):
     """((outcome ids, diversion ids, weights), lines) of a chunk of whole
-    lines, the ids as `S` arrays and `lines` the chunk's newline count, or
-    None when a line needs the line loop: not ASCII, not 0 or 3 tokens, a
-    weight that is not a finite number >= 0, or a column token_array
-    refuses. Weights are read by numpy's cast, which reads each token as
-    float() does."""
-    if not chunk.isascii() or any(c in chunk for c in _UNSAFE):
-        return None
+    lines, each id column as token_groups gives it and `lines` the chunk's
+    newline count, or None when the chunk holds an error: not UTF-8, a line
+    of other than 0 or 3 tokens, or a weight that is not a finite number
+    >= 0. A chunk with a non-ASCII byte, NUL or 0x1c-0x1f has the rest of
+    str.split()'s whitespace made spaces, and each NUL made '#', which no
+    id holds once comments are cut and an `S` array does not drop at an
+    id's end. Weights are read by numpy's cast, which reads ASCII as
+    float() does; float() reads a group the cast refuses, Unicode digits
+    included."""
+    odd = not chunk.isascii() or any(c in chunk for c in b"\0\x1c\x1d\x1e\x1f")
+    if odd:
+        try:
+            chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
     if b"#" in chunk:
         chunk = _COMMENT.sub(b"", chunk)
+    if odd:
+        chunk = _other_spaces().sub(b" ", chunk.replace(b"\0", b"#"))
     byte = np.frombuffer(chunk + TOKEN_PAD, dtype=np.uint8)
     # The bytes.split() whitespace b" \t\n\v\f\r"; uint8 wraps below 9.
     starts, ends = token_bounds((byte == ord(" "))
@@ -373,63 +408,34 @@ def _edge_block(chunk):
     if not np.all((counts == 0) | (counts == 3)):
         return None
     starts, ends = starts.reshape(-1, 3).T, ends.reshape(-1, 3).T
-    columns = [token_array(byte, s, e) for s, e in zip(starts, ends)]
-    if any(c is None for c in columns):
-        return None
-    try:
-        # An overflow reads as inf, which is refused below.
-        with np.errstate(over="ignore"):
-            weights = columns[2].astype(np.float64)
-    except ValueError:
-        return None
+    oids, dids, texts = [token_groups(byte, s, e)
+                         for s, e in zip(starts, ends)]
+    weights = np.empty(starts.shape[1])
+    for at, group in texts.values():
+        try:
+            with np.errstate(over="ignore"):  # inf is refused below
+                weights[at] = group.astype(np.float64)
+        except ValueError:
+            try:
+                weights[at] = [float(t.decode()) for t in group.tolist()]
+            except ValueError:
+                return None
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         return None
-    return ((_id_widths(columns[0]), _id_widths(columns[1]), weights),
-            newlines.size - len(TOKEN_PAD))
-
-
-def _id_widths(ids):
-    """A block's id column as {width: (at, ids)}: its ids grouped by their
-    length rounded up to a multiple of 8 bytes, at least 8, each group an
-    `S` array of that width with `at` its positions in the column, or None
-    for a group that is the whole column. `ids` is an `S` array or a list
-    of bytes. So one long id widens no other: an `S` array pads every id
-    to its longest."""
-    if not len(ids):
-        return {}
-    if isinstance(ids, list):
-        lengths = np.fromiter(map(len, ids), np.intp, len(ids))
-        ids = np.array(ids, dtype=object)
-    elif ids.itemsize <= 8:
-        return {8: (None, ids)}
-    else:
-        lengths = np.strings.str_len(ids)
-    widths = 8 * np.maximum(-(-lengths // 8), 1)
-    found = np.unique(widths).tolist()
-    if len(found) == 1:
-        return {found[0]: (None, ids.astype(f"S{found[0]}"))}
-    return {w: (at, ids[at].astype(f"S{w}"))
-            for w in found for at in [np.flatnonzero(widths == w)]}
-
-
-def _id_key(text):
-    # '#' never occurs in an id, so it can mark one whose trailing NULs an
-    # `S` array would drop.
-    key = text.encode("utf-8")
-    return key + b"#" if key.endswith(b"\0") else key
+    return (oids, dids, weights), newlines.size - len(TOKEN_PAD)
 
 
 def _edge_lines(lines, start, path):
-    """_edge_block's arrays from raw lines numbered from `start`, read one
-    at a time; the one place that raises an edge list's line errors."""
+    """Raise the first error of raw lines numbered from `start`, read one
+    at a time: the lines of a chunk _edge_block refused, and the one
+    place that raises an edge list's `path:line` errors."""
     bad = partial(EdgeListParseError, path)
-    oids, dids, weights = [], [], []
     for line_no, text in _texts(lines, start, bad):
         parts = text.split()
         if len(parts) != 3:
             raise bad(line_no, "expected 'outcome_id diversion_id weight', "
                                f"got {text!r}")
-        oid, did, wtext = parts
+        wtext = parts[2]
         try:
             w = float(wtext)
         except ValueError:
@@ -438,11 +444,7 @@ def _edge_lines(lines, start, path):
             raise bad(line_no, f"weight {w} is not finite")
         if w < 0:
             raise NegativeWeightError(path, line_no, f"negative weight {w}")
-        oids.append(_id_key(oid))
-        dids.append(_id_key(did))
-        weights.append(w)
-    return _id_widths(oids), _id_widths(dids), np.array(weights,
-                                                        dtype=np.float64)
+    raise AssertionError(f"{path}:{start}: a refused chunk holds no error")
 
 
 def id_keys(ids):
@@ -452,20 +454,18 @@ def id_keys(ids):
 
 
 def _id_texts(firsts):
-    """The ids of first_appearance_codes' firsts of id_keys, as text."""
+    """The ids of first_appearance_codes' firsts of id_keys, as text, with
+    the '#' that stands for NUL made NUL again."""
     if firsts.dtype == np.uint64:
         firsts = firsts.view("S8")
-    blob = b"\n".join(firsts.tolist())
-    ids = blob.decode("utf-8").split("\n")
-    if b"#" in blob:
-        ids = [x[:-1] if x.endswith("#") else x for x in ids]
-    return ids
+    blob = b"\n".join(firsts.tolist()).replace(b"#", b"\0")
+    return blob.decode("utf-8").split("\n")
 
 
 def _index_ids(columns, sizes):
     """Dense codes of the ids in the blocks' id columns, in first-appearance
     order, and the ids as text in that order. columns[b] is block b's
-    column as _id_widths gives it and sizes[b] its length. The ids of each
+    column as token_groups gives it and sizes[b] its length. The ids of each
     width are keyed apart, by id_keys, and the widths' codes are then
     merged by the position where each id first appears."""
     widths, offset = {}, 0
@@ -479,7 +479,7 @@ def _index_ids(columns, sizes):
             id_keys(np.concatenate([ids for *_, ids in parts])))
         if len(widths) == 1:
             return group_codes, _id_texts(uniq)
-        at = np.concatenate([start + (np.arange(size) if at is None else at)
+        at = np.concatenate([np.arange(start, start + size)[at]
                              for start, size, at, _ in parts])
         # Codes number a width's ids by first appearance, so an id first
         # appears where the running maximum of the codes grows.
@@ -499,11 +499,11 @@ def _index_ids(columns, sizes):
 def load_edge_list(path):
     """Load a whitespace-separated `outcome_id diversion_id weight` file.
 
-    The file is streamed in byte_chunks. A chunk of plain ASCII lines is
-    tokenized at once by _edge_block; any other chunk is read line by line
-    as text_lines reads it, which raises every error. Ids are
-    arbitrary whitespace-free strings mapped to dense indices in
-    first-appearance order. Duplicate (i, j) edges have their weights
+    The file is streamed in byte_chunks, and _edge_block alone builds the
+    arrays of each. A chunk it refuses holds an error, which _edge_lines
+    raises, reading the lines as text_lines does. Lines split as
+    str.split() splits them; ids are UTF-8 strings mapped to dense indices
+    in first-appearance order. Duplicate (i, j) edges have their weights
     summed; zero-weight edges are dropped, and so, with a warning, are units
     left without a positive-weight edge. Each row is then scaled to sum
     to 1, as from_csr scales it.
@@ -517,9 +517,8 @@ def load_edge_list(path):
     with open(path, "rb") as fh:
         start = 1
         for chunk in byte_chunks(fh):
-            block, lines = _edge_block(chunk) or (
-                _edge_lines(io.BytesIO(chunk), start, path),
-                chunk.count(b"\n"))
+            block, lines = _edge_block(chunk) or _edge_lines(
+                io.BytesIO(chunk), start, path)
             blocks.append(block)
             start += lines
     weights = np.concatenate([b[2] for b in blocks] or [np.empty(0)])

@@ -94,22 +94,27 @@ def reference_load_edge_list(path):
 
 
 # Plain ASCII items, then ODD_ items: NULs inside and at the end of ids
-# (b"a" and b"a\0" differ), non-ASCII text, invalid UTF-8 and \x1c-\x1f.
+# (b"a" and b"a\0" differ), non-ASCII text, invalid UTF-8, \x1c-\x1f and
+# the non-ASCII spaces str.split() splits on, Unicode digits in weights.
 IDS = [b"a", b"b", b"u1", b"u12", b"i7", b"outcome_unit_123456",
        b"diversion-unit-42"]
 ODD_IDS = [b"a\x00", b"a\x00b", b"\x00", "é".encode(), "用户".encode(),
            b"x\x1cy"]
 WEIGHTS = [b"1", b"0.5", b"2.25", b"1e-3", b"3", b"0", b"0.0", b"-0",
            b"1_0", b".5"]
+ODD_WEIGHTS = ["١".encode(), "１٥".encode(), "٠.٥".encode(),
+               "２e-3".encode()]
 BAD_WEIGHTS = [b"-1", b"-0.5", b"nan", b"inf", b"-inf", b"abc", b"1e400",
                b"0x1", b"1e308"]
 SEPS = [b" ", b"\t", b"  ", b"\x0b", b"\x0c", b"\r", b" \t "]
-ODD_SEPS = [b"\x1c", b" \x1f ", b"\x1d", b"\x1e"]
+ODD_SEPS = [b"\x1c", b" \x1f ", b"\x1d", b"\x1e", "\x85".encode(),
+            "\xa0".encode(), " \u2028".encode(), "\u3000".encode()]
 ENDS = [b"\n", b"\r\n", b" \n", b"\t\n"]
 EXTRAS = [b"\n", b"# a comment\n", b"   \n", b"\r\n", b"#\n"]
 ODD_EXTRAS = [b"#\xff bad\n", "# é\n".encode()]
 BAD_LINES = [b"a b\n", b"a b 1 2\n", b"a\n", b"a\rb 1 2\n", b"a b\x0c1 2\n"]
-ODD_BAD_LINES = [b"a b 1\xff\n", b"a \xfe 1\n", b"a b 1 # \xc3\n"]
+ODD_BAD_LINES = [b"a b 1\xff\n", b"a \xfe 1\n", b"a b 1 # \xc3\n",
+                 "a b ١٫٥\n".encode()]
 
 
 def _pick(rng, items):
@@ -119,8 +124,7 @@ def _pick(rng, items):
 def random_edge_file(rng, block):
     """Bytes of a random edge list, to be read in blocks of `block` lines,
     with a bad line at the first or last line of a block in some files."""
-    # Half the files are ASCII without NULs or \x1c-\x1f, so that their
-    # blocks take the fast path unless a line or a weight is bad.
+    # Half the files are plain: ASCII without NULs or \x1c-\x1f.
     plain = rng.random() < 0.5
     n_lines = int(rng.integers(0, 6 * block + 2))
     lines = []
@@ -130,7 +134,8 @@ def random_edge_file(rng, block):
             continue
         ids = IDS if plain else IDS + ODD_IDS
         seps = SEPS if plain or rng.random() < 0.9 else ODD_SEPS
-        weight = _pick(rng, BAD_WEIGHTS if rng.random() < 0.02 else WEIGHTS)
+        weight = _pick(rng, BAD_WEIGHTS if rng.random() < 0.02
+                       else WEIGHTS if plain else WEIGHTS + ODD_WEIGHTS)
         line = (_pick(rng, [b"", b" ", b"\t"]) + _pick(rng, ids)
                 + _pick(rng, seps) + _pick(rng, ids) + _pick(rng, seps)
                 + weight)
@@ -342,25 +347,34 @@ def test_weights_read_as_float_reads_them_bit_for_bit():
         assert _read_weights(texts) is None, texts
 
 
-def test_a_long_token_makes_its_chunk_take_the_line_loop(tmp_path,
-                                                         monkeypatch):
-    lines = graph_core._edge_lines
-    refused = []
+# Valid files whose every chunk the tokenizer reads: non-ASCII ids, NULs
+# in ids (a, a\0 and \0 are three ids), separators that bytes.split()
+# does not split on, Unicode-digit weights, and a 4000-byte id and a
+# 4000-digit weight among short tokens.
+ODD_VALID_FILES = {
+    "non-ascii-ids": "用户 é 1\nü i1 0.5\né ü 2 # ü\n".encode(),
+    "nuls": b"a x 1\na\0 x 2\n\0 y 3\na\0b \0\0 1\nx a\0 1\n",
+    "separators": (b"a\x1cb\x1d1\nc\x1e d\x1f2\n\x1c\n"
+                   + "e\xa0f\u30003\ng\x85h\u20282\u2029\n".encode()),
+    "unicode-digit-weights": "a b ١\nc d １٥\ne f ٠.٥e-1\n".encode(),
+    "long-id": b"u" + b"1" * 4000 + b" i1 0.5\n",
+    "long-weight": b"u1 i1 0." + b"5" * 4000 + b"\n",
+}
 
-    def line_loop(chunk, start, path):
-        refused.append(start)
-        return lines(chunk, start, path)
+
+@pytest.mark.parametrize("name", ODD_VALID_FILES)
+def test_valid_files_never_take_the_line_loop(tmp_path, monkeypatch, name):
+    def line_loop(*args):
+        raise AssertionError("a valid chunk took the line loop")
 
     monkeypatch.setattr(graph_core, "_edge_lines", line_loop)
-    path = tmp_path / "edges.txt"
     body = [b"u%d i%d 0.%d\n" % (k, k % 7, k) for k in range(2000)]
-    for long_line in (b"u1 i1 0." + b"5" * 4000 + b"\n",
-                      b"u" + b"1" * 4000 + b" i1 0.5\n"):
-        refused.clear()
-        path.write_bytes(b"".join(body[:1000] + [long_line] + body[1000:]))
-        assert _outcome(load_edge_list, path) == \
-            _outcome(reference_load_edge_list, path)
-        assert refused == [1]
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"".join(body[:1000] + [ODD_VALID_FILES[name]]
+                              + body[1000:]))
+    got = _outcome(load_edge_list, path)
+    assert got[0] == "loaded", got
+    assert got == _outcome(reference_load_edge_list, path)
 
 
 def _load_peak_mb(path):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import io
+import re
 import struct
 import warnings
 from collections import Counter
@@ -654,3 +655,13 @@ def test_no_production_function_builds_a_generator_per_replicate():
             if name == "derived_rng":
                 found.add((module, func))
     assert found == set()
+
+
+def test_the_declared_numpy_floor_is_at_least_2():
+    # The readers take numpy's casts of `S` token arrays to float64 and
+    # int64 to read each token as float() and int() do; that was checked
+    # on numpy 2 only.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floors = re.findall(r'"numpy\s*>=\s*(\d+)(?:\.\d+)*"',
+                        pyproject.read_text(encoding="utf-8"))
+    assert len(floors) == 1 and int(floors[0]) >= 2
