@@ -92,6 +92,8 @@ class PassTrace:
     kernel_visits: int  # visits past the self-partner and cap checks
     stale_recomputes: int  # of those, scored again after a block accept
     cluster_side_visits: int  # of those, scored from member columns
+    live_clusters: int  # clusters with a unit, at the end of the pass
+    largest_cluster: int  # units in the largest of them
 
 
 @dataclass(frozen=True)
@@ -297,25 +299,18 @@ class _MoveDelta:
         return self._gain(S, units, own, targets, d[:V], d[V:]), True
 
 
-def move_delta(g, assignment, i, target, phi, p=0.5):
-    """Objective change from moving unit i into the cluster labelled `target`.
-
-    `assignment` holds one non-negative integer label per diversion unit;
-    a label no unit holds makes i a new singleton. Uses the kernel of
-    local_search, with the cluster totals S computed from `assignment`.
-    """
-    labels = np.asarray(assignment, dtype=np.int64)
-    if target == labels[i]:
-        return 0.0
-    S = np.bincount(labels, weights=g.col_sums,
-                    minlength=max(int(labels.max()), target) + 1)
-    delta, units = _MoveDelta(g, phi, p), np.array([i])
-    return float(delta.gains(labels, S, units, np.array([target]),
-                             *delta.paths(units))[0])
-
-
-# Visits per scored block in local_search.
+# Visits that could move at the pass start per scored block in
+# local_search.
 _BLOCK = 64
+
+
+def _block_stops(movable, block):
+    """Where the blocks of a pass end: each block but the last ends right
+    after its `block`-th visit flagged in `movable`, and the last block
+    ends with the pass."""
+    cum = np.cumsum(movable)
+    cuts = np.arange(block, np.count_nonzero(movable), block)
+    return np.append(cum.searchsorted(cuts) + 1, movable.size).tolist()
 
 
 def _cluster_side(gather_cost, cluster_cost):
@@ -358,12 +353,18 @@ def local_search(g, cfg):
 
     A pass draws all its wedges up front, from the same doubles the
     per-visit draws would use: rng.permutation(m), then rng.random(2m),
-    two per visit. Visits are then scored _BLOCK at a time against the
-    block-start state and walked in order. A move of unit u from cluster
-    c to c' changes d(i, C) and S_C only for C in {c, c'}, so a visit's
-    score is stale exactly when an earlier accept in the block touched
-    its own or its target cluster; only those visits are scored again,
-    alone, and every decision is the one a visit-by-visit search makes.
+    two per visit. The pass is then cut into blocks, each ending after
+    _BLOCK visits that could move at the pass start: the partner is in
+    another cluster, and that cluster is below k_max. A block's visits
+    that can still move are scored against the block-start state and
+    walked in order. A move of unit u from cluster c to c' changes
+    d(i, C) and S_C only for C in {c, c'}, so a visit's score is stale
+    exactly when an earlier accept in the block touched its own or its
+    target cluster, and a visit that could not move at the block start
+    can only move after such an accept; only those visits are scored
+    again, alone, and every decision is the one a visit-by-visit search
+    makes. The cut only batches the visits, so near convergence, where
+    few visits can move, a pass makes few score calls.
 
     A block, or a visit scored again, is scored by the two-hop gather or
     from its clusters' member columns (see _MoveDelta), whichever reads
@@ -401,9 +402,12 @@ def local_search(g, cfg):
             break
         perm = rng.permutation(m)
         partner = _pass_partners(g, perm, rng.random(2 * m))
-        accepted = kernel_visits = stale = cluster_visits = 0
-        for lo in range(0, m, _BLOCK):
-            units, partners = perm[lo:lo + _BLOCK], partner[lo:lo + _BLOCK]
+        targets = labels[partner]
+        movable = (targets != labels[perm]) & (sizes[targets] < k_max)
+        accepted = kernel_visits = stale = cluster_visits = lo = 0
+        for hi in _block_stops(movable, _BLOCK):
+            units, partners = perm[lo:hi], partner[lo:hi]
+            lo = hi
             own, targets = labels[units], labels[partners]
             scored = np.flatnonzero((targets != own)
                                     & (sizes[targets] < k_max))
@@ -456,7 +460,9 @@ def local_search(g, cfg):
         trace.append(PassTrace(pass_index, accepted, total,
                                parts.variance_sum, parts.covariance_sum,
                                time.perf_counter() - start, kernel_visits,
-                               stale, cluster_visits))
+                               stale, cluster_visits,
+                               int(np.count_nonzero(sizes)),
+                               int(sizes.max(initial=0))))
         if cfg.convergence and accepted == 0:
             converged = True
             break
@@ -485,4 +491,5 @@ def write_trace_csv(trace, path):
                header=("pass", "moves_accepted", "objective_total",
                        "variance_sum", "covariance_sum", "elapsed",
                        "kernel_visits", "stale_recomputes",
-                       "cluster_side_visits"))
+                       "cluster_side_visits", "live_clusters",
+                       "largest_cluster"))

@@ -9,9 +9,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from bipx import cluster_opt
-from bipx.cluster_opt import (ACCEPT_EPS, LocalSearchConfig, _draw_many,
-                              _slice_cumsum, local_search,
-                              local_search_restarts, move_delta, objective,
+from bipx.cluster_opt import (ACCEPT_EPS, LocalSearchConfig, _block_stops,
+                              _draw_many, _MoveDelta, _slice_cumsum,
+                              local_search, local_search_restarts, objective,
                               write_trace_csv)
 from bipx.design import Clustering, DesignSpec
 from bipx.graph_core import BipartiteGraph, normalize_rows
@@ -131,6 +131,20 @@ def test_wedge_sample_rejects_isolated_column():
         wedge_sample(g, 1, np.random.default_rng(0))
 
 
+def move_delta(g, assignment, i, target, phi, p=0.5):
+    """Objective change from moving unit i into the cluster labelled
+    `target`, by local_search's two-hop gather; a label no unit holds makes
+    i a new singleton."""
+    labels = np.asarray(assignment, dtype=np.int64)
+    if target == labels[i]:
+        return 0.0
+    S = np.bincount(labels, weights=g.col_sums,
+                    minlength=max(int(labels.max()), target) + 1)
+    delta, units = _MoveDelta(g, phi, p), np.array([i])
+    return float(delta.gains(labels, S, units, np.array([target]),
+                             *delta.paths(units))[0])
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10**6), phi=st.sampled_from([0.2, 1.0]))
 def test_move_delta_matches_recompute(seed, phi):
@@ -158,23 +172,38 @@ def test_move_delta_own_cluster_is_zero():
 def _naive_search(g, phi, k_max, seed, passes):
     """The search by definition: same draws as local_search, and a move is
     accepted when the whole-clustering objective rises by more than
-    ACCEPT_EPS and the target cluster is below k_max."""
+    ACCEPT_EPS and the target cluster is below k_max. Also gives, per
+    pass, the trace's counters by their definitions: accepted moves,
+    visits past the self-partner and cap checks, live clusters and the
+    largest cluster's size."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     m = g.n_diversion
     cap = m if k_max is None else k_max
     labels = np.arange(m)
+    counters = []
     for _ in range(passes):
+        accepted = visits = 0
         for i in rng.permutation(m):
             b = labels[wedge_sample(g, i, rng)]
             if b == labels[i] or np.sum(labels == b) >= cap:
                 continue
+            visits += 1
             moved = labels.copy()
             moved[i] = b
             before = objective_by_omega(g, Clustering.from_labels(labels), phi)
             after = objective_by_omega(g, Clustering.from_labels(moved), phi)
             if after.total - before.total > ACCEPT_EPS:
                 labels = moved
-    return Clustering.from_labels(labels).assignment
+                accepted += 1
+        sizes = np.bincount(labels)
+        counters.append((accepted, visits, np.count_nonzero(sizes),
+                         sizes.max()))
+    return Clustering.from_labels(labels).assignment, counters
+
+
+def _counters(trace):
+    return [(row.moves_accepted, row.kernel_visits, row.live_clusters,
+             row.largest_cluster) for row in trace]
 
 
 def test_local_search_matches_naive_search(monkeypatch):
@@ -183,9 +212,10 @@ def test_local_search_matches_naive_search(monkeypatch):
     # phi = 1, which a strict search must reject.
     graphs = [random_instance(rng) for _ in range(30)]
     graphs.append(paired_pool_instance(n_pairs=3, spokes=2, pool=2)[0])
-    # Block size 1 scores every visit against the live state; 3 crosses
-    # block boundaries on these m <= 12 graphs; the default holds a whole
-    # pass, so later visits of a block are often scored again.
+    # A block ends after _BLOCK visits that could move at the pass start.
+    # Block size 1 and 3 cross block boundaries on these m <= 12 graphs;
+    # the default holds a whole pass, so later visits of a block are often
+    # scored again.
     blocks = (1, 3, cluster_opt._BLOCK)
     stale = dict.fromkeys(blocks, 0)
     for t, g in enumerate(graphs):
@@ -193,16 +223,39 @@ def test_local_search_matches_naive_search(monkeypatch):
             for k_max in (None, 2):
                 cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=4,
                                         convergence=False, seed=t)
-                naive = _naive_search(g, phi, k_max, t, 4)
+                naive, counters = _naive_search(g, phi, k_max, t, 4)
                 for block in blocks:
                     monkeypatch.setattr(cluster_opt, "_BLOCK", block)
                     result = local_search(g, cfg)
                     np.testing.assert_array_equal(
                         result.clustering.assignment, naive)
+                    assert _counters(result.trace) == counters
                     stale[block] += sum(row.stale_recomputes
                                         for row in result.trace)
-    assert stale[1] == 0
-    assert stale[3] > 0 and stale[blocks[-1]] > stale[3]
+    # Even a block of one visit that could move holds the visits before
+    # the next such visit, and an accept can make those movable, so they
+    # are scored again. Larger blocks leave more visits behind an accept.
+    assert 0 < stale[1] <= stale[3] < stale[blocks[-1]]
+
+
+def test_block_stops_cut_after_block_movable_visits():
+    rng = np.random.default_rng(33)
+    masks = [np.zeros(0, bool), np.zeros(7, bool), np.ones(7, bool)]
+    masks += [rng.random(int(rng.integers(1, 300))) < rng.random()
+              for _ in range(200)]
+    for movable in masks:
+        for block in (1, 3, 64):
+            stops = _block_stops(movable, block)
+            assert stops[-1] == movable.size
+            starts = [0] + stops[:-1]
+            counts = [np.count_nonzero(movable[lo:hi])
+                      for lo, hi in zip(starts, stops)]
+            # Every block but the last holds `block` movable visits and
+            # ends on one; the last holds the rest, at least one if any.
+            assert counts[:-1] == [block] * (len(counts) - 1)
+            assert all(movable[hi - 1] for hi in stops[:-1])
+            total = int(np.count_nonzero(movable))
+            assert 0 < counts[-1] <= block or counts[-1] == total == 0
 
 
 def test_local_search_cap_binds_inside_block(monkeypatch):
@@ -216,8 +269,9 @@ def test_local_search_cap_binds_inside_block(monkeypatch):
     serial = local_search(g, cfg)
     sizes = np.bincount(blocked.clustering.assignment)
     assert sizes.max() == 5
-    # The cap changed decisions, and a pass is 4 blocks of 64 visits, so
-    # clusters filled up and refused moves within a block.
+    # The cap changed decisions, and a block holds 64 visits that could
+    # move at the pass start, so clusters filled up and refused moves
+    # within a block.
     assert not partitions_equal(blocked.clustering, uncapped.clustering)
     assert sum(row.stale_recomputes for row in blocked.trace) > 0
     np.testing.assert_array_equal(blocked.clustering.assignment,
@@ -288,13 +342,14 @@ def test_local_search_routes_match_naive_search(monkeypatch):
             for k_max in (None, 2):
                 cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=4,
                                         convergence=False, seed=t)
-                naive = _naive_search(g, phi, k_max, t, 4)
+                naive, counters = _naive_search(g, phi, k_max, t, 4)
                 for side in (False, True):
                     monkeypatch.setattr(cluster_opt, "_cluster_side",
                                         lambda *_, s=side: s)
                     result = local_search(g, cfg)
                     np.testing.assert_array_equal(
                         result.clustering.assignment, naive)
+                    assert _counters(result.trace) == counters
                     for row in result.trace:
                         assert row.cluster_side_visits == (
                             row.kernel_visits if side else 0)
@@ -412,6 +467,9 @@ def test_local_search_trace_and_caps():
             sizes = np.bincount(result.clustering.assignment)
             if k_max is not None:
                 assert sizes.max() <= k_max
+            last = result.trace[-1]
+            assert (last.live_clusters, last.largest_cluster) == (
+                result.clustering.k, sizes.max())
             assert result.objective.total == pytest.approx(totals[-1])
 
 
@@ -559,15 +617,17 @@ def test_restarts_pick_best():
 
 def test_write_trace_csv_bytes(tmp_path):
     trace = [cluster_opt.PassTrace(1, 3, 1e16, np.float64(0.1), -0.0,
-                                   5e-324, 4, 0, 2),
-             cluster_opt.PassTrace(2, 0, 2.0, 1 / 3, 1.0, 0.25, 0, 0, 0)]
+                                   5e-324, 4, 0, 2, 9, 4),
+             cluster_opt.PassTrace(2, 0, 2.0, 1 / 3, 1.0, 0.25, 0, 0, 0, 9,
+                                   4)]
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     assert path.read_bytes() == (
         b"pass,moves_accepted,objective_total,variance_sum,covariance_sum,"
-        b"elapsed,kernel_visits,stale_recomputes,cluster_side_visits\n"
-        b"1,3,1e+16,0.1,-0.0,5e-324,4,0,2\n"
-        b"2,0,2.0,0.3333333333333333,1.0,0.25,0,0,0\n")
+        b"elapsed,kernel_visits,stale_recomputes,cluster_side_visits,"
+        b"live_clusters,largest_cluster\n"
+        b"1,3,1e+16,0.1,-0.0,5e-324,4,0,2,9,4\n"
+        b"2,0,2.0,0.3333333333333333,1.0,0.25,0,0,0,9,4\n")
 
 
 def test_write_trace_csv(tmp_path):
@@ -585,10 +645,10 @@ def test_write_trace_csv(tmp_path):
     # The counters follow elapsed, so the first six columns keep their
     # places.
     assert list(rows[0])[5:] == ["elapsed", "kernel_visits",
-                                 "stale_recomputes", "cluster_side_visits"]
+                                 "stale_recomputes", "cluster_side_visits",
+                                 "live_clusters", "largest_cluster"]
     for row, step in zip(rows, result.trace):
-        assert int(row["kernel_visits"]) == step.kernel_visits
-        assert int(row["stale_recomputes"]) == step.stale_recomputes
-        assert int(row["cluster_side_visits"]) == step.cluster_side_visits
+        for name in list(row)[6:]:
+            assert int(row[name]) == getattr(step, name)
         assert step.stale_recomputes <= step.kernel_visits <= g.n_diversion
         assert step.cluster_side_visits <= step.kernel_visits
