@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from bipx.graph_core import TOKEN_PAD, Compressed, compress, \
-    first_appearance_codes, id_keys, sum_rows, text_lines, token_array, \
-    token_bounds, write_rows
+    first_appearance_codes, id_keys, read_numbers, sum_rows, text_lines, \
+    token_groups, tokenize, write_rows
 
 # Below this exposure variance the reweighting term 1/Var explodes; designs
 # that produce one are rejected as degenerate.
@@ -222,91 +222,72 @@ def write_clustering(c, g, path):
 
 
 def read_clustering(g, path):
-    """Read a `diversion_id<TAB>cluster_id` file; every diversion unit must
-    appear exactly once, with a 64-bit integer cluster id.
-
-    A file of plain `id<TAB>cluster id` lines is tokenized and matched to
-    the graph's ids at once; any other file, and so every bad one, is read
-    line by line by _clustering_lines, which raises its `path:line` errors.
-    """
+    """Read a `diversion_id<TAB>cluster_id` file, its lines read as
+    text_lines reads them; every diversion unit must appear exactly once,
+    with a 64-bit integer cluster id. _clustering_block alone builds the
+    labels; a file it refuses holds an error, which _clustering_lines
+    raises with its `path:line`."""
     with open(path, "rb") as fh:
         labels = _clustering_block(g, fh.read())
     if labels is None:
-        labels = _clustering_lines(g, path)
+        _clustering_lines(g, path)
     return Clustering.from_labels(labels)
-
-
-# The bytes of a clustering file that the tokenizer takes: ASCII but for
-# the whitespace str.strip() removes other than \t and \n, '#' (a comment)
-# and NUL, which an `S` array drops at the end of an id.
-_BLOCK_BYTES = np.zeros(256, dtype=bool)
-_BLOCK_BYTES[[*range(1, 11), *range(14, 28), *range(33, 128)]] = True
-_BLOCK_BYTES[ord("#")] = False
-
-_TAB, _NEWLINE = ord("\t"), ord("\n")
 
 
 def _clustering_block(g, blob):
     """The labels, in diversion index order, of a clustering file's bytes,
-    or None when the file needs the line loop: a byte outside _BLOCK_BYTES,
-    a line that is not exactly `id<TAB>cluster id`, a cluster id that int()
-    refuses or that overflows int64, a column token_array refuses, or ids
-    that are not the graph's diversion ids, each once. Cluster ids are
-    read by numpy's cast, which reads each token as int() does."""
-    if not blob.endswith(b"\n"):
-        blob += b"\n"
-    byte = np.frombuffer(blob + TOKEN_PAD, dtype=np.uint8)
-    if not _BLOCK_BYTES[byte].all():
+    or None when the file holds an error. A line's text runs from its first
+    token to its last and holds one tab; ids are matched to the graph's in
+    groups of one width, and cluster ids read by read_numbers with int().
+    No line names a graph id holding a newline or '#' (tokenize reads a NUL
+    as '#'), so such a graph is refused."""
+    if (tokens := tokenize(blob, "\n\t")) is None:
         return None
-    # The only whitespace left is \t and \n. Every token but the first
-    # starts just after the one before, the last ends the file and the
-    # tokens end in a tab and a newline by turns: then each line is one
-    # non-empty id, a tab and a non-empty cluster id.
-    starts, ends = token_bounds((byte == _TAB) | (byte == _NEWLINE))
-    if not (starts.size == 2 * g.n_diversion > 0 and starts[0] == 0
-            and ends[-1] == len(blob) - 1
-            and (starts[1:] == ends[:-1] + 1).all()
-            and (byte[ends[0::2]] == _TAB).all()
-            and (byte[ends[1::2]] == _NEWLINE).all()):
+    # Line k's tokens are lines[k] to lines[k + 1] - 1; a tab lies in its
+    # text when the token after the tab is one of them but the first.
+    byte, starts, ends, [(_, breaks), (tabs, word)] = tokens
+    first = np.zeros(starts.size + 1, dtype=bool)
+    first[0] = first[breaks] = True
+    lines = np.flatnonzero(first)
+    inside = ~first[word]
+    tabs, word = tabs[inside], word[inside]
+    if not (lines.size == g.n_diversion + 1 == word.size + 1
+            and (lines[:-1] < word).all() and (word < lines[1:]).all()):
         return None
-    labels = token_array(byte, starts[1::2], ends[1::2])
-    if labels is None:
-        return None
-    try:
-        labels = labels.astype(np.int64)
-        known = "\n".join(g.diversion_ids).encode("utf-8") + b"\n"
-    except (ValueError, OverflowError, UnicodeEncodeError):
-        return None
-    # A graph id holding a newline or NUL cannot be split or kept whole.
-    if b"\0" in known or known.count(b"\n") != g.n_diversion:
-        return None
-    graph_byte = np.frombuffer(known + TOKEN_PAD, dtype=np.uint8)
-    graph_ends = np.flatnonzero(graph_byte[:len(known)] == _NEWLINE)
-    ids = token_array(byte, starts[0::2], ends[0::2])
-    graph_ids = token_array(graph_byte, np.r_[0, graph_ends[:-1] + 1],
-                            graph_ends)
-    # The same ids have the same longest id.
-    if ids is None or graph_ids is None or ids.dtype != graph_ids.dtype:
-        return None
-    ids, graph_ids = id_keys(ids), id_keys(graph_ids)
-    line_order, order = np.argsort(ids), np.argsort(graph_ids)
-    graph_ids = graph_ids[order]
-    if not (np.array_equal(ids[line_order], graph_ids)
-            and (graph_ids[1:] != graph_ids[:-1]).all()):
+    labels = read_numbers(token_groups(byte, tabs + 1, ends[lines[1:] - 1]),
+                          tabs.size, np.int64, int)
+    # Each id ends in a newline; surrogates of a non-UTF-8 id match no file.
+    known = "\n".join((*g.diversion_ids, "")).encode("utf-8", "surrogatepass")
+    graph_byte = np.frombuffer(known.replace(b"\0", b"#") + TOKEN_PAD,
+                               dtype=np.uint8)
+    graph_ends = np.flatnonzero(graph_byte[:len(known)] == ord("\n"))
+    graph_groups = token_groups(graph_byte, np.r_[0, graph_ends + 1][:-1],
+                                graph_ends)
+    groups = token_groups(byte, starts[lines[:-1]], tabs)
+    if (labels is None or b"#" in known or graph_ends.size != g.n_diversion
+            or groups.keys() != graph_groups.keys()):
         return None
     out = np.empty(g.n_diversion, dtype=np.int64)
-    out[order] = labels[line_order]
+    for width, (at, ids) in groups.items():
+        graph_at, graph_ids = graph_groups[width]
+        ids, graph_ids = id_keys(ids), id_keys(graph_ids)
+        line_order, order = np.argsort(ids), np.argsort(graph_ids)
+        graph_ids = graph_ids[order]
+        if not (np.array_equal(ids[line_order], graph_ids)
+                and (graph_ids[1:] != graph_ids[:-1]).all()):
+            return None
+        out[np.arange(g.n_diversion)[graph_at][order]] = \
+            labels[np.arange(tabs.size)[at][line_order]]
     return out
 
 
 def _clustering_lines(g, path):
-    """_clustering_block's labels from the lines of text_lines, read one at
-    a time; the one place that raises a clustering file's errors."""
+    """Raise the first error of a file _clustering_block refused, read a
+    line at a time: the one place that raises a clustering file's errors."""
     def bad(line_no, why):
         return DesignError(f"{path}:{line_no}: {why}")
 
     index = {did: j for j, did in enumerate(g.diversion_ids)}
-    labels = np.zeros(g.n_diversion, dtype=np.int64)
     seen = np.zeros(g.n_diversion, dtype=bool)
     for line_no, text in text_lines(path, bad):
         parts = text.split("\t")
@@ -319,7 +300,7 @@ def _clustering_lines(g, path):
         if seen[j]:
             raise bad(line_no, f"duplicate entry for {did!r}")
         try:
-            labels[j] = int(cid)
+            np.int64(int(cid))
         except (ValueError, OverflowError):
             raise bad(line_no,
                       f"cluster id {cid!r} is not a 64-bit integer") from None
@@ -327,7 +308,7 @@ def _clustering_lines(g, path):
     if not seen.all():
         missing = [g.diversion_ids[j] for j in np.flatnonzero(~seen)]
         raise DesignError(f"{path}: missing diversion unit(s): {missing[:5]}")
-    return labels
+    raise AssertionError(f"{path}: a refused clustering file holds no error")
 
 
 @dataclass(frozen=True)

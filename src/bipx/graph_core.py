@@ -22,7 +22,6 @@ import math
 import os
 import re
 import struct
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -323,22 +322,11 @@ def byte_chunks(fh):
         yield tail
 
 
-def token_bounds(space):
-    """(starts, ends) of the runs of False in a bool array that ends in
-    True: the tokens of the bytes whose whitespace mask it is."""
-    bounds = np.flatnonzero(np.diff(space, prepend=True))
-    return bounds[0::2], bounds[1::2]
-
-
 def token_array(byte, starts, ends):
     """The tokens byte[starts[t]:ends[t]], each with 8 bytes of `byte`
     after it, as an `S` array whose width is the longest one's rounded
-    up to a multiple of 8; None when that array would take more than 4
-    bytes per byte of `byte`, as one long token among many short ones
-    makes it."""
+    up to a multiple of 8."""
     count = max(-(-int((ends - starts).max(initial=0)) // 8), 1)
-    if 8 * count * starts.size > 4 * byte.size:
-        return None
     # Every 8 bytes of `byte`, from each offset: an unaligned view.
     windows = np.ndarray((byte.size - 7,), "<u8", byte, strides=(1,))
     lengths = ends - starts
@@ -356,8 +344,7 @@ def token_groups(byte, starts, ends):
     tokens)}, grouped by their length rounded up to a multiple of 8 bytes:
     `tokens` is token_array's array of a group and `at` indexes the group
     among all tokens, slice(None) when it is all of them. So one long token
-    widens no other; and token_array refuses no group, as each of its
-    tokens fills over width - 8 bytes and has a byte after it."""
+    widens no other."""
     words = (ends - starts + 7) // 8
     # Tokens of at most 8 bytes, the common case, need no count.
     found = ([1] if words.max(initial=0) == 1
@@ -370,12 +357,68 @@ def token_groups(byte, starts, ends):
 
 @cache
 def _other_spaces():
-    """A bytes pattern of the UTF-8 of each character str.split() splits
-    on and bytes.split() does not; in valid UTF-8 each match is a whole
-    character. Built on first use, as the scan takes about 0.1 s."""
-    spaces = [c.encode() for c in map(chr, range(sys.maxunicode + 1))
-              if c.isspace() and not c.encode().isspace()]
-    return re.compile(b"|".join(map(re.escape, spaces)))
+    """{n: a bytes pattern of each n-byte UTF-8 character, not ASCII, that
+    str.isspace() accepts}; in valid UTF-8 each match is a whole character.
+    All of them lie below U+10000, the only range scanned (a test checks)."""
+    spaces = [c.encode() for c in map(chr, range(128, 0x10000))
+              if c.isspace()]
+    return {n: re.compile(b"|".join(c for c in spaces if len(c) == n))
+            for n in {len(c) for c in spaces}}
+
+
+def tokenize(text, seps):
+    """(byte, starts, ends, found) of a text's bytes, or None when they are
+    not UTF-8. `byte` holds them as uint8, with `#` comments cut, TOKEN_PAD
+    after them and each NUL made '#', which no token holds and which an `S`
+    array, unlike NUL, keeps at a token's end. Its tokens, the runs of bytes
+    in no character str.isspace() accepts, are byte[starts[t]:ends[t]].
+    found[i] is the places of the byte seps[i] and the number of tokens
+    before each: read off a table of token starts, or else searched for."""
+    if not text.isascii():
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if b"#" in text:
+        text = _COMMENT.sub(b"", text)
+    text = text.replace(b"\0", b"#") + TOKEN_PAD
+    byte = marks = np.frombuffer(text, dtype=np.uint8)
+    if not text.isascii():
+        for n, pattern in _other_spaces().items():
+            text = pattern.sub(b" " * n, text)
+        marks = np.frombuffer(text, dtype=np.uint8)
+    # The ASCII bytes str.isspace() accepts: \t to \r, and \x1c to the
+    # space; uint8 wraps below 9 and 28.
+    space = (marks - np.uint8(9) < 5) | (marks - np.uint8(28) < 5)
+    bounds = np.flatnonzero(np.diff(space, prepend=True))
+    starts, ends = bounds[0::2], bounds[1::2]
+    token = np.zeros(byte.size + 1, np.min_scalar_type(-1 - starts.size))
+    token[starts] = np.arange(1, starts.size + 1, dtype=token.dtype)
+    found = []
+    for places in (np.flatnonzero(byte == c) for c in seps.encode()):
+        before = token[places + 1] - 1
+        missed = np.flatnonzero(before < 0)
+        before[missed] = np.searchsorted(starts, places[missed])
+        found.append((places, before))
+    return byte, starts, ends, found
+
+
+def read_numbers(groups, size, dtype, parse):
+    """The `size` tokens of token_groups' groups as an array of dtype, or
+    None when parse() refuses a token or a number does not fit dtype. A
+    group is read by numpy's cast, which reads ASCII as float() and int()
+    do, or else token by token by parse(), which reads Unicode digits."""
+    out = np.empty(size, dtype=dtype)
+    for at, group in groups.values():
+        try:
+            try:
+                with np.errstate(over="ignore"):  # inf is the caller's
+                    out[at] = group.astype(dtype)
+            except ValueError:
+                out[at] = [parse(t.decode()) for t in group.tolist()]
+        except (ValueError, OverflowError):
+            return None
+    return out
 
 
 def _edge_block(chunk):
@@ -383,44 +426,20 @@ def _edge_block(chunk):
     lines, each id column as token_groups gives it and `lines` the chunk's
     newline count, or None when the chunk holds an error: not UTF-8, a line
     of other than 0 or 3 tokens, or a weight that is not a finite number
-    >= 0. A chunk with a non-ASCII byte, NUL or 0x1c-0x1f has the rest of
-    str.split()'s whitespace made spaces, and each NUL made '#', which no
-    id holds once comments are cut and an `S` array does not drop at an
-    id's end. Weights are read by numpy's cast, which reads ASCII as
-    float() does; float() reads a group the cast refuses, Unicode digits
-    included."""
-    odd = not chunk.isascii() or any(c in chunk for c in b"\0\x1c\x1d\x1e\x1f")
-    if odd:
-        try:
-            chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    if b"#" in chunk:
-        chunk = _COMMENT.sub(b"", chunk)
-    if odd:
-        chunk = _other_spaces().sub(b" ", chunk.replace(b"\0", b"#"))
-    byte = np.frombuffer(chunk + TOKEN_PAD, dtype=np.uint8)
-    # The bytes.split() whitespace b" \t\n\v\f\r"; uint8 wraps below 9.
-    starts, ends = token_bounds((byte == ord(" "))
-                                | (byte - np.uint8(ord("\t")) < 5))
-    newlines = np.flatnonzero(byte == ord("\n"))
-    counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    >= 0. Lines split into tokenize's tokens, as str.split() splits them,
+    and weights are read by read_numbers with float()."""
+    if (tokens := tokenize(chunk, "\n")) is None:
+        return None
+    byte, starts, ends, [(newlines, before)] = tokens
+    counts = np.diff(before, prepend=0)
     if not np.all((counts == 0) | (counts == 3)):
         return None
     starts, ends = starts.reshape(-1, 3).T, ends.reshape(-1, 3).T
     oids, dids, texts = [token_groups(byte, s, e)
                          for s, e in zip(starts, ends)]
-    weights = np.empty(starts.shape[1])
-    for at, group in texts.values():
-        try:
-            with np.errstate(over="ignore"):  # inf is refused below
-                weights[at] = group.astype(np.float64)
-        except ValueError:
-            try:
-                weights[at] = [float(t.decode()) for t in group.tolist()]
-            except ValueError:
-                return None
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+    weights = read_numbers(texts, starts.shape[1], np.float64, float)
+    if not (weights is not None and np.isfinite(weights).all()
+            and (weights >= 0).all()):
         return None
     return (oids, dids, weights), newlines.size - len(TOKEN_PAD)
 

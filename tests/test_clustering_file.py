@@ -54,11 +54,12 @@ def reference_read_clustering(g, path):
 
 # Plain ids of up to 8 bytes and longer ones, then ODD_IDS: NULs inside
 # and at the end (b"a" and b"a\0" differ), non-ASCII, inner whitespace,
-# control bytes and a newline, which no file line can hold.
+# control bytes, a newline, which no file line can hold, and whitespace at
+# an id's end, which a line can name, or at its start, which none can.
 IDS = ["a", "b", "u1", "u12", "i7", "12345678", "diversion_unit_42",
        "123456789", "\x01c", "x\x7f"]
 ODD_IDS = ["a\0", "a\0b", "\0", "é", "用户", "a b", "x\x1cy", "c\x0bd",
-           "e\nf", "a "]
+           "e\nf", "a ", "b\u3000", " c"]
 CIDS = [b"0", b"1", b"-1", b"7", b"42", b"-0", b"007", b"+3", b"1_0",
         b"9223372036854775807", b"-9223372036854775808",
         b"123456789012345678901234567890"[:19]]
@@ -66,9 +67,9 @@ BAD_CIDS = [b"9223372036854775808", b"-9223372036854775809",
             b"99999999999999999999", b"x", b"", b"1.0", b"1__0", b"_1",
             b"0x1", b"1e3", b"\xff", "٣".encode(), b"3\x00", b"--1"]
 SEPS = [b"\t"] * 12 + [b" \t", b"\t ", b"\t\t", b" ", b"\x0b\t",
-                       b"\t\x1c", b"\t#"]
+                       b"\t\x1c", b"\t#", "\t\xa0".encode()]
 ENDS = [b"\n"] * 12 + [b"\r\n", b" \n", b"\t\n", b" # note\n", b"\x0c\n",
-                       b"\x1f\n"]
+                       b"\x1f\n", "\u3000\n".encode(), "\x85\n".encode()]
 EXTRAS = [b"\n", b"# a comment\n", b"   \n", b"\r\n", b"#\n", b"\t\n",
           b"#\xff bad\n", b"\xff\n", b"\x00\n", b"\x1e\n"]
 
@@ -128,15 +129,26 @@ def _outcome(read, g, path):
     return ("read", c.assignment.tolist())
 
 
-def test_block_reader_matches_the_line_loop(tmp_path):
+def test_block_reader_matches_the_line_loop(tmp_path, monkeypatch):
+    line_loop, runs = design._clustering_lines, []
+
+    def spy(*args):
+        runs.append(args)
+        return line_loop(*args)
+
+    monkeypatch.setattr(design, "_clustering_lines", spy)
     rng = np.random.default_rng(0)
     path = tmp_path / "c.tsv"
     kinds = set()
     for _ in range(1500):
         g = random_graph(rng)
         path.write_bytes(random_clustering_file(rng, g))
+        runs.clear()
         got = _outcome(read_clustering, g, path)
-        assert got == _outcome(reference_read_clustering, g, path), \
+        want = _outcome(reference_read_clustering, g, path)
+        assert got == want, (g.diversion_ids, path.read_bytes())
+        # Only a file with an error takes the line loop.
+        assert not (runs and want[0] == "read"), \
             (g.diversion_ids, path.read_bytes())
         kinds.add(got[0] if got[0] == "read" else got[2].split(": ")[1][:4])
     # Read files, and files with each kind of error.
@@ -162,41 +174,72 @@ def test_plain_files_skip_the_line_loop(tmp_path, monkeypatch):
                                       [0, 1, 2])
 
 
+def _no_line_loop(*args):
+    raise AssertionError("a valid clustering file took the line loop")
+
+
+LONG_IDS_99 = tuple(f"u{k}" for k in range(1, 100))
+
+
 @pytest.mark.parametrize("ids, blob", [
     (("u", "v"), b"u\t1\nv\t2\n\n"), (("u", "v"), b"u\t1\r\nv\t2\n"),
-    (("u", "v"), b"u\t1\nv\t2 # two\n"), (("u", "v"), b"v\t2\nu\t1\nu\t3\n"),
-    (("u", "v"), b"u\t1\nv\t\xd9\xa3\n"),
+    (("u", "v"), b"u\t1\nv\t2 # two\n"),
+    (("u", "v"), "u\t\u0661\nv\t\u0661\u0665\n".encode()),
+    (("u", "v"), b"\t u\t1 \t\n  v\t2\t\n\t\n"),
+    (("u", "v"), b"\x1cu\t1\x1f\n\x0bv\t\x0c2\r\n"),
+    (("u", "v"), "\xa0u\t1\u3000\nv\t\u30002\xa0\n".encode()),
+    (("a\0", "\0", "a"), b"a\0\t1\n\0\t2\na\t3\n"),
+    (("a ", "b"), b"a \t1\nb\t2\n"),
+    (("x" * 4000, *LONG_IDS_99), ("x" * 4000 + "\t1\n" + "".join(
+        f"{d}\t{k % 3}\n" for k, d in enumerate(LONG_IDS_99))).encode()),
+    (("u0", *LONG_IDS_99), ("u0\t" + "0" * 4000 + "1\n" + "".join(
+        f"{d}\t{k % 3}\n" for k, d in enumerate(LONG_IDS_99))).encode())],
+    ids=["blank-line", "crlf", "comment", "arabic-digits",
+         "tabs-and-spaces-at-ends", "control-spaces-at-ends",
+         "unicode-spaces-at-ends", "nul-ids", "trailing-space-id",
+         "long-diversion-id", "long-cluster-id"])
+def test_valid_files_never_take_the_line_loop(tmp_path, monkeypatch, ids,
+                                              blob):
+    g = BipartiteGraph.from_csr(sp.csr_matrix(np.ones((1, len(ids)))),
+                                ("o",), ids)
+    path = tmp_path / "c.tsv"
+    path.write_bytes(blob)
+    want = _outcome(reference_read_clustering, g, path)
+    assert want[0] == "read"
+    monkeypatch.setattr(design, "_clustering_lines", _no_line_loop)
+    assert _outcome(read_clustering, g, path) == want
+
+
+@pytest.mark.parametrize("ids, blob", [
+    (("u", "v"), b"v\t2\nu\t1\nu\t3\n"),
+    # Two lines' tokens on one line.
+    (("u", "v"), b"u\t1\tv\t2\n"),
     # An `S` array would take the graph's "u\0" for "u".
     (("u\0", "vv"), b"u\t1\nvv\t2\n"),
     # The line loop reads "u#x" as "u" and a comment.
     (("u#x", "v"), b"u#x\t1\nv\t2\n"),
-    # Two lines' tokens on one line.
-    (("u", "v"), b"u\t1\tv\t2\n")])
-def test_files_the_block_split_refuses_take_the_line_loop(tmp_path, ids,
-                                                          blob):
-    g = BipartiteGraph.from_csr(sp.csr_matrix(np.ones((1, 2))), ("o",), ids)
+    # The tokenizer reads a NUL as '#'.
+    (("a#",), b"a\0\t5\n")],
+    ids=["duplicate-line", "two-lines-on-one", "nul-graph-id",
+         "hash-graph-id", "hash-graph-id-nul-line"])
+def test_invalid_files_take_the_line_loop(tmp_path, ids, blob):
+    g = BipartiteGraph.from_csr(sp.csr_matrix(np.ones((1, len(ids)))),
+                                ("o",), ids)
     path = tmp_path / "c.tsv"
     path.write_bytes(blob)
     assert design._clustering_block(g, blob) is None
-    assert _outcome(read_clustering, g, path) == \
-        _outcome(reference_read_clustering, g, path)
+    got = _outcome(read_clustering, g, path)
+    assert got[0] == "raised"
+    assert got == _outcome(reference_read_clustering, g, path)
 
 
-@pytest.mark.parametrize("first_id, first_cid", [("u0", "0" * 4000 + "1"),
-                                                 ("x" * 4000, "1")],
-                         ids=["long-cluster-id", "long-diversion-id"])
-def test_a_long_token_makes_the_file_take_the_line_loop(tmp_path, first_id,
-                                                        first_cid):
-    ids = (first_id, *(f"u{k}" for k in range(1, 100)))
-    g = BipartiteGraph.from_csr(sp.csr_matrix(np.ones((1, 100))), ("o",),
-                                ids)
-    blob = "".join(f"{d}\t{c}\n" for d, c in zip(
-        ids, [first_cid, *(str(k % 3) for k in range(1, 100))])).encode()
+def test_the_line_loop_raises_assertion_error_on_a_valid_file(tmp_path):
+    g = BipartiteGraph.from_csr(sp.csr_matrix(np.ones((1, 2))), ("o",),
+                                ("u", "v"))
     path = tmp_path / "c.tsv"
-    path.write_bytes(blob)
-    assert design._clustering_block(g, blob) is None
-    assert _outcome(read_clustering, g, path) == \
-        _outcome(reference_read_clustering, g, path)
+    path.write_bytes(b"u\t1\nv\t2\n")
+    with pytest.raises(AssertionError, match="holds no error"):
+        design._clustering_lines(g, path)
 
 
 # Cluster ids with signs, leading zeros, a '_' and up to 22 bytes, at

@@ -377,6 +377,16 @@ def test_valid_files_never_take_the_line_loop(tmp_path, monkeypatch, name):
     assert got == _outcome(reference_load_edge_list, path)
 
 
+def test_every_other_space_has_a_pattern():
+    # _other_spaces scans only the code points below U+10000.
+    spaces = [c.encode() for c in map(chr, range(128, sys.maxunicode + 1))
+              if c.isspace()]
+    patterns = graph_core._other_spaces()
+    assert all(patterns[len(c)].fullmatch(c) for c in spaces)
+    assert sum(len(p.pattern.split(b"|")) for p in patterns.values()) \
+        == len(spaces)
+
+
 def _load_peak_mb(path):
     """The peak of memory traced by tracemalloc, numpy's arrays included,
     in MB, while a fresh process loads the edge list. A process's

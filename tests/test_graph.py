@@ -644,6 +644,18 @@ def test_only_compress_sorts_entries_into_a_csr():
     assert found == {("estimator", "mse")}
 
 
+def test_only_token_groups_calls_token_array():
+    # A column read through token_groups has each width of token keyed
+    # apart, so one long token widens no other.
+    found = set()
+    for module, tree in _package_trees():
+        for func, call in _calls(tree):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name == "token_array":
+                found.add((module, func))
+    assert found == {("graph_core", "token_groups")}
+
+
 def test_no_production_function_builds_a_generator_per_replicate():
     # derived_rng builds a SeedSequence, a PCG64 and a Generator per call;
     # run_simulation seeds one generator from derived_states instead, and
