@@ -193,7 +193,8 @@ def cmd_export(graph, out_edge_list):
               show_default=True)
 @click.option("--max-passes", type=int, default=None)
 @click.option("--time-budget", type=float, default=None,
-              help="Search time budget in seconds.")
+              help="Search time budget in seconds, for each restart: "
+                   "--restarts 4 --time-budget 10 may run for about 40 s.")
 @click.option("--trace", type=click.Path(dir_okay=False), default=None,
               help="Write the per-pass search trace CSV here.")
 def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,

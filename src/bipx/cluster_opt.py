@@ -38,7 +38,9 @@ class LocalSearchConfig:
     """Knobs for the local search.
 
     At least one stopping rule must be active: convergence (a full pass
-    that accepts no move), max_passes, or time_budget (seconds).
+    that accepts no move), max_passes, or time_budget (seconds). The
+    budget bounds one search: local_search_restarts gives each restart
+    the whole budget, so r restarts may run for about r budgets.
     """
 
     phi: float = 1.0
@@ -94,6 +96,12 @@ class PassTrace:
     cluster_side_visits: int  # of those, scored from member columns
     live_clusters: int  # clusters with a unit, at the end of the pass
     largest_cluster: int  # units in the largest of them
+    # Every visit is a self-partner skip (the partner is in the unit's own
+    # cluster), a cap rejection (the partner's cluster is full) or a kernel
+    # visit, and a kernel visit is accepted or rejected as non-improving.
+    self_partner_skips: int
+    cap_rejections: int
+    non_improving_rejections: int
 
 
 @dataclass(frozen=True)
@@ -160,21 +168,29 @@ def _draw_many(indptr, indices, cum, slices, u):
     return indices[np.minimum(lo + left, last)]
 
 
-def _pass_partners(g, perm, u):
+def _wedge_tables(g):
+    """The cumulative sums the wedge draws read, the CSC's and then the
+    CSR's, each built when it is asked for. They depend on the graph
+    only."""
+    return (_slice_cumsum(a.indptr, a.data) for a in (g.csc, g.csr))
+
+
+def _pass_partners(g, perm, u, tables=None):
     """Wedge-sampled partner of every unit of perm, two doubles of u each.
 
     Gives the partners that _draw calls on these doubles give, visit by
-    visit. A unit with no edges is its own partner. The cumulative sums
-    live only for the call, so they are freed before the walk.
+    visit. A unit with no edges is its own partner. `tables` are the
+    caller's _wedge_tables, kept across passes; without them each
+    cumulative sum is built for its draw and freed after it, so neither
+    outlives the call.
     """
     csc, csr = g.csc, g.csr
+    cums = iter(tables or _wedge_tables(g))
     partner = perm.copy()
     drawn = np.diff(csc.indptr)[perm] > 0
-    k = _draw_many(csc.indptr, csc.indices,
-                   _slice_cumsum(csc.indptr, csc.data), perm[drawn],
+    k = _draw_many(csc.indptr, csc.indices, next(cums), perm[drawn],
                    u[0::2][drawn])
-    partner[drawn] = _draw_many(csr.indptr, csr.indices,
-                                _slice_cumsum(csr.indptr, csr.data), k,
+    partner[drawn] = _draw_many(csr.indptr, csr.indices, next(cums), k,
                                 u[1::2][drawn])
     return partner
 
@@ -207,8 +223,10 @@ class _MoveDelta:
     because CSC rows are; one searchsorted finds the member entries
     (k, j) on the same row and one np.bincount sums their w[k, i] w[k, j]
     per slot and cluster. It reads deg(i) + cdeg(A) + cdeg(B) entries a
-    unit, cdeg a cluster's summed column degrees. `score` picks the route
-    for a batch.
+    unit, cdeg a cluster's summed column degrees, less A's when i is alone
+    in A: then d(i, A) is the self term, the same adds in the same order.
+    `score` picks the route for a batch and `score_one` for a single
+    visit, which it scores on the cluster side in plain Python.
     """
 
     def __init__(self, g, phi, p):
@@ -223,6 +241,11 @@ class _MoveDelta:
         self.self_term = np.bincount(
             np.repeat(np.arange(self.deg.size), self.deg),
             weights=csc.data ** 2, minlength=self.deg.size)
+        # What score_one reads one element at a time: memoryviews skip
+        # numpy's scalar objects.
+        self.views = tuple(map(memoryview, (
+            csc.indptr, csc.indices, csc.data, self.hops, self.deg,
+            self.self_term, g.col_sums)))
 
     def paths(self, units):
         """Two-hop paths of a batch of units: the unit each path ends in,
@@ -253,18 +276,20 @@ class _MoveDelta:
         return self._gain(S, units, own, targets, d(targets), d(own))
 
     def _gain(self, S, units, own, targets, d_new, d_own):
-        """The move gains, given d(i, B) and d(i, A) with i still in A."""
+        """The move gains, given d(i, B) and d(i, A) with i still in A.
+        score_one repeats this arithmetic, op for op, on Python floats."""
         d_own = d_own - self.self_term[units]
         s_i = self.g.col_sums[units]
         gain = (1.0 + self.phi) * (d_new - d_own) \
             - self.phi * s_i * (S[targets] - (S[own] - s_i))
         return 2.0 * self.coin_variance * gain
 
-    def score(self, labels, S, units, targets, members, cdeg):
+    def score(self, labels, sizes, S, units, targets, members, cdeg):
         """Gains of moving units[v] into targets[v], for every v, by the
         route that _cluster_side picks for the batch, and whether that is
-        the cluster side. members[c] holds the units labelled c as int64
-        buffers and cdeg[c] their summed column degrees."""
+        the cluster side. sizes[c] counts the units labelled c,
+        members[c] holds them as int64 buffers and cdeg[c] their summed
+        column degrees."""
         V = units.size
         if not V:
             return np.zeros(0), False
@@ -283,8 +308,11 @@ class _MoveDelta:
             zero = np.zeros(V)
             return self._gain(S, units, own, targets, zero, zero), True
         csc = self.g.csc
-        cols = np.concatenate((units, np.frombuffer(
-            b"".join(map(members.__getitem__, clusters.tolist())), np.int64)))
+        lone = sizes[own] == 1  # own clusters that are not read
+        counts[2 * V:][lone] = 0
+        cols = np.concatenate((units, np.frombuffer(b"".join(map(
+            members.__getitem__,
+            np.concatenate((targets, own[~lone])).tolist())), np.int64)))
         entries = _ranges(csc.indptr[cols], self.deg[cols])
         # Tags: v - V on unit v's entries, v on its target's member
         # entries and V + v on its own cluster's; tag % V is the slot.
@@ -296,7 +324,43 @@ class _MoveDelta:
         w = csc.data[entries]
         at, hit = at[hit], hit + mine
         d = np.bincount(tag[hit], weights=w[hit] * w[at], minlength=2 * V)
-        return self._gain(S, units, own, targets, d[:V], d[V:]), True
+        d_own = np.where(lone, self.self_term[units], d[V:])
+        return self._gain(S, units, own, targets, d[:V], d_own), True
+
+    def score_one(self, labels, sizes, S, i, b, members, cdeg):
+        """The gain of moving unit i into cluster b, bit for bit what
+        `score` gives for that batch of one, and whether it was scored on
+        the cluster side. The gather is scored by `score`; the cluster
+        side sums in score's hit order, from 0.0: each member of the
+        cluster in turn, its entries in row order, member weight times
+        unit weight."""
+        indptr, rows, w, hops, deg, self_term, col_sums = self.views
+        a = labels.item(i)
+        if not _cluster_side(hops[i],
+                             deg[i] + cdeg.item(b) + cdeg.item(a)):
+            (gain,), _ = self.score(labels, sizes, S, np.array([i]),
+                                    np.array([b]), members, cdeg)
+            return float(gain), False
+        lo, hi = indptr[i], indptr[i + 1]
+        unit = dict(zip(rows[lo:hi], w[lo:hi]))
+
+        def d(c):
+            total = 0.0
+            for j in memoryview(members[c]).cast("B").cast("q"):
+                lo, hi = indptr[j], indptr[j + 1]
+                for k, x in zip(rows[lo:hi], w[lo:hi]):
+                    y = unit.get(k)
+                    if y is not None:
+                        total += x * y
+            return total
+
+        d_new = d(b)
+        d_own = self_term[i] if sizes.item(a) == 1 else d(a)
+        d_own = d_own - self_term[i]
+        s_i = col_sums[i]
+        gain = (1.0 + self.phi) * (d_new - d_own) \
+            - self.phi * s_i * (S.item(b) - (S.item(a) - s_i))
+        return 2.0 * self.coin_variance * gain, True
 
 
 # Visits that could move at the pass start per scored block in
@@ -353,26 +417,33 @@ def local_search(g, cfg):
 
     A pass draws all its wedges up front, from the same doubles the
     per-visit draws would use: rng.permutation(m), then rng.random(2m),
-    two per visit. The pass is then cut into blocks, each ending after
-    _BLOCK visits that could move at the pass start: the partner is in
-    another cluster, and that cluster is below k_max. A block's visits
-    that can still move are scored against the block-start state and
-    walked in order. A move of unit u from cluster c to c' changes
-    d(i, C) and S_C only for C in {c, c'}, so a visit's score is stale
-    exactly when an earlier accept in the block touched its own or its
-    target cluster, and a visit that could not move at the block start
-    can only move after such an accept; only those visits are scored
-    again, alone, and every decision is the one a visit-by-visit search
-    makes. The cut only batches the visits, so near convergence, where
-    few visits can move, a pass makes few score calls.
+    two per visit. The draws read the wedge tables, cumulative sums of
+    the graph's 2 nnz weights; a search that may run another pass builds
+    them once and keeps them, and a pass that is the last one max_passes
+    allows builds them inside its draw and frees them before its walk.
+    The pass is then cut into blocks, each ending after _BLOCK visits
+    that could move at the pass start: the partner is in another
+    cluster, and that cluster is below k_max. A block's visits that can
+    still move are scored against the block-start state and walked in
+    order. A move of unit u from cluster c to c' changes d(i, C) and S_C
+    only for C in {c, c'}, so a visit's score is stale exactly when an
+    earlier accept in the block touched its own or its target cluster,
+    and a visit that could not move at the block start can only move
+    after such an accept; only those visits are scored again, alone, and
+    every decision is the one a visit-by-visit search makes. The visits
+    before a block's first accept change nothing, so they are counted in
+    bulk and the walk starts at that accept. The cut only batches the
+    visits, so near convergence, where few visits can move, a pass makes
+    few score calls.
 
     A block, or a visit scored again, is scored by the two-hop gather or
     from its clusters' member columns (see _MoveDelta), whichever reads
     fewer entries: the summed hops(i) of its visits against their summed
     deg(i) + cdeg(A) + cdeg(B). Under a small k_max the cluster side
-    wins; clusters that grow large send blocks back to the gather. The
-    routes sum in other orders, so their gains agree to rounding, not
-    bit for bit.
+    wins; clusters that grow large send blocks back to the gather. A
+    visit scored again on the cluster side is summed in plain Python, in
+    the batch's order, so it gets the batch's bits. The routes sum in
+    other orders, so their gains agree to rounding, not bit for bit.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     m = g.n_diversion
@@ -396,31 +467,48 @@ def local_search(g, cfg):
     trace = []
     start = time.perf_counter()
     converged = False
+    tables = None  # the wedge tables, kept while another pass may follow
     for pass_index in islice(count(1), cfg.max_passes):
         if cfg.time_budget is not None and \
                 time.perf_counter() - start > cfg.time_budget:
             break
+        if tables is None and pass_index != cfg.max_passes:
+            tables = list(_wedge_tables(g))
         perm = rng.permutation(m)
-        partner = _pass_partners(g, perm, rng.random(2 * m))
+        partner = _pass_partners(g, perm, rng.random(2 * m), tables)
         targets = labels[partner]
         movable = (targets != labels[perm]) & (sizes[targets] < k_max)
-        accepted = kernel_visits = stale = cluster_visits = lo = 0
+        accepted = kernel_visits = stale = cluster_visits = skips = lo = 0
         for hi in _block_stops(movable, _BLOCK):
             units, partners = perm[lo:hi], partner[lo:hi]
             lo = hi
             own, targets = labels[units], labels[partners]
-            scored = np.flatnonzero((targets != own)
-                                    & (sizes[targets] < k_max))
-            gains, on_clusters = delta.score(
-                labels, S, units[scored], targets[scored], members, cdeg)
+            same = targets == own
+            scored = np.flatnonzero(~same & (sizes[targets] < k_max))
+            gains, on_clusters = delta.score(labels, sizes, S, units[scored],
+                                             targets[scored], members, cdeg)
+            # The visits before the block's first accept change nothing:
+            # each is a self-partner skip, a cap rejection or a reject
+            # scored at the block start. The walk starts at that accept.
+            up = np.flatnonzero(gains > ACCEPT_EPS)
+            rejects = int(up[0]) if up.size else scored.size
+            first = int(scored[rejects]) if up.size else units.size
+            kernel_visits += rejects
+            cluster_visits += rejects * on_clusters
+            skips += int(np.count_nonzero(same[:first]))
             gains = gains.tolist()
             slot = np.full(units.size, -1)
             slot[scored] = np.arange(scored.size)
             touched = set()  # clusters an accept in this block changed
-            for i, j, a, v in zip(units.tolist(), partners.tolist(),
-                                  own.tolist(), slot.tolist()):
+            for i, j, a, v in zip(units[first:].tolist(),
+                                  partners[first:].tolist(),
+                                  own[first:].tolist(),
+                                  slot[first:].tolist()):
                 b = label_at[j]
-                if b == a or size_at[b] >= k_max:
+                if b == a:
+                    skips += 1
+                    continue
+                if size_at[b] >= k_max:
                     continue
                 kernel_visits += 1
                 # If b is not the block-start target, unit j moved into b,
@@ -429,11 +517,11 @@ def local_search(g, cfg):
                     gain, side = gains[v], on_clusters
                 else:
                     stale += 1
-                    (gain,), side = delta.score(labels, S, np.array([i]),
-                                                np.array([b]), members, cdeg)
+                    gain, side = delta.score_one(labels, sizes, S, i, b,
+                                                 members, cdeg)
                 cluster_visits += side
                 if gain > ACCEPT_EPS:
-                    total += float(gain)
+                    total += gain
                     s_i, deg_i = s_at[i], deg_at[i]
                     S_at[b] += s_i
                     S_at[a] -= s_i
@@ -462,7 +550,9 @@ def local_search(g, cfg):
                                time.perf_counter() - start, kernel_visits,
                                stale, cluster_visits,
                                int(np.count_nonzero(sizes)),
-                               int(sizes.max(initial=0))))
+                               int(sizes.max(initial=0)), skips,
+                               m - skips - kernel_visits,
+                               kernel_visits - accepted))
         if cfg.convergence and accepted == 0:
             converged = True
             break
@@ -492,4 +582,5 @@ def write_trace_csv(trace, path):
                        "variance_sum", "covariance_sum", "elapsed",
                        "kernel_visits", "stale_recomputes",
                        "cluster_side_visits", "live_clusters",
-                       "largest_cluster"))
+                       "largest_cluster", "self_partner_skips",
+                       "cap_rejections", "non_improving_rejections"))

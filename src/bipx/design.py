@@ -178,11 +178,17 @@ class Clustering:
     def from_labels(cls, labels):
         """Build from arbitrary integer labels, densifying cluster ids.
 
-        Dense ids follow first appearance order of the labels.
+        Dense ids follow first appearance order of the labels. Labels
+        that are such ids already (the first is 0, none is negative, and
+        none is more than one above every label before it) are copied,
+        not sorted.
         """
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-d integer array")
+        if labels[0] == 0 and labels.min() >= 0 and \
+                (np.diff(np.maximum.accumulate(labels)) <= 1).all():
+            return cls(labels.copy())
         return cls(first_appearance_codes(labels)[0].astype(np.int64))
 
     def __post_init__(self):

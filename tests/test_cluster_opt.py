@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from array import array
 from dataclasses import replace
 from types import SimpleNamespace
@@ -174,18 +175,24 @@ def _naive_search(g, phi, k_max, seed, passes):
     accepted when the whole-clustering objective rises by more than
     ACCEPT_EPS and the target cluster is below k_max. Also gives, per
     pass, the trace's counters by their definitions: accepted moves,
-    visits past the self-partner and cap checks, live clusters and the
-    largest cluster's size."""
+    visits past the self-partner and cap checks, live clusters, the
+    largest cluster's size, visits whose partner is in the own cluster,
+    visits whose partner's cluster is full, and scored visits that did
+    not improve the objective."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     m = g.n_diversion
     cap = m if k_max is None else k_max
     labels = np.arange(m)
     counters = []
     for _ in range(passes):
-        accepted = visits = 0
+        accepted = visits = skips = full = worse = 0
         for i in rng.permutation(m):
             b = labels[wedge_sample(g, i, rng)]
-            if b == labels[i] or np.sum(labels == b) >= cap:
+            if b == labels[i]:
+                skips += 1
+                continue
+            if np.sum(labels == b) >= cap:
+                full += 1
                 continue
             visits += 1
             moved = labels.copy()
@@ -195,15 +202,18 @@ def _naive_search(g, phi, k_max, seed, passes):
             if after.total - before.total > ACCEPT_EPS:
                 labels = moved
                 accepted += 1
+            else:
+                worse += 1
         sizes = np.bincount(labels)
         counters.append((accepted, visits, np.count_nonzero(sizes),
-                         sizes.max()))
+                         sizes.max(), skips, full, worse))
     return Clustering.from_labels(labels).assignment, counters
 
 
 def _counters(trace):
     return [(row.moves_accepted, row.kernel_visits, row.live_clusters,
-             row.largest_cluster) for row in trace]
+             row.largest_cluster, row.self_partner_skips, row.cap_rejections,
+             row.non_improving_rejections) for row in trace]
 
 
 def test_local_search_matches_naive_search(monkeypatch):
@@ -218,12 +228,14 @@ def test_local_search_matches_naive_search(monkeypatch):
     # scored again.
     blocks = (1, 3, cluster_opt._BLOCK)
     stale = dict.fromkeys(blocks, 0)
+    rejected = np.zeros(3, dtype=int)
     for t, g in enumerate(graphs):
         for phi in (0.0, 0.3, 1.0):
             for k_max in (None, 2):
                 cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=4,
                                         convergence=False, seed=t)
                 naive, counters = _naive_search(g, phi, k_max, t, 4)
+                rejected += np.sum(counters, axis=0, dtype=int)[4:]
                 for block in blocks:
                     monkeypatch.setattr(cluster_opt, "_BLOCK", block)
                     result = local_search(g, cfg)
@@ -236,6 +248,9 @@ def test_local_search_matches_naive_search(monkeypatch):
     # the next such visit, and an accept can make those movable, so they
     # are scored again. Larger blocks leave more visits behind an accept.
     assert 0 < stale[1] <= stale[3] < stale[blocks[-1]]
+    # Self-partner skips, cap rejections and non-improving rejections all
+    # occur.
+    assert (rejected > 0).all()
 
 
 def test_block_stops_cut_after_block_movable_visits():
@@ -281,14 +296,22 @@ def test_local_search_cap_binds_inside_block(monkeypatch):
 
 
 def _cluster_state(g, labels):
-    """Members and summed column degrees of every label in [0, m), kept
-    as local_search keeps them."""
+    """Sizes, members and summed column degrees of every label in [0, m),
+    kept as local_search keeps them."""
     m = g.n_diversion
     members = [array("q") for _ in range(m)]
     for i, c in enumerate(labels.tolist()):
         members[c].append(i)
     cdeg = np.bincount(labels, weights=np.diff(g.csc.indptr), minlength=m)
-    return members, cdeg.astype(np.int64)
+    return np.bincount(labels, minlength=m), members, cdeg.astype(np.int64)
+
+
+def _with_edgeless_units(g, rng):
+    """g with up to two edgeless diversion units put in at random places."""
+    n, m = g.n_outcome, g.n_diversion + int(rng.integers(0, 3))
+    W = sp.hstack([g.rows, sp.csr_matrix((n, m - g.n_diversion))]).tocsc()
+    W = W[:, rng.permutation(m)].tocsr()
+    return BipartiteGraph.from_csr(W, tuple(range(n)), tuple(range(m)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -296,33 +319,48 @@ def _cluster_state(g, labels):
        p=st.sampled_from([0.3, 0.5]))
 def test_cluster_side_gains_match_gather(seed, phi, p):
     rng = np.random.default_rng(seed)
-    g = random_instance(rng)
+    g = _with_edgeless_units(random_instance(rng), rng)
     m = g.n_diversion
-    # Clusters of at most `cap` units under scattered labels, some unused.
+    # Clusters of at most `cap` units under scattered labels, some unused,
+    # and some units alone in a cluster, which the cluster side does not
+    # read.
     cap = int(rng.integers(1, m + 1))
     labels = rng.permutation(m)[rng.permutation(m) // cap]
-    members, cdeg = _cluster_state(g, labels)
+    free = np.setdiff1d(np.arange(m), labels)
+    lone = rng.permutation(m)[:int(rng.integers(0, free.size + 1))]
+    labels[lone] = free[:lone.size]
+    sizes, members, cdeg = _cluster_state(g, labels)
     S = np.bincount(labels, weights=g.col_sums, minlength=m)
     # A batch may repeat a unit; a target may be the own cluster or an
-    # unused label, which makes the unit a new singleton.
+    # unused label, which makes the unit a new singleton. Every edgeless
+    # unit is in the batch.
     size = int(rng.integers(1, 2 * m + 1))
-    units = rng.integers(0, m, size)
-    targets = rng.integers(0, m, size)
+    units = np.concatenate((rng.integers(0, m, size),
+                            np.flatnonzero(np.diff(g.csc.indptr) == 0)))
+    targets = rng.integers(0, m, units.size)
     delta = cluster_opt._MoveDelta(g, phi, p)
     gains = {}
     with pytest.MonkeyPatch.context() as mp:
         for side in (False, True):
             mp.setattr(cluster_opt, "_cluster_side", lambda *_, s=side: s)
-            gains[side], on_clusters = delta.score(labels, S, units,
-                                                   targets, members, cdeg)
+            gains[side], on_clusters = delta.score(
+                labels, sizes, S, units, targets, members, cdeg)
             assert on_clusters is side
-            # A visit scored alone, as a stale visit is.
-            for v in range(size):
+            for v in range(units.size):
+                # A batch of one, and score_one, which scores a stale visit
+                # in plain Python on the cluster side: both give the
+                # batch's bits.
                 alone, on_clusters = delta.score(
-                    labels, S, units[v:v + 1], targets[v:v + 1], members,
-                    cdeg)
+                    labels, sizes, S, units[v:v + 1], targets[v:v + 1],
+                    members, cdeg)
                 assert on_clusters is side
-                assert alone[0] == pytest.approx(gains[side][v], abs=1e-12)
+                gain, on_clusters = delta.score_one(
+                    labels, sizes, S, int(units[v]), int(targets[v]),
+                    members, cdeg)
+                assert on_clusters is side
+                assert type(gain) is float
+                assert gain.hex() == float(alone[0]).hex() \
+                    == float(gains[side][v]).hex()
     np.testing.assert_allclose(gains[True], gains[False], rtol=0, atol=1e-12)
     # The gain of a move to another cluster is its objective change.
     for v in np.flatnonzero(targets != labels[units])[:3]:
@@ -337,6 +375,11 @@ def test_local_search_routes_match_naive_search(monkeypatch):
     rng = np.random.default_rng(32)
     graphs = [random_instance(rng) for _ in range(10)]
     graphs.append(paired_pool_instance(n_pairs=3, spokes=2, pool=2)[0])
+    # A block of 64 visits that could move holds a whole pass of these
+    # m <= 18 graphs, so later visits of a block are scored again, alone:
+    # on the cluster side by score_one's Python sums.
+    monkeypatch.setattr(cluster_opt, "_BLOCK", 64)
+    stale = {False: 0, True: 0}
     for t, g in enumerate(graphs):
         for phi in (0.0, 1.0):
             for k_max in (None, 2):
@@ -353,6 +396,85 @@ def test_local_search_routes_match_naive_search(monkeypatch):
                     for row in result.trace:
                         assert row.cluster_side_visits == (
                             row.kernel_visits if side else 0)
+                        stale[side] += row.stale_recomputes
+    assert stale[False] > 0 and stale[True] > 0
+
+
+def _search_graph():
+    """A random graph of n = 2000, m = 10000 and 1e5 edges: big enough for
+    blocks, stale visits and clusters of many sizes, small enough that a
+    3-pass search takes a fraction of a second."""
+    rng = np.random.default_rng(np.random.SeedSequence([30]))
+    n, m, nnz = 2000, 10000, 100_000
+    rows = np.concatenate([np.arange(m) % n, rng.integers(0, n, nnz - m)])
+    cols = np.concatenate([rng.permutation(m), rng.integers(0, m, nnz - m)])
+    W = sp.coo_matrix((rng.uniform(0.1, 1.1, nnz), (rows, cols)),
+                      shape=(n, m))
+    return normalize_rows(BipartiteGraph.from_csr(W, tuple(range(n)),
+                                                  tuple(range(m))))
+
+
+# The PassTrace fields a golden trace pins by digest: all but elapsed and
+# the rejection counters, which it pins as totals.
+_DIGESTED = ("pass_index", "moves_accepted", "objective_total",
+             "variance_sum", "covariance_sum", "kernel_visits",
+             "stale_recomputes", "cluster_side_visits", "live_clusters",
+             "largest_cluster")
+_REJECTIONS = ("self_partner_skips", "cap_rejections",
+               "non_improving_rejections")
+
+
+@pytest.mark.parametrize("case, digest, rejections", [
+    ("pool-phi-1", "a3ba727e177108b5", (6498, 5412, 7149)),
+    ("pool-phi-1/199", "d5e82615d04216db", (16420, 26997, 4252)),
+    ("random-3-passes", "58c029cca508f8e2", (802, 0, 20626)),
+])
+def test_golden_traces(case, digest, rejections):
+    """Every decision of three searches, against values recorded before
+    the search's exact speed-ups: the two searches of the design-ordering
+    experiment, and three passes on a random graph, where a flipped
+    decision that the small graphs of the naive-search tests cannot show
+    changes the digest of the clustering and the trace."""
+    if case.startswith("pool"):
+        g = paired_pool_instance()[0]
+        cfg = LocalSearchConfig(phi=1.0 if case == "pool-phi-1" else
+                                1.0 / 199.0, k_max=5, seed=3)
+    else:
+        g = _search_graph()
+        cfg = LocalSearchConfig(phi=0.01, k_max=50, max_passes=3,
+                                convergence=False, seed=0)
+    result = local_search(g, cfg)
+    h = hashlib.sha256(result.clustering.assignment.astype("<i8").tobytes())
+    h.update(repr([[getattr(row, name) for name in _DIGESTED]
+                   for row in result.trace]).encode())
+    assert h.hexdigest()[:16] == digest
+    assert tuple(sum(getattr(row, name) for row in result.trace)
+                 for name in _REJECTIONS) == rejections
+
+
+def test_wedge_tables_built_once_per_search(monkeypatch):
+    """A search that may run another pass builds the wedge tables once and
+    keeps them; a pass that is the last one max_passes allows builds them
+    inside the draw, so a one-pass search never holds them in its walk."""
+    g = paired_pool_instance(n_pairs=10)[0]
+    built, kept = [], []
+    real_cumsum, real_partners = _slice_cumsum, cluster_opt._pass_partners
+
+    def pass_partners(g, perm, u, tables=None):
+        kept.append(tables is not None)
+        return real_partners(g, perm, u, tables)
+
+    monkeypatch.setattr(cluster_opt, "_slice_cumsum",
+                        lambda *a: built.append(1) or real_cumsum(*a))
+    monkeypatch.setattr(cluster_opt, "_pass_partners", pass_partners)
+    for max_passes in (1, 3, None):
+        built.clear()
+        kept.clear()
+        result = local_search(g, LocalSearchConfig(
+            phi=1.0, k_max=5, max_passes=max_passes,
+            convergence=max_passes is None, seed=0))
+        assert len(built) == 2
+        assert kept == [max_passes != 1] * len(result.trace)
 
 
 class _FixedDouble:
@@ -617,17 +739,18 @@ def test_restarts_pick_best():
 
 def test_write_trace_csv_bytes(tmp_path):
     trace = [cluster_opt.PassTrace(1, 3, 1e16, np.float64(0.1), -0.0,
-                                   5e-324, 4, 0, 2, 9, 4),
+                                   5e-324, 4, 0, 2, 9, 4, 5, 0, 1),
              cluster_opt.PassTrace(2, 0, 2.0, 1 / 3, 1.0, 0.25, 0, 0, 0, 9,
-                                   4)]
+                                   4, 8, 1, 0)]
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     assert path.read_bytes() == (
         b"pass,moves_accepted,objective_total,variance_sum,covariance_sum,"
         b"elapsed,kernel_visits,stale_recomputes,cluster_side_visits,"
-        b"live_clusters,largest_cluster\n"
-        b"1,3,1e+16,0.1,-0.0,5e-324,4,0,2,9,4\n"
-        b"2,0,2.0,0.3333333333333333,1.0,0.25,0,0,0,9,4\n")
+        b"live_clusters,largest_cluster,self_partner_skips,cap_rejections,"
+        b"non_improving_rejections\n"
+        b"1,3,1e+16,0.1,-0.0,5e-324,4,0,2,9,4,5,0,1\n"
+        b"2,0,2.0,0.3333333333333333,1.0,0.25,0,0,0,9,4,8,1,0\n")
 
 
 def test_write_trace_csv(tmp_path):
@@ -643,10 +766,12 @@ def test_write_trace_csv(tmp_path):
     assert float(rows[-1]["objective_total"]) == pytest.approx(
         result.objective.total)
     # The counters follow elapsed, so the first six columns keep their
-    # places.
+    # places, and each new counter comes after the ones before it.
     assert list(rows[0])[5:] == ["elapsed", "kernel_visits",
                                  "stale_recomputes", "cluster_side_visits",
-                                 "live_clusters", "largest_cluster"]
+                                 "live_clusters", "largest_cluster",
+                                 "self_partner_skips", "cap_rejections",
+                                 "non_improving_rejections"]
     for row, step in zip(rows, result.trace):
         for name in list(row)[6:]:
             assert int(row[name]) == getattr(step, name)

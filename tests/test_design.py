@@ -15,7 +15,7 @@ from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          exposure_moments, read_clustering,
                          sample_assignment, write_clustering,
                          write_moments_csv)
-from bipx.graph_core import BipartiteGraph, scipy_csr
+from bipx.graph_core import BipartiteGraph, first_appearance_codes, scipy_csr
 from bipx.oracle import EnumerationTooLargeError, ExactMoments
 from bipx.synth import nondegenerate_clustering, random_clustering, \
     random_instance, random_model
@@ -58,6 +58,37 @@ def test_clustering_from_labels_matches_the_mergesort_densifier(seed):
     np.testing.assert_array_equal(c.assignment, rank[dense])
     np.testing.assert_array_equal(c.sizes, np.bincount(rank[dense]))
     assert c.assignment.dtype == c.sizes.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_canonical_labels_skip_the_densifier(seed, monkeypatch):
+    """Labels that are first-appearance codes already are copied, and only
+    those: every other array goes through first_appearance_codes. Both
+    give the codes first_appearance_codes gives."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 300))
+    codes = first_appearance_codes(
+        rng.integers(0, int(rng.integers(1, m + 1)), m))[0]
+    at = int(rng.integers(0, m))
+    cases = [codes, codes + 1, np.append(codes, -1),
+             np.zeros(m, dtype=np.int64), np.arange(m), np.arange(m)[::-1],
+             rng.integers(-2, 4, m)]
+    for bump in (-1, 2, codes.max() + 2):
+        changed = codes.copy()
+        changed[at] += bump
+        cases.append(changed)
+    real = design.first_appearance_codes
+    calls = []
+    monkeypatch.setattr(design, "first_appearance_codes",
+                        lambda v: calls.append(v) or real(v))
+    for labels in cases:
+        want = real(labels)[0]
+        calls.clear()
+        got = Clustering.from_labels(labels).assignment
+        np.testing.assert_array_equal(got, want)
+        assert bool(calls) is not np.array_equal(want, labels)
+        assert got.dtype == np.int64
+        assert not np.shares_memory(got, labels)
 
 
 def test_clustering_constructors():
