@@ -314,16 +314,21 @@ class _MoveDelta:
             members.__getitem__,
             np.concatenate((targets, own[~lone])).tolist())), np.int64)))
         entries = _ranges(csc.indptr[cols], self.deg[cols])
-        # Tags: v - V on unit v's entries, v on its target's member
-        # entries and V + v on its own cluster's; tag % V is the slot.
-        tag = np.repeat(np.arange(-V, 2 * V), counts)
-        keys = tag % V * self.g.n_outcome + csc.indices[entries]
+        # Unit v's entries, its target's member entries and its own
+        # cluster's all carry slot v's offset v * n in their keys.
+        offsets = np.arange(V) * self.g.n_outcome
+        keys = np.repeat(np.concatenate((offsets, offsets, offsets)),
+                         counts) + csc.indices[entries]
         key_i = keys[:mine]
         at = key_i.searchsorted(keys[mine:])
         hit = np.flatnonzero(key_i.take(at, mode="clip") == keys[mine:])
         w = csc.data[entries]
         at, hit = at[hit], hit + mine
-        d = np.bincount(tag[hit], weights=w[hit] * w[at], minlength=2 * V)
+        # Each hit's slot: the run of entries it lies in, of the 3V laid end
+        # to end, less the V unit runs; v for unit v's target, V + v for its
+        # own cluster. "right" steps past empty runs.
+        slot = counts.cumsum().searchsorted(hit, "right") - V
+        d = np.bincount(slot, weights=w[hit] * w[at], minlength=2 * V)
         d_own = np.where(lone, self.self_term[units], d[V:])
         return self._gain(S, units, own, targets, d[:V], d_own), True
 
@@ -364,8 +369,10 @@ class _MoveDelta:
 
 
 # Visits that could move at the pass start per scored block in
-# local_search.
-_BLOCK = 64
+# local_search. Larger blocks make fewer score calls and leave more visits
+# stale; of 64, 128, 256 and 512, 256 ran the benchmark's one-pass search
+# on the perf-shaped graph and its paired-pool searches fastest.
+_BLOCK = 256
 
 
 def _block_stops(movable, block):

@@ -143,14 +143,6 @@ def read_scenario_file(path):
         raise ScenarioError(f"{path}: {exc}") from None
 
 
-def write_scenario_file(spec, path):
-    """`key = value` lines in _FIELD_TYPES order; n_outcome_clusters only
-    for GraphDependent."""
-    write_rows(path, ((key, getattr(spec, key)) for key in _FIELD_TYPES
-                      if key != "n_outcome_clusters"
-                      or spec.kind == GRAPH_DEPENDENT), sep=" = ")
-
-
 def normal_draw(rng, size, mean, var):
     """Normal(mean, var) via inverse CDF of a 53-bit uniform.
 

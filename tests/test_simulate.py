@@ -10,17 +10,25 @@ from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          derived_rng, derived_states, exposure_moments,
                          sample_assignment)
 from bipx.estimator import OutcomeModel, erl_estimate, mse, respond
-from bipx.graph_core import BipartiteGraph, exposures
+from bipx.graph_core import BipartiteGraph, exposures, write_rows
 from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
                            ScenarioError, ScenarioSpec, build_histogram,
                            export_estimates_csv, export_histogram,
                            generate_outcome_model, normal_draw,
                            outcome_linkage_labels, phi_sweep,
-                           read_scenario_file, report_to_json, run_simulation,
-                           write_scenario_file)
+                           read_scenario_file, report_to_json, run_simulation)
 from bipx.cluster_opt import LocalSearchConfig, local_search
 from bipx.synth import (nondegenerate_clustering, paired_pool_instance,
                         random_clustering, random_instance, random_model)
+
+
+def write_scenario_file(spec, path):
+    """`key = value` lines in the order read_scenario_file knows the keys;
+    n_outcome_clusters only for GraphDependent."""
+    write_rows(path, ((key, getattr(spec, key))
+                      for key in simulate._FIELD_TYPES
+                      if key != "n_outcome_clusters"
+                      or spec.kind == GRAPH_DEPENDENT), sep=" = ")
 
 
 def small_graph():
