@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from bipx.design import DegenerateDesignError, design_aggregates
-from bipx.graph_core import scipy_csr
+from bipx.graph_core import compress, scipy_csr
 
-# Clusters per column block of A^T diag(u) A in `mse`, which bounds the
-# block's memory.
-_FROBENIUS_BLOCK = 1024
+# Products per row block of A^T diag(u) A in `mse`, which bounds the
+# block's output and so its memory, however many rows a hub reaches.
+_FROBENIUS_PRODUCTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -94,32 +94,32 @@ def mse(g, d, model):
         MSE = (4/n^2) [ 2 s2^2 ||A^T diag(u) A||_F^2 + k4 ||(A o A)^T u||^2
                         + 2 mu3 ((A o A)^T u) . (A^T v) + s2 ||A^T v||^2 ].
 
-    The k x k product A^T diag(u) A is formed _FROBENIUS_BLOCK clusters
-    at a time. The dot products are summed by numpy, not BLAS, so that
-    their bits do not depend on the BLAS thread count. Raises
-    DegenerateDesignError as exposure_moments does.
+    A^T diag(u) is built by compress as a k x n CSR and multiplied by A
+    in row blocks of about _FROBENIUS_PRODUCTS products. numpy, not BLAS,
+    sums the dot products, so their bits do not depend on the BLAS thread
+    count. Raises DegenerateDesignError as exposure_moments does.
     """
-    # Imported here, as every sparse product is: most bipx commands
-    # multiply no sparse matrices.
-    import scipy.sparse as sp
-
     if model.n != g.n_outcome:
         raise ValueError("exposure vector length does not match the model")
     agg, mom = design_aggregates(g, d)
-    agg = scipy_csr(agg)
-    p, s2 = d.p, d.coin_variance
+    (n, k), p, s2 = agg.shape, d.p, d.coin_variance
     mu3 = 2.0 * s2 * (1.0 - 2.0 * p)
     k4 = 16.0 * p * (1.0 - p) * (1.0 - 3.0 * p + 3.0 * p * p) - 3.0 * s2 * s2
     u = model.slopes / mom.variance
     v = (model.slopes * mom.mean + model.intercepts) / mom.variance
-    sq = agg.multiply(agg).tocsr()
-    diag = sq.T @ u
-    lin = agg.T @ v
-    at = agg.T.tocsr()
-    au = (sp.diags(u) @ agg).tocsc()
-    frob = 0.0
-    for lo in range(0, agg.shape[1], _FROBENIUS_BLOCK):
-        part = at @ au[:, lo:lo + _FROBENIUS_BLOCK]
+    degrees = np.diff(agg.indptr)
+    rows = np.repeat(np.arange(n), degrees)
+    diag = np.bincount(agg.indices, agg.data * agg.data * u[rows], k)
+    lin = np.bincount(agg.indices, agg.data * v[rows], k)
+    at = scipy_csr(compress(agg.indices, rows, agg.data * u[rows], (k, n)))
+    # Entry (c, i) of at costs degrees[i] products in row c of at @ A.
+    cost = np.zeros(at.nnz + 1, dtype=np.int64)
+    np.cumsum(degrees[at.indices], out=cost[1:])
+    cuts = np.unique(np.r_[0, np.searchsorted(cost[at.indptr], np.arange(
+        _FROBENIUS_PRODUCTS, cost[-1], _FROBENIUS_PRODUCTS)), k])
+    a, frob = scipy_csr(agg), 0.0
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        part = at[lo:hi] @ a
         frob += float(np.sum(part.data * part.data))
     return (4.0 / model.n ** 2) * (
         2.0 * s2 * s2 * frob + k4 * float(np.sum(diag * diag))

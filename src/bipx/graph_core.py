@@ -7,8 +7,8 @@ exposure of outcome unit i under a +/-1 assignment z is the weighted
 average x[i] = sum_j w[i, j] * z[j], which lies in [-1, 1].
 
 Storage is one CSR held as numpy arrays; the CSC copy that the local
-search reads is built from it on first use. Both constructors, the CSC
-copy and design's cluster aggregates turn entries into a CSR by one
+search reads is built from it on first use. Every CSR bipx builds, from
+the two constructors' to the exact MSE's A^T diag(u), comes from one
 rule, `compress`. scipy.sparse is imported only by `scipy_csr`, the view
 that the sparse products multiply with, so a bipx command that
 multiplies no sparse matrix never loads it. Graphs are immutable after

@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,20 +151,64 @@ def test_decomposition_matches_exact(seed, p):
         mse_exact(g, d, model), rel=1e-9, abs=1e-12)
 
 
+def with_edgeless_units(g, extra):
+    """g with `extra` more diversion units, none of them on an edge."""
+    w = g.rows
+    wide = sp.csr_matrix((w.data, w.indices, w.indptr),
+                         shape=(g.n_outcome, g.n_diversion + extra))
+    return BipartiteGraph.from_csr(
+        wide, g.outcome_ids,
+        g.diversion_ids + tuple(f"e{j}" for j in range(extra)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 10**6), p=st.sampled_from([0.1, 0.3, 0.5, 0.77]),
-       bernoulli=st.booleans())
-def test_mse_matches_exact_over_random_instances(seed, p, bernoulli):
+       bernoulli=st.booleans(), edgeless=st.booleans())
+def test_mse_matches_exact_over_random_instances(seed, p, bernoulli,
+                                                 edgeless):
     rng = np.random.default_rng(seed)
     g = random_instance(rng)
-    if bernoulli:
-        d = DesignSpec.bernoulli(p)
-    else:
-        d = DesignSpec.independent_cluster(
-            nondegenerate_clustering(g, rng, p), p)
+    c = nondegenerate_clustering(g, rng, p)
+    if edgeless:
+        # The first extra unit gets a cluster of its own, whose row of
+        # A^T diag(u) is empty; the others join clusters at random.
+        g = with_edgeless_units(g, 3)
+        c = Clustering.from_labels(np.r_[c.assignment, c.k,
+                                         rng.integers(0, c.k + 1, 2)])
+    d = (DesignSpec.bernoulli(p) if bernoulli
+         else DesignSpec.independent_cluster(c, p))
     model = random_model(rng, g.n_outcome)
-    assert mse(g, d, model) == pytest.approx(
-        mse_exact(g, d, model), rel=1e-9, abs=1e-12)
+    value = mse(g, d, model)
+    assert value == pytest.approx(mse_exact(g, d, model), rel=1e-9, abs=1e-12)
+    # A bound of one product puts every nonempty row of A^T diag(u) in a
+    # block of its own, so each seam between blocks is crossed.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_FROBENIUS_PRODUCTS", 1)
+        assert mse(g, d, model) == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def test_mse_peak_is_bounded_on_an_outcome_hub():
+    # Unit 0 reaches all 4096 diversion units, so every row of the
+    # Bernoulli A^T diag(u) A is full: 4096^2 entries, about 200 MB as one
+    # product. Row blocks of a bounded number of products keep the peak
+    # to a few such blocks.
+    n, m = 513, 4096
+    rows = np.r_[np.zeros(m, dtype=np.int64), 1 + np.arange(m) // 8]
+    w = sp.csr_matrix((np.ones(2 * m), (rows, np.r_[np.arange(m),
+                                                     np.arange(m)])),
+                      shape=(n, m))
+    g = BipartiteGraph.from_csr(w, tuple(f"o{i}" for i in range(n)),
+                                tuple(f"d{j}" for j in range(m)))
+    d = DesignSpec.bernoulli(0.5)
+    model = random_model(np.random.default_rng(0), n)
+    exposure_moments(g, d)  # Built first: the pin is on mse's own peak.
+    tracemalloc.start()
+    try:
+        mse(g, d, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @settings(deadline=None, max_examples=40)

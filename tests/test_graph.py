@@ -592,16 +592,17 @@ WRITERS = {("graph_core", "write_rows"): "w",
            ("simulate", "report_to_json"): "w"}
 
 
-def _calls(node, func=None):
-    """(enclosing function, call) of each call under node."""
+def _calls(node, func=None, kind=ast.Call):
+    """(enclosing function, node) of each node of `kind` under node: by
+    default, of each call."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func_here = child.name
         else:
             func_here = func
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield func, child
-        yield from _calls(child, func_here)
+        yield from _calls(child, func_here, kind)
 
 
 def _opens(node):
@@ -629,8 +630,9 @@ def test_only_the_writers_open_files_to_write():
     assert found == {key: {mode} for key, mode in WRITERS.items()}
 
 
-# scipy.sparse's own routes from entries to a CSR or CSC, which only the
-# exact MSE's sparse products take; every other one is graph_core.compress.
+# scipy.sparse's own routes from entries to a CSR or CSC, which no bipx
+# function takes: every CSR, and every CSC as the CSR of a transpose, is
+# built by graph_core.compress.
 SCIPY_COMPRESSORS = {"tocsr", "tocsc", "sum_duplicates", "sort_indices"}
 
 
@@ -641,7 +643,29 @@ def test_only_compress_sorts_entries_into_a_csr():
             if (isinstance(call.func, ast.Attribute)
                     and call.func.attr in SCIPY_COMPRESSORS):
                 found.add((module, func))
-    assert found == {("estimator", "mse")}
+    assert found == set()
+
+
+def _imported_names(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module or ""] + [f"{node.module}.{alias.name}"
+                                  for alias in node.names]
+
+
+def test_only_scipy_csr_imports_scipy_sparse():
+    # The production modules reach scipy.sparse through the one view
+    # graph_core.scipy_csr; bipx.oracle and bipx.synth build the tests'
+    # instances and references and may use it directly.
+    found = set()
+    for module, tree in _package_trees():
+        if module in ("oracle", "synth"):
+            continue
+        for func, node in _calls(tree, kind=(ast.Import, ast.ImportFrom)):
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.")
+                   for name in _imported_names(node)):
+                found.add((module, func))
+    assert found == {("graph_core", "scipy_csr")}
 
 
 def test_only_token_groups_calls_token_array():
