@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from array import array
 from dataclasses import astuple, dataclass, replace
 from itertools import count, islice
 
@@ -151,21 +150,19 @@ def _draw_many(indptr, indices, cum, slices, u):
 
     `cum` is _slice_cumsum of the data. The drawn offset is the count of
     cum <= u * total in the slice, which is searchsorted(side="right") on
-    the non-decreasing cum, clipped to the slice's last entry; bisection
-    finds it in log2(max degree) vectorized steps.
+    the non-decreasing cum, clipped to the slice's last entry; binary
+    lifting finds it in log2(max degree) vectorized steps.
     """
     lo = indptr[slices]
-    deg = indptr[slices + 1] - lo
-    last = lo + deg - 1
+    last = indptr[slices + 1] - 1
     thr = u * cum[last]
-    left, right = np.zeros_like(lo), deg
-    for _ in range(int(deg.max(initial=0)).bit_length()):
-        mid = (left + right) >> 1
-        below = cum[np.minimum(lo + mid, last)] <= thr
-        open_ = left < right
-        left = np.where(open_ & below, mid + 1, left)
-        right = np.where(open_ & ~below, mid, right)
-    return indices[np.minimum(lo + left, last)]
+    pos, end = lo, last + 1
+    step = 1 << int((end - lo).max(initial=1)).bit_length() - 1
+    while step:
+        cand = np.minimum(pos + step, end)
+        pos = np.where(cum[cand - 1] <= thr, cand, pos)
+        step >>= 1
+    return indices[np.minimum(pos, last)]
 
 
 def _wedge_tables(g):
@@ -218,15 +215,15 @@ class _MoveDelta:
     unit with np.bincount, the paths that land in the own or the target
     cluster. It reads hops(i) paths a unit, however small the clusters.
 
-    The cluster side reads the columns of the members of A and B. It
-    keys each unit entry (k, i) of a batch by slot * n + k, sorted
-    because CSC rows are; one searchsorted finds the member entries
-    (k, j) on the same row and one np.bincount sums their w[k, i] w[k, j]
-    per slot and cluster. It reads deg(i) + cdeg(A) + cdeg(B) entries a
-    unit, cdeg a cluster's summed column degrees, less A's when i is alone
-    in A: then d(i, A) is the self term, the same adds in the same order.
-    `score` picks the route for a batch and `score_one` for a single
-    visit, which it scores on the cluster side in plain Python.
+    The cluster side reads the columns of the members of A and B, in the
+    _Clusters arena. It keys each unit entry (k, i) of a batch by slot *
+    n + k, sorted as CSC rows are; one searchsorted finds the members'
+    entries (k, j) on the same row and one np.bincount sums their w[k, i]
+    w[k, j] per slot and cluster. It reads deg(i) + cdeg(A) + cdeg(B)
+    entries a unit, cdeg a cluster's summed column degrees, less A's when
+    i is alone in A: then d(i, A) is the self term, the same adds in the
+    same order. `score` picks the route for a batch and `score_one` for a
+    single visit, which it scores on the cluster side in plain Python.
     """
 
     def __init__(self, g, phi, p):
@@ -284,35 +281,32 @@ class _MoveDelta:
             - self.phi * s_i * (S[targets] - (S[own] - s_i))
         return 2.0 * self.coin_variance * gain
 
-    def score(self, labels, sizes, S, units, targets, members, cdeg):
-        """Gains of moving units[v] into targets[v], for every v, by the
-        route that _cluster_side picks for the batch, and whether that is
-        the cluster side. sizes[c] counts the units labelled c,
-        members[c] holds them as int64 buffers and cdeg[c] their summed
-        column degrees."""
+    def score(self, c, units, targets):
+        """Gains of moving units[v] into targets[v], for every v, in the
+        _Clusters c, by the route that _cluster_side picks for the batch,
+        and whether that is the cluster side."""
         V = units.size
         if not V:
             return np.zeros(0), False
-        own = labels[units]
+        own = c.labels[units]
         clusters = np.concatenate((targets, own))
         # Entries of each unit, then of each target's and own cluster's
         # members: what the cluster side reads.
-        counts = np.concatenate((self.deg[units], cdeg[clusters]))
+        counts = np.concatenate((self.deg[units], c.cdeg[clusters]))
         cum = counts.cumsum()
         if not _cluster_side(int(self.hops[units].sum()), int(cum[-1])):
             ends, prod, bounds = self.paths(units)
-            return self.gains(labels, S, units, targets, ends, prod,
+            return self.gains(c.labels, c.S, units, targets, ends, prod,
                               bounds), False
         mine = int(cum[V - 1])  # the units' own entries come first
         if not mine:  # edgeless units share no row with any unit
             zero = np.zeros(V)
-            return self._gain(S, units, own, targets, zero, zero), True
+            return self._gain(c.S, units, own, targets, zero, zero), True
         csc = self.g.csc
-        lone = sizes[own] == 1  # own clusters that are not read
+        lone = c.sizes[own] == 1  # own clusters that are not read
         counts[2 * V:][lone] = 0
-        cols = np.concatenate((units, np.frombuffer(b"".join(map(
-            members.__getitem__,
-            np.concatenate((targets, own[~lone])).tolist())), np.int64)))
+        cols = np.concatenate((units, c.members(
+            np.concatenate((targets, own[~lone])))))
         entries = _ranges(csc.indptr[cols], self.deg[cols])
         # Unit v's entries, its target's member entries and its own
         # cluster's all carry slot v's offset v * n in their keys.
@@ -330,9 +324,9 @@ class _MoveDelta:
         slot = counts.cumsum().searchsorted(hit, "right") - V
         d = np.bincount(slot, weights=w[hit] * w[at], minlength=2 * V)
         d_own = np.where(lone, self.self_term[units], d[V:])
-        return self._gain(S, units, own, targets, d[:V], d_own), True
+        return self._gain(c.S, units, own, targets, d[:V], d_own), True
 
-    def score_one(self, labels, sizes, S, i, b, members, cdeg):
+    def score_one(self, c, i, b):
         """The gain of moving unit i into cluster b, bit for bit what
         `score` gives for that batch of one, and whether it was scored on
         the cluster side. The gather is scored by `score`; the cluster
@@ -340,18 +334,17 @@ class _MoveDelta:
         cluster in turn, its entries in row order, member weight times
         unit weight."""
         indptr, rows, w, hops, deg, self_term, col_sums = self.views
-        a = labels.item(i)
-        if not _cluster_side(hops[i],
-                             deg[i] + cdeg.item(b) + cdeg.item(a)):
-            (gain,), _ = self.score(labels, sizes, S, np.array([i]),
-                                    np.array([b]), members, cdeg)
+        label, size, S, cdeg, pool, start = c.views[:6]
+        a = label[i]
+        if not _cluster_side(hops[i], deg[i] + cdeg[b] + cdeg[a]):
+            (gain,), _ = self.score(c, np.array([i]), np.array([b]))
             return float(gain), False
         lo, hi = indptr[i], indptr[i + 1]
         unit = dict(zip(rows[lo:hi], w[lo:hi]))
 
         def d(c):
             total = 0.0
-            for j in memoryview(members[c]).cast("B").cast("q"):
+            for j in pool[start[c]:start[c] + size[c]]:
                 lo, hi = indptr[j], indptr[j + 1]
                 for k, x in zip(rows[lo:hi], w[lo:hi]):
                     y = unit.get(k)
@@ -360,12 +353,98 @@ class _MoveDelta:
             return total
 
         d_new = d(b)
-        d_own = self_term[i] if sizes.item(a) == 1 else d(a)
+        d_own = self_term[i] if size[a] == 1 else d(a)
         d_own = d_own - self_term[i]
         s_i = col_sums[i]
         gain = (1.0 + self.phi) * (d_new - d_own) \
-            - self.phi * s_i * (S.item(b) - (S.item(a) - s_i))
+            - self.phi * s_i * (S[b] - (S[a] - s_i))
         return 2.0 * self.coin_variance * gain, True
+
+
+class _Clusters:
+    """Each unit's label, and each cluster's size, column total S, summed
+    column degrees cdeg and members, pool[start[c]:start[c] + sizes[c]] in
+    one int64 arena of 4m slots. They keep the order _MoveDelta sums them
+    in: founder first, joiners appended, a leaver replaced by the last
+    (where[i] is unit i's place). A full cluster doubles its room at the
+    arena's end, compacting the arena first if that has too little."""
+
+    def __init__(self, col_sums, deg):
+        m = deg.size
+        self.labels = np.arange(m, dtype=np.int64)
+        self.sizes = np.ones(m, dtype=np.int64)
+        self.S = col_sums.astype(np.float64)
+        self.cdeg = deg.astype(np.int64)
+        self.start, self.cap = self.labels.copy(), self.sizes.copy()
+        self.where = np.zeros(m, dtype=np.int64)
+        self.pool = np.zeros(4 * m, dtype=np.int64)
+        self.pool[:m] = self.labels  # the rest is untouched until used
+        self.end = m  # the arena's slots from here on are free
+        self.col_sums, self.deg = col_sums, deg
+        # Single elements are read through memoryviews: no numpy scalars.
+        self.views = tuple(map(memoryview, (
+            self.labels, self.sizes, self.S, self.cdeg, self.pool,
+            self.start, self.cap, self.where, col_sums, deg)))
+
+    def members(self, clusters):
+        """The members of each of `clusters`, laid end to end."""
+        return self.pool[_ranges(self.start[clusters], self.sizes[clusters])]
+
+    def move(self, i, a, b):
+        """Move unit i from its cluster a into cluster b."""
+        label, size, S, cdeg, pool, start, cap, where, s, deg = self.views
+        S[a], S[b] = S[a] - s[i], S[b] + s[i]
+        cdeg[a], cdeg[b] = cdeg[a] - deg[i], cdeg[b] + deg[i]
+        label[i] = b
+        n = size[b]
+        if n == cap[b]:  # move b's members to room for 2n at the end
+            room = 2 * n or 1
+            if self.end + room > len(pool):
+                self._compact()
+            lo = self.end
+            pool[lo:lo + n] = pool[start[b]:start[b] + n]
+            start[b], cap[b], self.end = lo, room, lo + room
+        # Swap a's last member into i's place, then append i to b.
+        size[a] -= 1
+        last = pool[start[a] + size[a]]
+        pool[start[a] + where[i]] = last
+        where[last] = where[i]
+        pool[start[b] + n] = i
+        where[i] = n
+        size[b] = n + 1
+
+    def move_many(self, units, a, b):
+        """move(units[v], a[v], b[v]) for every v, with the bits of one
+        move at a time: no cluster is in two of the moves."""
+        if self.end + 2 * int(self.sizes[b].sum()) + b.size > self.pool.size:
+            self._compact()  # then every full cluster of b fits
+        for totals, x in ((self.S, self.col_sums), (self.cdeg, self.deg)):
+            totals[a] -= x[units]
+            totals[b] += x[units]
+        self.labels[units] = b
+        pool, start, sizes, where = self.pool, self.start, self.sizes, \
+            self.where
+        sizes[a] -= 1
+        last = pool[start[a] + sizes[a]]
+        pool[start[a] + where[units]] = last
+        where[last] = where[units]
+        full = b[sizes[b] == self.cap[b]]
+        room = np.maximum(2 * sizes[full], 1)
+        lo = self.end + np.cumsum(room) - room
+        pool[_ranges(lo, sizes[full])] = self.members(full)
+        start[full], self.cap[full] = lo, room
+        self.end += int(room.sum())
+        pool[start[b] + sizes[b]] = units
+        where[units] = sizes[b]
+        sizes[b] += 1
+
+    def _compact(self):
+        """Lay all members end to end from slot 0, cluster by cluster."""
+        m = self.sizes.size
+        self.pool[:m] = self.members(np.arange(m))
+        self.start[:] = np.cumsum(self.sizes) - self.sizes
+        self.cap[:] = self.sizes
+        self.end = m
 
 
 # Visits that could move at the pass start per scored block in
@@ -388,12 +467,6 @@ def _cluster_side(gather_cost, cluster_cost):
     """Whether a block is scored on the cluster side: the route that reads
     fewer entries, two-hop paths against the members' column entries."""
     return cluster_cost < gather_cost
-
-
-def _founding_members(m):
-    """The int64 bytes of each unit, one object per unit."""
-    ids = np.arange(m, dtype=np.int64).tobytes()
-    return [ids[k:k + 8] for k in range(0, 8 * m, 8)]
 
 
 def _split_objective(total, S, phi, coin_variance):
@@ -438,10 +511,11 @@ def local_search(g, cfg):
     and a visit that could not move at the block start can only move
     after such an accept; only those visits are scored again, alone, and
     every decision is the one a visit-by-visit search makes. The visits
-    before a block's first accept change nothing, so they are counted in
-    bulk and the walk starts at that accept. The cut only batches the
-    visits, so near convergence, where few visits can move, a pass makes
-    few score calls.
+    before the first one whose clusters an earlier accept touched make
+    their block-start decisions, and their accepts touch distinct
+    clusters: they are applied at once, and the walk starts after them.
+    The cut only batches the visits, so near convergence, where few
+    visits can move, a pass makes few score calls.
 
     A block, or a visit scored again, is scored by the two-hop gather or
     from its clusters' member columns (see _MoveDelta), whichever reads
@@ -456,19 +530,11 @@ def local_search(g, cfg):
     m = g.n_diversion
     k_max = m if cfg.k_max is None else cfg.k_max
     delta = _MoveDelta(g, cfg.phi, cfg.p)
-    labels = np.arange(m, dtype=np.int64)
-    sizes = np.ones(m, dtype=np.int64)
-    S = g.col_sums.astype(np.float64)
-    cdeg = delta.deg.copy()  # summed column degrees of each cluster
-    # The walk reads and writes single elements through memoryviews of
-    # the same buffers, which skip numpy's scalar objects.
-    label_at, size_at, S_at, cdeg_at, s_at, deg_at = map(
-        memoryview, (labels, sizes, S, cdeg, g.col_sums, delta.deg))
-    # Each cluster's units as int64 buffers, and each unit's place among
-    # them. A cluster keeps the bytes of its founding unit until an accept
-    # touches it; a unit joining it turns it into a growable array.
-    members = _founding_members(m)
-    where = [0] * m
+    state = _Clusters(g.col_sums, delta.deg)
+    labels, sizes = state.labels, state.sizes
+    label_at, size_at = state.views[:2]
+    # Each cluster's first visit in a block to touch it; m for none.
+    first_touch = np.full(m, m)
     total = delta.coin_variance * float(np.sum(
         (1.0 + cfg.phi) * delta.self_term - cfg.phi * g.col_sums ** 2))
     trace = []
@@ -492,21 +558,34 @@ def local_search(g, cfg):
             own, targets = labels[units], labels[partners]
             same = targets == own
             scored = np.flatnonzero(~same & (sizes[targets] < k_max))
-            gains, on_clusters = delta.score(labels, sizes, S, units[scored],
-                                             targets[scored], members, cdeg)
-            # The visits before the block's first accept change nothing:
-            # each is a self-partner skip, a cap rejection or a reject
-            # scored at the block start. The walk starts at that accept.
-            up = np.flatnonzero(gains > ACCEPT_EPS)
-            rejects = int(up[0]) if up.size else scored.size
-            first = int(scored[rejects]) if up.size else units.size
-            kernel_visits += rejects
-            cluster_visits += rejects * on_clusters
+            gains, on_clusters = delta.score(state, units[scored],
+                                             targets[scored])
+            # The clean run: the visits before the first whose own or target
+            # cluster an earlier block-start accept touches.
+            up = scored[gains > ACCEPT_EPS]
+            first = units.size
+            if up.size:
+                ends = np.concatenate((own[up], targets[up]))
+                np.minimum.at(first_touch, ends, np.tile(up, 2))
+                clash = np.flatnonzero(np.minimum(
+                    first_touch[own], first_touch[targets]) < np.arange(first))
+                first_touch[ends] = m
+                first = int(clash[0]) if clash.size else first
+                up = up[:int(up.searchsorted(first))]
+                state.move_many(units[up], own[up], targets[up])
+            ran = int(scored.searchsorted(first))
+            kernel_visits += ran
+            cluster_visits += ran * on_clusters
             skips += int(np.count_nonzero(same[:first]))
+            accepted += up.size
+            for gain in gains[:ran][gains[:ran] > ACCEPT_EPS].tolist():
+                total += gain
+            if first == units.size:
+                continue
+            touched = set(own[up].tolist() + targets[up].tolist())
             gains = gains.tolist()
             slot = np.full(units.size, -1)
             slot[scored] = np.arange(scored.size)
-            touched = set()  # clusters an accept in this block changed
             for i, j, a, v in zip(units[first:].tolist(),
                                   partners[first:].tolist(),
                                   own[first:].tolist(),
@@ -524,34 +603,15 @@ def local_search(g, cfg):
                     gain, side = gains[v], on_clusters
                 else:
                     stale += 1
-                    gain, side = delta.score_one(labels, sizes, S, i, b,
-                                                 members, cdeg)
+                    gain, side = delta.score_one(state, i, b)
                 cluster_visits += side
                 if gain > ACCEPT_EPS:
                     total += gain
-                    s_i, deg_i = s_at[i], deg_at[i]
-                    S_at[b] += s_i
-                    S_at[a] -= s_i
-                    cdeg_at[b] += deg_i
-                    cdeg_at[a] -= deg_i
-                    size_at[b] += 1
-                    size_at[a] -= 1
-                    label_at[i] = b
-                    # Swap A's last unit into i's place, then append i to B.
-                    if type(members[a]) is bytes:  # i founded A, alone
-                        members[a] = b""
-                    else:
-                        last = members[a].pop()
-                        if last != i:
-                            members[a][where[i]] = last
-                            where[last] = where[i]
-                    if type(members[b]) is bytes:
-                        members[b] = array("q", members[b])
-                    where[i] = len(members[b])
-                    members[b].append(i)
+                    state.move(i, a, b)
                     accepted += 1
                     touched.update((a, b))
-        parts = _split_objective(total, S, cfg.phi, delta.coin_variance)
+        parts = _split_objective(total, state.S, cfg.phi,
+                                 delta.coin_variance)
         trace.append(PassTrace(pass_index, accepted, total,
                                parts.variance_sum, parts.covariance_sum,
                                time.perf_counter() - start, kernel_visits,
@@ -564,7 +624,7 @@ def local_search(g, cfg):
             converged = True
             break
     return SearchResult(clustering=Clustering.from_labels(labels),
-                        objective=_split_objective(total, S, cfg.phi,
+                        objective=_split_objective(total, state.S, cfg.phi,
                                                    delta.coin_variance),
                         trace=tuple(trace), converged=converged)
 

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -229,6 +228,22 @@ def test_local_search_matches_naive_search(monkeypatch):
     blocks = (1, 3, 64, cluster_opt._BLOCK)
     stale = dict.fromkeys(blocks, 0)
     rejected = np.zeros(3, dtype=int)
+    # Accepts applied one at a time by the walk, and in bulk as a block's
+    # clean run, per block size.
+    walked, bulk = dict.fromkeys(blocks, 0), dict.fromkeys(blocks, 0)
+    clusters = cluster_opt._Clusters
+    move, move_many = clusters.move, clusters.move_many
+
+    def walk_move(self, *args):
+        walked[block] += 1
+        move(self, *args)
+
+    def bulk_move(self, units, *args):
+        bulk[block] += units.size
+        move_many(self, units, *args)
+
+    monkeypatch.setattr(clusters, "move", walk_move)
+    monkeypatch.setattr(clusters, "move_many", bulk_move)
     for t, g in enumerate(graphs):
         for phi in (0.0, 0.3, 1.0):
             for k_max in (None, 2):
@@ -248,6 +263,10 @@ def test_local_search_matches_naive_search(monkeypatch):
     # the next such visit, and an accept can make those movable, so they
     # are scored again. Larger blocks leave more visits behind an accept.
     assert 0 < stale[1] <= stale[3] < stale[blocks[-1]]
+    # A block that holds the whole pass has dense conflicts, so the walk
+    # takes many accepts; every block size applies some in bulk.
+    assert 0 < walked[1] < walked[3] < walked[64]
+    assert all(bulk.values())
     # Self-partner skips, cap rejections and non-improving rejections all
     # occur.
     assert (rejected > 0).all()
@@ -296,14 +315,15 @@ def test_local_search_cap_binds_inside_block(monkeypatch):
 
 
 def _cluster_state(g, labels):
-    """Sizes, members and summed column degrees of every label in [0, m),
-    kept as local_search keeps them."""
-    m = g.n_diversion
-    members = [array("q") for _ in range(m)]
+    """The _Clusters of `labels`, labels in [0, m), reached from the
+    singletons by moves as local_search reaches its clusterings; a move
+    may go into a cluster its founder has left."""
+    state = cluster_opt._Clusters(g.col_sums, np.diff(g.csc.indptr))
     for i, c in enumerate(labels.tolist()):
-        members[c].append(i)
-    cdeg = np.bincount(labels, weights=np.diff(g.csc.indptr), minlength=m)
-    return np.bincount(labels, minlength=m), members, cdeg.astype(np.int64)
+        if c != i:
+            state.move(i, i, c)
+    np.testing.assert_array_equal(state.labels, labels)
+    return state
 
 
 def _with_edgeless_units(g, rng):
@@ -329,8 +349,7 @@ def test_cluster_side_gains_match_gather(seed, phi, p):
     free = np.setdiff1d(np.arange(m), labels)
     lone = rng.permutation(m)[:int(rng.integers(0, free.size + 1))]
     labels[lone] = free[:lone.size]
-    sizes, members, cdeg = _cluster_state(g, labels)
-    S = np.bincount(labels, weights=g.col_sums, minlength=m)
+    state = _cluster_state(g, labels)
     # A batch may repeat a unit; a target may be the own cluster or an
     # unused label, which makes the unit a new singleton. Every edgeless
     # unit is in the batch.
@@ -343,20 +362,17 @@ def test_cluster_side_gains_match_gather(seed, phi, p):
     with pytest.MonkeyPatch.context() as mp:
         for side in (False, True):
             mp.setattr(cluster_opt, "_cluster_side", lambda *_, s=side: s)
-            gains[side], on_clusters = delta.score(
-                labels, sizes, S, units, targets, members, cdeg)
+            gains[side], on_clusters = delta.score(state, units, targets)
             assert on_clusters is side
             for v in range(units.size):
                 # A batch of one, and score_one, which scores a stale visit
                 # in plain Python on the cluster side: both give the
                 # batch's bits.
                 alone, on_clusters = delta.score(
-                    labels, sizes, S, units[v:v + 1], targets[v:v + 1],
-                    members, cdeg)
+                    state, units[v:v + 1], targets[v:v + 1])
                 assert on_clusters is side
                 gain, on_clusters = delta.score_one(
-                    labels, sizes, S, int(units[v]), int(targets[v]),
-                    members, cdeg)
+                    state, int(units[v]), int(targets[v]))
                 assert on_clusters is side
                 assert type(gain) is float
                 assert gain.hex() == float(alone[0]).hex() \
@@ -369,6 +385,92 @@ def test_cluster_side_gains_match_gather(seed, phi, p):
         change = objective(g, Clustering.from_labels(moved), phi, p).total \
             - objective(g, Clustering.from_labels(labels), phi, p).total
         assert gains[True][v] == pytest.approx(change, rel=1e-9, abs=1e-10)
+
+
+def _members(state, c):
+    lo = int(state.start[c])
+    return state.pool[lo:lo + int(state.sizes[c])].tolist()
+
+
+def test_clusters_keep_member_order(monkeypatch):
+    """_Clusters' moves, one at a time and in bulk, against lists of
+    members: founder first, a joining unit appended, a leaving one
+    replaced by the last. Long move sequences on a few units make clusters
+    outgrow their room and the arena compact many times."""
+    compactions = []
+    compact = cluster_opt._Clusters._compact
+    monkeypatch.setattr(cluster_opt._Clusters, "_compact",
+                        lambda self: compactions.append(1) or compact(self))
+    rng = np.random.default_rng(34)
+    for _ in range(30):
+        m = int(rng.integers(1, 9))
+        s, deg = rng.random(m), rng.integers(0, 5, m)
+        state = cluster_opt._Clusters(s, deg)
+        members = [[i] for i in range(m)]
+        labels = np.arange(m)
+        for _ in range(40):
+            # A few moves one at a time, or a batch of moves whose clusters
+            # are pairwise distinct, as a clean run's are. A move may go
+            # into an empty cluster.
+            bulk, moves, used = rng.random() < 0.5, [], set()
+            for i in rng.permutation(m).tolist():
+                a, b = int(labels[i]), int(rng.integers(m))
+                if a != b and not (bulk and used & {a, b}):
+                    at = members[a].index(i)
+                    last = members[a].pop()
+                    if last != i:
+                        members[a][at] = last
+                    members[b].append(i)
+                    labels[i] = b
+                    moves.append((i, a, b))
+                    used.update((a, b))
+                    if not bulk:
+                        state.move(i, a, b)
+            if bulk:
+                state.move_many(*np.array(moves, dtype=np.int64).reshape(
+                    -1, 3).T)
+            np.testing.assert_array_equal(state.labels, labels)
+            assert [_members(state, c) for c in range(m)] == members
+            for c, units in enumerate(members):
+                assert state.sizes[c] == len(units) <= state.cap[c]
+                assert [state.where[i] for i in units] == list(
+                    range(len(units)))
+            np.testing.assert_array_equal(
+                state.cdeg, np.bincount(labels, deg, minlength=m))
+            np.testing.assert_allclose(
+                state.S, np.bincount(labels, s, minlength=m), atol=1e-12)
+            # The clusters' rooms lie apart, within the arena's 4m slots.
+            room = sorted(zip(state.start.tolist(), state.cap.tolist()))
+            assert all(lo + n <= nxt for (lo, n), (nxt, _) in
+                       zip(room, room[1:]))
+            assert room[-1][0] + room[-1][1] <= state.end \
+                <= state.pool.size == 4 * m
+    assert len(compactions) > 30
+
+
+def test_arena_stays_within_its_bound(monkeypatch):
+    """A search without a cap grows clusters past their room again and
+    again; the arena compacts instead of outgrowing its 4m slots, and
+    ends holding each cluster's units."""
+    states, compactions = [], []
+    init, compact = cluster_opt._Clusters.__init__, \
+        cluster_opt._Clusters._compact
+    monkeypatch.setattr(cluster_opt._Clusters, "__init__",
+                        lambda self, *a: states.append(self) or init(self, *a))
+    monkeypatch.setattr(cluster_opt._Clusters, "_compact",
+                        lambda self: compactions.append(1) or compact(self))
+    g = paired_pool_instance()[0]
+    m = g.n_diversion
+    result = local_search(g, LocalSearchConfig(phi=1.0 / 199.0, seed=0))
+    (state,) = states
+    assert result.converged and compactions
+    assert result.trace[-1].largest_cluster > 5
+    assert state.end <= state.pool.size == 4 * m
+    assert partitions_equal(Clustering.from_labels(state.labels),
+                            result.clustering)
+    for c in range(m):
+        assert sorted(_members(state, c)) == np.flatnonzero(
+            state.labels == c).tolist()
 
 
 def test_local_search_routes_match_naive_search(monkeypatch):
@@ -515,6 +617,19 @@ def _tied_skewed_graph():
     return g
 
 
+def _power_degree_graph():
+    # Columns of degree 1, 2, 3, 4, 8, ..., 64 on rows 0 up to their
+    # degree, so rows have degrees 8 down to 1.
+    rng = np.random.default_rng(5)
+    degrees = (1, 2, 3, 4, 8, 16, 32, 64)
+    cols = np.repeat(np.arange(len(degrees)), degrees)
+    rows = np.concatenate([np.arange(d) for d in degrees])
+    W = sp.csr_matrix((rng.random(rows.size) + 0.1, (rows, cols)),
+                      shape=(64, len(degrees)))
+    return normalize_rows(BipartiteGraph.from_csr(
+        W, tuple(range(64)), tuple(range(len(degrees)))))
+
+
 def test_pass_draws_match_per_visit_draws():
     g = _tied_skewed_graph()
     csc, csr = g.csc, g.csr
@@ -536,21 +651,31 @@ def test_pass_draws_match_per_visit_draws():
             k = _draw(csc.indptr, csc.indices, csc.data, i, rng)
             assert k == ks[t]
             assert _draw(csr.indptr, csr.indices, csr.data, k, rng) == js[t]
-    # Doubles that land on the cumulative sums themselves, zero and the
-    # largest double below 1: ties and both ends of every slice.
-    for indptr, indices, data, cum in (
-            (csc.indptr, csc.indices, csc.data, col_cum),
-            (csr.indptr, csr.indices, csr.data, row_cum)):
-        for s in range(indptr.size - 1):
-            lo, hi = indptr[s], indptr[s + 1]
-            us = [0.0, np.nextafter(1.0, 0.0)]
-            if cum[hi - 1] > 0:  # else every weight of the slice is zero
-                us.extend(cum[lo:hi] / cum[hi - 1])
-            us = np.array(us)
-            got = _draw_many(indptr, indices, cum, np.full(us.size, s), us)
-            want = [_draw(indptr, indices, data, s, _FixedDouble(x))
-                    for x in us]
-            np.testing.assert_array_equal(got, want)
+    # Doubles that land on the cumulative sums themselves and next to
+    # them, zero and the largest double below 1: ties, thresholds equal to
+    # an entry and both ends of every slice, on slices of every degree
+    # from 1 to 64, powers of two among them.
+    exact = 0
+    for csc, csr in ((g.csc, g.csr) for g in (g, _power_degree_graph())):
+        for a in (csc, csr):
+            indptr, cum = a.indptr, _slice_cumsum(a.indptr, a.data)
+            for s in range(indptr.size - 1):
+                lo, hi = indptr[s], indptr[s + 1]
+                us = [0.0, np.nextafter(1.0, 0.0)]
+                if cum[hi - 1] > 0:  # else every weight is zero
+                    x = cum[lo:hi] / cum[hi - 1]
+                    us += [y for y in np.concatenate((
+                        np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)))
+                        if y < 1.0]
+                    exact += np.isin(cum[lo:hi],
+                                     np.array(us) * cum[hi - 1]).sum()
+                us = np.array(us)
+                got = _draw_many(indptr, a.indices, cum, np.full(us.size, s),
+                                 us)
+                want = [_draw(indptr, a.indices, a.data, s, _FixedDouble(x))
+                        for x in us]
+                np.testing.assert_array_equal(got, want)
+    assert exact > 100
 
 
 def test_local_search_keeps_edgeless_unit_single():
