@@ -25,7 +25,8 @@ from itertools import count, islice
 
 import numpy as np
 
-from bipx.design import Clustering, DesignSpec, exposure_moments
+from bipx.design import (_AGG_ENTRIES, Clustering, DesignSpec,
+                         exposure_moments)
 from bipx.graph_core import write_rows
 
 # Strict improvement threshold; prevents cycling on exact ties.
@@ -131,17 +132,18 @@ def objective(g, c, phi, p=0.5):
 def _slice_cumsum(indptr, data):
     """np.cumsum of every slice data[indptr[s]:indptr[s + 1]], bit for bit.
 
-    Step t adds entry t - 1 to entry t of every slice longer than t, the
-    same left-to-right adds np.cumsum makes; slices are ordered by degree
-    so the ones still open at step t are a prefix.
+    The slices of each degree d > 1 are gathered as one (count, d) array,
+    whose row-wise np.cumsum makes the same left-to-right adds, and
+    scattered back: one step per distinct degree, and working memory
+    bounded by the largest group of slices, not by the entries.
     """
     deg = np.diff(indptr)
-    starts = indptr[:-1][np.argsort(-deg, kind="stable")]
-    longer = deg.size - np.cumsum(np.bincount(deg))  # slices with deg > t
+    order = np.argsort(deg, kind="stable")
+    bounds = np.cumsum(np.bincount(deg))  # bounds[d]: slices of degree <= d
     cum = np.array(data, dtype=np.float64)
-    for t in range(1, longer.size):
-        at = starts[:longer[t]] + t
-        cum[at] += cum[at - 1]
+    for d in np.flatnonzero(np.diff(bounds[1:])) + 2:
+        at = indptr[order[bounds[d - 1]:bounds[d]], None] + np.arange(d)
+        cum[at] = np.cumsum(cum[at], axis=1)
     return cum
 
 
@@ -177,9 +179,9 @@ def _pass_partners(g, perm, u, tables=None):
 
     Gives the partners that _draw calls on these doubles give, visit by
     visit. A unit with no edges is its own partner. `tables` are the
-    caller's _wedge_tables, kept across passes; without them each
-    cumulative sum is built for its draw and freed after it, so neither
-    outlives the call.
+    caller's _wedge_tables, kept across passes and restarts; without
+    them each cumulative sum is built for its draw and freed after it, so
+    neither outlives the call.
     """
     csc, csr = g.csc, g.csr
     cums = iter(tables or _wedge_tables(g))
@@ -232,12 +234,23 @@ class _MoveDelta:
         self.phi = phi
         self.coin_variance = 4.0 * p * (1.0 - p)
         self.row_deg = np.diff(csr.indptr)
-        ends = np.concatenate(([0], np.cumsum(self.row_deg[csc.indices])))
-        self.hops = np.diff(ends[csc.indptr])
         self.deg = np.diff(csc.indptr)
-        self.self_term = np.bincount(
-            np.repeat(np.arange(self.deg.size), self.deg),
-            weights=csc.data ** 2, minlength=self.deg.size)
+        m = self.deg.size
+        self.hops = np.zeros(m, dtype=np.int64)
+        self.self_term = np.zeros(m)
+        # Blocks of whole columns of about _AGG_ENTRIES entries, which
+        # bounds the working memory; each column's sums are sequential, as
+        # over the whole array, and hops is a sum of integers below 2^53.
+        cuts = np.r_[0, np.searchsorted(csc.indptr, np.arange(
+            _AGG_ENTRIES, g.nnz, _AGG_ENTRIES)), m]
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            entries = slice(csc.indptr[lo], csc.indptr[hi])
+            col = np.repeat(np.arange(hi - lo), self.deg[lo:hi])
+            self.hops[lo:hi] = np.bincount(
+                col, weights=self.row_deg[csc.indices[entries]],
+                minlength=hi - lo)
+            self.self_term[lo:hi] = np.bincount(
+                col, weights=csc.data[entries] ** 2, minlength=hi - lo)
         # What score_one reads one element at a time: memoryviews skip
         # numpy's scalar objects.
         self.views = tuple(map(memoryview, (
@@ -316,13 +329,14 @@ class _MoveDelta:
         key_i = keys[:mine]
         at = key_i.searchsorted(keys[mine:])
         hit = np.flatnonzero(key_i.take(at, mode="clip") == keys[mine:])
-        w = csc.data[entries]
         at, hit = at[hit], hit + mine
         # Each hit's slot: the run of entries it lies in, of the 3V laid end
         # to end, less the V unit runs; v for unit v's target, V + v for its
         # own cluster. "right" steps past empty runs.
         slot = counts.cumsum().searchsorted(hit, "right") - V
-        d = np.bincount(slot, weights=w[hit] * w[at], minlength=2 * V)
+        w = csc.data
+        d = np.bincount(slot, weights=w[entries[hit]] * w[entries[at]],
+                        minlength=2 * V)
         d_own = np.where(lone, self.self_term[units], d[V:])
         return self._gain(c.S, units, own, targets, d[:V], d_own), True
 
@@ -526,10 +540,17 @@ def local_search(g, cfg):
     the batch's order, so it gets the batch's bits. The routes sum in
     other orders, so their gains agree to rounding, not bit for bit.
     """
+    return _search(g, cfg, _MoveDelta(g, cfg.phi, cfg.p))
+
+
+def _search(g, cfg, delta, tables=None):
+    """local_search with its _MoveDelta given, and the wedge tables as a
+    list when the caller keeps them: what depends only on the graph, phi
+    and p, which restarts share. Without tables the search builds them as
+    local_search says."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     m = g.n_diversion
     k_max = m if cfg.k_max is None else cfg.k_max
-    delta = _MoveDelta(g, cfg.phi, cfg.p)
     state = _Clusters(g.col_sums, delta.deg)
     labels, sizes = state.labels, state.sizes
     label_at, size_at = state.views[:2]
@@ -540,11 +561,11 @@ def local_search(g, cfg):
     trace = []
     start = time.perf_counter()
     converged = False
-    tables = None  # the wedge tables, kept while another pass may follow
     for pass_index in islice(count(1), cfg.max_passes):
         if cfg.time_budget is not None and \
                 time.perf_counter() - start > cfg.time_budget:
             break
+        # Kept while another pass may follow.
         if tables is None and pass_index != cfg.max_passes:
             tables = list(_wedge_tables(g))
         perm = rng.permutation(m)
@@ -630,12 +651,17 @@ def local_search(g, cfg):
 
 
 def local_search_restarts(g, cfg, restarts):
-    """Best of `restarts` runs with seeds derived from cfg.seed."""
+    """Best of `restarts` runs with seeds derived from cfg.seed, each the
+    local_search result at its seed. The runs share one _MoveDelta and,
+    if there are several, one build of the wedge tables, which then stay
+    alive through every walk."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    delta = _MoveDelta(g, cfg.phi, cfg.p)
+    tables = list(_wedge_tables(g)) if restarts > 1 else None
     best = None
     for r in range(restarts):
-        result = local_search(g, replace(cfg, seed=cfg.seed + r))
+        result = _search(g, replace(cfg, seed=cfg.seed + r), delta, tables)
         if best is None or result.objective.total > best.objective.total:
             best = result
     return best

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,7 +21,8 @@ from bipx.oracle import (_draw, corr_clust_cs_rewrite,
                          objective_by_moments, objective_by_omega,
                          omega_matrix, spread_identity_constant, wedge_sample)
 from bipx.synth import (paired_pool_instance, partitions_equal,
-                        planted_four_block, random_clustering, random_instance)
+                        perf_instance, planted_four_block, random_clustering,
+                        random_instance)
 
 
 def small_graph():
@@ -586,6 +588,108 @@ def test_wedge_tables_built_once_per_search(monkeypatch):
             convergence=max_passes is None, seed=0))
         assert len(built) == 2
         assert kept == [max_passes != 1] * len(result.trace)
+    # Restarts share one build, kept through every walk.
+    built.clear()
+    kept.clear()
+    local_search_restarts(g, LocalSearchConfig(phi=1.0, k_max=5,
+                                               max_passes=1, seed=0), 3)
+    assert len(built) == 2
+    assert kept == [True] * 3
+
+
+def _traced_peak(f, *args):
+    """The peak of memory traced by tracemalloc, numpy's arrays included,
+    while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _many_degree_graph():
+    # 2000 columns of degrees 0 to 199, ten of each, on random rows among
+    # the first 400, and a diversion hub on every row: rows of many
+    # degrees, and rows that hold the hub only.
+    rng = np.random.default_rng(6)
+    n, m = 2000, 2001
+    degrees = np.arange(m - 1) % 200
+    rows = np.concatenate([rng.choice(400, d, replace=False)
+                           for d in degrees] + [np.arange(n)])
+    cols = np.repeat(np.arange(m), np.r_[degrees, n])
+    W = sp.csr_matrix((rng.random(rows.size) + 0.1, (rows, cols)),
+                      shape=(n, m))
+    return normalize_rows(BipartiteGraph.from_csr(
+        W, tuple(range(n)), tuple(range(m))))
+
+
+def test_slice_cumsum_steps_once_per_degree(monkeypatch):
+    g = _many_degree_graph()
+    col_deg, row_deg = np.diff(g.csc.indptr), np.diff(g.csr.indptr)
+    assert {0, 1, g.n_outcome} <= set(col_deg.tolist())
+    assert 1 in row_deg  # rows that hold the hub only
+    gathers = []
+    real_cumsum = np.cumsum
+
+    def cumsum(a, axis=None, **kw):
+        gathers.append(axis)
+        return real_cumsum(a, axis=axis, **kw)
+
+    for a, deg in ((g.csc, col_deg), (g.csr, row_deg)):
+        gathers.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "cumsum", cumsum)
+            cum = _slice_cumsum(a.indptr, a.data)
+        assert gathers.count(1) == np.unique(deg[deg > 1]).size > 50
+        for lo, hi in zip(a.indptr[:-1], a.indptr[1:]):
+            np.testing.assert_array_equal(cum[lo:hi],
+                                          np.cumsum(a.data[lo:hi]))
+
+
+def test_wedge_tables_memory_is_bounded_by_a_degree_group():
+    # The two tables are 16 bytes an entry; gathering every slice at once
+    # would hold about 24 more an entry beside them.
+    g = _many_degree_graph()
+    assert _traced_peak(list, cluster_opt._wedge_tables(g)) < 20 * g.nnz
+
+
+def _old_hops_and_self_term(g):
+    # The whole-array formulas that _MoveDelta's column blocks replace.
+    csc, csr = g.csc, g.csr
+    row_deg = np.diff(csr.indptr)
+    ends = np.concatenate(([0], np.cumsum(row_deg[csc.indices])))
+    deg = np.diff(csc.indptr)
+    self_term = np.bincount(np.repeat(np.arange(deg.size), deg),
+                            weights=csc.data ** 2, minlength=deg.size)
+    return np.diff(ends[csc.indptr]), self_term
+
+
+@pytest.mark.parametrize("entries", [1, 3, None])  # None: the default
+def test_move_delta_blocks_keep_hops_and_self_term(monkeypatch, entries):
+    if entries is not None:
+        monkeypatch.setattr(cluster_opt, "_AGG_ENTRIES", entries)
+    graphs = (_many_degree_graph(), _tied_skewed_graph(),
+              _power_degree_graph(),
+              BipartiteGraph.from_csr(sp.csr_matrix(np.array(
+                  [[0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0]])),
+                  ("a", "b"), ("u", "v", "w", "x")))
+    for g in graphs:
+        delta = _MoveDelta(g, 1.0, 0.5)
+        hops, self_term = _old_hops_and_self_term(g)
+        assert delta.hops.dtype == hops.dtype
+        np.testing.assert_array_equal(delta.hops, hops)
+        np.testing.assert_array_equal(delta.self_term, self_term)
+    assert (np.diff(graphs[0].csc.indptr) == 0).any()
+
+
+def test_move_delta_memory_is_bounded_by_a_block():
+    # On the perf-shaped graph the whole-array formulas peak at about
+    # 25 MB and the column blocks at 4.0 MB, 3.4 MB of it the per-unit
+    # arrays.
+    g = perf_instance()
+    g.csc  # Built first: the pin is on _MoveDelta's own arrays.
+    assert _traced_peak(_MoveDelta, g, 1.0, 0.5) < 8 * 2**20
 
 
 class _FixedDouble:
@@ -858,14 +962,27 @@ def test_local_search_recovers_planted_blocks():
     assert hits == 3
 
 
-def test_restarts_pick_best():
+def _decisions(result):
+    """A search result with the trace's wall-clock times left out."""
+    return (result.clustering.assignment.tolist(), result.objective,
+            [replace(row, elapsed=0.0) for row in result.trace],
+            result.converged)
+
+
+def test_restarts_pick_best(monkeypatch):
     rng = np.random.default_rng(13)
     g = random_instance(rng, n_max=8, m_max=16)
     cfg = LocalSearchConfig(phi=1.0, max_passes=8, seed=100)
+    runs, real_search = [], cluster_opt._search
+    monkeypatch.setattr(cluster_opt, "_search",
+                        lambda *a: runs.append(real_search(*a)) or runs[-1])
     best = local_search_restarts(g, cfg, restarts=4)
+    monkeypatch.undo()
     singles = [local_search(g, LocalSearchConfig(phi=1.0, max_passes=8,
                                                  seed=100 + r))
                for r in range(4)]
+    # Each restart is the search at its seed, shared work and all.
+    assert list(map(_decisions, runs)) == list(map(_decisions, singles))
     assert best.objective.total == max(r.objective.total for r in singles)
     with pytest.raises(ValueError):
         local_search_restarts(g, cfg, restarts=0)
