@@ -179,9 +179,9 @@ def _pass_partners(g, perm, u, tables=None):
 
     Gives the partners that _draw calls on these doubles give, visit by
     visit. A unit with no edges is its own partner. `tables` are the
-    caller's _wedge_tables, kept across passes and restarts; without
-    them each cumulative sum is built for its draw and freed after it, so
-    neither outlives the call.
+    caller's _wedge_tables, kept across passes; without them each
+    cumulative sum is built for its draw and freed after it, so neither
+    outlives the call.
     """
     csc, csr = g.csc, g.csr
     cums = iter(tables or _wedge_tables(g))
@@ -540,17 +540,10 @@ def local_search(g, cfg):
     the batch's order, so it gets the batch's bits. The routes sum in
     other orders, so their gains agree to rounding, not bit for bit.
     """
-    return _search(g, cfg, _MoveDelta(g, cfg.phi, cfg.p))
-
-
-def _search(g, cfg, delta, tables=None):
-    """local_search with its _MoveDelta given, and the wedge tables as a
-    list when the caller keeps them: what depends only on the graph, phi
-    and p, which restarts share. Without tables the search builds them as
-    local_search says."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     m = g.n_diversion
     k_max = m if cfg.k_max is None else cfg.k_max
+    delta = _MoveDelta(g, cfg.phi, cfg.p)
     state = _Clusters(g.col_sums, delta.deg)
     labels, sizes = state.labels, state.sizes
     label_at, size_at = state.views[:2]
@@ -561,11 +554,11 @@ def _search(g, cfg, delta, tables=None):
     trace = []
     start = time.perf_counter()
     converged = False
+    tables = None  # the wedge tables, kept while another pass may follow
     for pass_index in islice(count(1), cfg.max_passes):
         if cfg.time_budget is not None and \
                 time.perf_counter() - start > cfg.time_budget:
             break
-        # Kept while another pass may follow.
         if tables is None and pass_index != cfg.max_passes:
             tables = list(_wedge_tables(g))
         perm = rng.permutation(m)
@@ -651,17 +644,12 @@ def _search(g, cfg, delta, tables=None):
 
 
 def local_search_restarts(g, cfg, restarts):
-    """Best of `restarts` runs with seeds derived from cfg.seed, each the
-    local_search result at its seed. The runs share one _MoveDelta and,
-    if there are several, one build of the wedge tables, which then stay
-    alive through every walk."""
+    """Best of `restarts` runs with seeds derived from cfg.seed."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    delta = _MoveDelta(g, cfg.phi, cfg.p)
-    tables = list(_wedge_tables(g)) if restarts > 1 else None
     best = None
     for r in range(restarts):
-        result = _search(g, replace(cfg, seed=cfg.seed + r), delta, tables)
+        result = local_search(g, replace(cfg, seed=cfg.seed + r))
         if best is None or result.objective.total > best.objective.total:
             best = result
     return best
