@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import count, islice
 
 import numpy as np
@@ -656,12 +656,8 @@ def local_search_restarts(g, cfg, restarts):
 
 
 def write_trace_csv(trace, path):
-    """Search trace as CSV, one row of PassTrace fields per pass; elapsed
-    is wall-clock and thus run-specific."""
-    write_rows(path, map(astuple, trace),
-               header=("pass", "moves_accepted", "objective_total",
-                       "variance_sum", "covariance_sum", "elapsed",
-                       "kernel_visits", "stale_recomputes",
-                       "cluster_side_visits", "live_clusters",
-                       "largest_cluster", "self_partner_skips",
-                       "cap_rejections", "non_improving_rejections"))
+    """Search trace as CSV, one row of PassTrace fields per pass, headed by
+    their names with pass_index as `pass`; elapsed is wall-clock and thus
+    run-specific."""
+    names = [f.name for f in fields(PassTrace)]
+    write_rows(path, map(astuple, trace), header=["pass"] + names[1:])

@@ -608,8 +608,9 @@ def filter_min_outcome_degree(g, min_degree):
 
 
 def normalize_rows(g):
-    """The graph itself, whose rows already sum to 1; for callers that
-    normalize after building a graph."""
+    """The graph itself, whose rows already sum to 1. Its only remaining
+    callers are the benchmark's `bench/workloads.py` and `bench/oracle.py`;
+    it can go once those calls are dropped."""
     return g
 
 

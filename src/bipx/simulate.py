@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,11 +34,6 @@ POSITIVE_TE = "PositiveTE"
 ZERO_TE = "ZeroTE"
 GRAPH_DEPENDENT = "GraphDependent"
 _KINDS = (POSITIVE_TE, ZERO_TE, GRAPH_DEPENDENT)
-
-# The type of each key of a scenario file.
-_FIELD_TYPES = dict(kind=str, slope_mean=float, slope_var=float,
-                    intercept_mean=float, intercept_var=float,
-                    n_outcome_clusters=int, model_seed=int)
 
 _DEFAULTS = {
     POSITIVE_TE: dict(slope_mean=1.0, slope_var=0.25,
@@ -111,6 +107,10 @@ class ScenarioSpec:
     def graph_dependent(cls, n_outcome_clusters, model_seed=0, **overrides):
         return cls.preset(GRAPH_DEPENDENT, model_seed,
                           n_outcome_clusters=n_outcome_clusters, **overrides)
+
+
+# The type of each key of a scenario file.
+_FIELD_TYPES = get_type_hints(ScenarioSpec)
 
 
 def read_scenario_file(path):
@@ -401,6 +401,5 @@ def phi_sweep(g, scenario, phis, cfg, replicates, base_seed, path=None):
 
 def write_sweep_csv(rows, path):
     write_rows(path, map(astuple, rows),
-               header=("phi", "n_clusters", "objective_total", "mse", "bias",
-                       "exact_mse"))
+               header=[f.name for f in fields(SweepRow)])
     return path

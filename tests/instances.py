@@ -1,4 +1,4 @@
-"""Synthetic instance builders for tests and experiments.
+"""Synthetic instances and small builders shared by the tests.
 
 Everything here is deterministic given its seed. The planted instances
 are engineered so the intended clustering is checkable: block hubs make
@@ -21,6 +21,21 @@ def _graph_from_coo(rows, cols, data, n, m):
     outcome_ids = tuple(f"o{i}" for i in range(n))
     diversion_ids = tuple(f"d{j}" for j in range(m))
     return BipartiteGraph.from_csr(mat, outcome_ids, diversion_ids)
+
+
+def small_graph():
+    W = sp.csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
+
+
+def identity_graph(n):
+    return BipartiteGraph.from_csr(sp.identity(n, format="csr"),
+                                   tuple(f"o{i}" for i in range(n)),
+                                   tuple(f"d{i}" for i in range(n)))
+
+
+def _pick(rng, items):
+    return items[int(rng.integers(len(items)))]
 
 
 def random_instance(rng, n_max=6, m_max=12):

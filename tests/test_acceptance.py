@@ -23,10 +23,10 @@ from bipx.oracle import (ExactMoments, corr_clust_cs_rewrite,
                          objective_by_moments, objective_by_omega,
                          spread_identity_constant, wedge_sample)
 from bipx.simulate import ScenarioSpec, generate_outcome_model, run_simulation
-from bipx.synth import (nondegenerate_clustering, paired_pool_instance,
-                        partitions_equal, perf_instance, planted_four_block,
-                        random_clustering, random_instance, random_model,
-                        wedge_test_graph)
+from instances import (nondegenerate_clustering, paired_pool_instance,
+                       partitions_equal, perf_instance, planted_four_block,
+                       random_clustering, random_instance, random_model,
+                       wedge_test_graph)
 
 import scipy.sparse as sp
 

@@ -688,6 +688,22 @@ def test_cli_import_leaves_out_linkage_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_every_module_but_the_oracles():
+    # The package holds the loop: every module of it but bipx.oracle, the
+    # tests' reference, is reached from the CLI.
+    package = Path(bipx.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bipx.cli; "
+         "print(*sorted(m for m in sys.modules if m.startswith('bipx.')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(
+        f"bipx.{path.stem}" for path in package.glob("*.py")
+        if path.stem not in ("__init__", "oracle"))
+
+
 # Runs bipx commands in one process, then prints the scipy modules loaded.
 _SCIPY_PROBE = """
 import sys

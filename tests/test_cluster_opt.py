@@ -15,19 +15,14 @@ from bipx.cluster_opt import (ACCEPT_EPS, LocalSearchConfig, _block_stops,
                               local_search, local_search_restarts, objective,
                               write_trace_csv)
 from bipx.design import Clustering, DesignSpec
-from bipx.graph_core import BipartiteGraph, normalize_rows
+from bipx.graph_core import BipartiteGraph
 from bipx.oracle import (_draw, corr_clust_cs_rewrite,
                          exposure_spread_enumerated, exposure_spread_objective,
                          objective_by_moments, objective_by_omega,
                          omega_matrix, spread_identity_constant, wedge_sample)
-from bipx.synth import (paired_pool_instance, partitions_equal,
-                        perf_instance, planted_four_block, random_clustering,
-                        random_instance)
-
-
-def small_graph():
-    W = sp.csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
+from instances import (paired_pool_instance, partitions_equal, perf_instance,
+                       planted_four_block, random_clustering, random_instance,
+                       small_graph)
 
 
 def test_objective_worked_values():
@@ -514,8 +509,7 @@ def _search_graph():
     cols = np.concatenate([rng.permutation(m), rng.integers(0, m, nnz - m)])
     W = sp.coo_matrix((rng.uniform(0.1, 1.1, nnz), (rows, cols)),
                       shape=(n, m))
-    return normalize_rows(BipartiteGraph.from_csr(W, tuple(range(n)),
-                                                  tuple(range(m))))
+    return BipartiteGraph.from_csr(W, tuple(range(n)), tuple(range(m)))
 
 
 # The PassTrace fields a golden trace pins by digest, with the clustering:
@@ -613,8 +607,7 @@ def _many_degree_graph():
     cols = np.repeat(np.arange(m), np.r_[degrees, n])
     W = sp.csr_matrix((rng.random(rows.size) + 0.1, (rows, cols)),
                       shape=(n, m))
-    return normalize_rows(BipartiteGraph.from_csr(
-        W, tuple(range(n)), tuple(range(m))))
+    return BipartiteGraph.from_csr(W, tuple(range(n)), tuple(range(m)))
 
 
 def test_slice_cumsum_steps_once_per_degree(monkeypatch):
@@ -708,8 +701,7 @@ def _tied_skewed_graph():
     data[rng.random(data.size) < 0.2] = 0.0
     data[0] = data[1] = 0.0  # the hub row's first entries tie at zero
     W = sp.csr_matrix((data, (rows, cols)), shape=(n, m))
-    g = normalize_rows(BipartiteGraph.from_csr(
-        W, tuple(range(n)), tuple(range(m))))
+    g = BipartiteGraph.from_csr(W, tuple(range(n)), tuple(range(m)))
     assert (g.csc.data == 0.0).any() and (g.csr.data == 0.0).any()
     return g
 
@@ -723,8 +715,8 @@ def _power_degree_graph():
     rows = np.concatenate([np.arange(d) for d in degrees])
     W = sp.csr_matrix((rng.random(rows.size) + 0.1, (rows, cols)),
                       shape=(64, len(degrees)))
-    return normalize_rows(BipartiteGraph.from_csr(
-        W, tuple(range(64)), tuple(range(len(degrees)))))
+    return BipartiteGraph.from_csr(W, tuple(range(64)),
+                                   tuple(range(len(degrees))))
 
 
 def test_pass_draws_match_per_visit_draws():

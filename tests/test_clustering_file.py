@@ -12,6 +12,7 @@ from bipx import design
 from bipx.design import (Clustering, DesignError, read_clustering,
                          write_clustering)
 from bipx.graph_core import BipartiteGraph
+from instances import _pick
 
 
 def reference_read_clustering(g, path):
@@ -74,10 +75,6 @@ ENDS = [b"\n"] * 12 + [b"\r\n", b" \n", b"\t\n", b" # note\n", b"\x0c\n",
                        b"\x1f\n", "\u3000\n".encode(), "\x85\n".encode()]
 EXTRAS = [b"\n", b"# a comment\n", b"   \n", b"\r\n", b"#\n", b"\t\n",
           b"#\xff bad\n", b"\xff\n", b"\x00\n", b"\x1e\n"]
-
-
-def _pick(rng, items):
-    return items[int(rng.integers(len(items)))]
 
 
 def random_graph(rng):

@@ -17,13 +17,8 @@ from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          write_moments_csv)
 from bipx.graph_core import BipartiteGraph, first_appearance_codes, scipy_csr
 from bipx.oracle import EnumerationTooLargeError, ExactMoments
-from bipx.synth import nondegenerate_clustering, random_clustering, \
-    random_instance, random_model
-
-
-def small_graph():
-    W = sp.csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
+from instances import (nondegenerate_clustering, random_clustering,
+                       random_instance, random_model, small_graph)
 
 
 def exposure_covariance(g, d):

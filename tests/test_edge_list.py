@@ -20,6 +20,7 @@ from bipx.graph_core import (BipartiteGraph, EdgeListParseError,
                              EmptyGraphError, NegativeWeightError,
                              WeightOverflowError, load_edge_list,
                              save_snapshot, write_id_maps)
+from instances import _pick
 
 
 def reference_load_edge_list(path):
@@ -115,10 +116,6 @@ ODD_EXTRAS = [b"#\xff bad\n", "# é\n".encode()]
 BAD_LINES = [b"a b\n", b"a b 1 2\n", b"a\n", b"a\rb 1 2\n", b"a b\x0c1 2\n"]
 ODD_BAD_LINES = [b"a b 1\xff\n", b"a \xfe 1\n", b"a b 1 # \xc3\n",
                  "a b ١٫٥\n".encode()]
-
-
-def _pick(rng, items):
-    return items[int(rng.integers(len(items)))]
 
 
 def random_edge_file(rng, block):

@@ -15,18 +15,8 @@ from bipx.estimator import (OutcomeModel, erl_estimate, mse, respond,
 from bipx.graph_core import BipartiteGraph, exposures
 from bipx.oracle import (estimate_distribution, expected_estimate,
                          mse_decomposition, mse_exact)
-from bipx.synth import nondegenerate_clustering, random_instance, random_model
-
-
-def small_graph():
-    W = sp.csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
-
-
-def identity_graph(n):
-    return BipartiteGraph.from_csr(sp.identity(n, format="csr"),
-                                   tuple(f"o{i}" for i in range(n)),
-                                   tuple(f"d{i}" for i in range(n)))
+from instances import (identity_graph, nondegenerate_clustering,
+                       random_instance, random_model, small_graph)
 
 
 def test_outcome_model_validation():

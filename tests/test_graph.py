@@ -27,12 +27,7 @@ from bipx.graph_core import (NORM_TOL, BipartiteGraph, Compressed,
                              validate_assignment, write_edge_list,
                              write_id_maps, write_rows)
 from bipx.simulate import run_simulation
-from bipx.synth import random_instance
-
-
-def small_graph():
-    W = sp.csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
+from instances import random_instance, small_graph
 
 
 def compressed(W):
@@ -655,11 +650,11 @@ def _imported_names(node):
 
 def test_only_scipy_csr_imports_scipy_sparse():
     # The production modules reach scipy.sparse through the one view
-    # graph_core.scipy_csr; bipx.oracle and bipx.synth build the tests'
-    # instances and references and may use it directly.
+    # graph_core.scipy_csr; bipx.oracle holds the tests' references and
+    # may use it directly.
     found = set()
     for module, tree in _package_trees():
-        if module in ("oracle", "synth"):
+        if module == "oracle":
             continue
         for func, node in _calls(tree, kind=(ast.Import, ast.ImportFrom)):
             if any(name == "scipy.sparse" or name.startswith("scipy.sparse.")

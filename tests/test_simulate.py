@@ -3,14 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from bipx import simulate
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          derived_rng, derived_states, exposure_moments,
                          sample_assignment)
 from bipx.estimator import OutcomeModel, erl_estimate, mse, respond
-from bipx.graph_core import BipartiteGraph, exposures, write_rows
+from bipx.graph_core import exposures, write_rows
 from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
                            ScenarioError, ScenarioSpec, build_histogram,
                            export_estimates_csv, export_histogram,
@@ -18,8 +17,9 @@ from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
                            outcome_linkage_labels, phi_sweep,
                            read_scenario_file, report_to_json, run_simulation)
 from bipx.cluster_opt import LocalSearchConfig, local_search
-from bipx.synth import (nondegenerate_clustering, paired_pool_instance,
-                        random_clustering, random_instance, random_model)
+from instances import (identity_graph, nondegenerate_clustering,
+                       paired_pool_instance, random_clustering,
+                       random_instance, random_model, small_graph)
 
 
 def write_scenario_file(spec, path):
@@ -29,17 +29,6 @@ def write_scenario_file(spec, path):
                       for key in simulate._FIELD_TYPES
                       if key != "n_outcome_clusters"
                       or spec.kind == GRAPH_DEPENDENT), sep=" = ")
-
-
-def small_graph():
-    W = sp.csr_matrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    return BipartiteGraph.from_csr(W, ("a", "b"), ("u", "v"))
-
-
-def identity_graph(n):
-    return BipartiteGraph.from_csr(sp.identity(n, format="csr"),
-                                   tuple(f"o{i}" for i in range(n)),
-                                   tuple(f"d{i}" for i in range(n)))
 
 
 def test_preset_parameters():
