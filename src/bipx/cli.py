@@ -7,13 +7,14 @@ click's parsed parameters), all seeds, input and output digests, and the
 tool version. `bipx rerun MANIFEST` validates the manifest, checks that
 every recorded input still has its recorded digest, then replays the run
 in the directory it was made in; with --check it also verifies that the
-regenerated outputs digest-match the original ones. Outputs whose bytes
-legitimately vary between runs (wall-clock trace columns, the manifest
-itself) are listed under volatile_outputs and excluded from the
-byte-identity contract; --check refuses a manifest that records no other
-output, since it would pass without comparing anything. A bipx error
-exits 1 with one line, a bad flag value exits 2, and any other exception
-is a fault that keeps its traceback.
+regenerated outputs digest-match the original ones, and an output the
+replay does not write counts as missing, not as the first run's file.
+Outputs whose bytes legitimately vary between runs (wall-clock trace
+columns, the manifest itself) are listed under volatile_outputs and
+excluded from the byte-identity contract; --check refuses a manifest that
+records no other output, since it would pass without comparing anything.
+A bipx error exits 1 with one line, a bad flag value exits 2, and any
+other exception is a fault that keeps its traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import json
 import os
 import time
+import uuid
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
@@ -404,18 +406,37 @@ def cmd_rerun(manifest, check):
         os.chdir(cwd)
     except OSError as exc:
         raise click.ClickException(f"cannot replay in {cwd}: {exc}")
+    # A checked output that the replay does not write must not pass as the
+    # recorded run's file, so each is renamed aside in its own directory
+    # until the replay has run, and put back if it does not complete. A
+    # path that is also an input stays where the replay reads it.
+    aside, replayed = {}, False
     try:
+        if check:
+            for path in checked.keys() - record.get("inputs", {}).keys():
+                path = os.path.join(here, path)
+                if os.path.isfile(path):
+                    moved = f"{path}.{uuid.uuid4().hex}.rerun"
+                    os.replace(path, moved)
+                    aside[path] = moved
         main.main(args=record["argv"], standalone_mode=False)
+        replayed = True
     except click.UsageError as exc:
         raise click.ClickException(f"{manifest}: recorded argv is not a "
                                    f"valid bipx command: "
                                    f"{exc.format_message()}")
     finally:
         os.chdir(here)
+        if not replayed:
+            for path, moved in aside.items():
+                os.replace(moved, path)
     if check:
         failures = []
         for path, digest in checked.items():
             if not os.path.exists(path):
+                moved = aside.pop(os.path.join(here, path), None)
+                if moved is not None:
+                    os.replace(moved, path)
                 failures.append(f"{path}: missing")
                 continue
             fresh = _sha256(path)
@@ -423,6 +444,9 @@ def cmd_rerun(manifest, check):
             click.echo(f"{status}  {path}")
             if fresh != digest:
                 failures.append(f"{path}: {digest} -> {fresh}")
+        # The replay wrote the others anew.
+        for moved in aside.values():
+            os.remove(moved)
         if failures:
             raise click.ClickException(
                 "outputs differ from manifest:\n" + "\n".join(failures))

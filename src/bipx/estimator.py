@@ -72,6 +72,20 @@ def erl_estimate(y, x, mom):
     return float(est) if est.ndim == 0 else est
 
 
+def erl_rows(model, x, mom, y, out):
+    """erl_estimate(respond(model, x), x, mom) of each row of the
+    C-contiguous (rows, n) block x, written to out, with no temporary of
+    x's size: y is a buffer of x's shape, and x is overwritten. It makes
+    erl_estimate's operations in their order, so it gives the same bits.
+    The caller checks the shapes and the moments."""
+    np.multiply(model.slopes, x, out=y)
+    y += model.intercepts
+    x -= mom.mean
+    y *= x
+    y /= mom.variance
+    np.multiply(2.0 / x.shape[-1], y.sum(-1), out=out)
+
+
 def mse_exact(g, d, model):
     """Exact E[(tau_hat - tau)^2] by 2^k enumeration; see bipx.oracle."""
     # bench/oracle.py checks its closed form against this name. The import

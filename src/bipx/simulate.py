@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import astuple, dataclass, fields, replace
 from typing import get_type_hints
 
@@ -26,8 +28,8 @@ import numpy as np
 from bipx.cluster_opt import local_search
 from bipx.design import DesignSpec, coin_signs, design_aggregates, \
     derived_states
-from bipx.estimator import OutcomeModel, erl_estimate, mse as exact_mse, \
-    respond, true_ate
+from bipx.estimator import OutcomeModel, erl_rows, mse as exact_mse, \
+    true_ate
 from bipx.graph_core import scipy_csr, text_lines, write_rows
 
 POSITIVE_TE = "PositiveTE"
@@ -48,9 +50,21 @@ _DEFAULTS = {
 # Replicates per block of run_simulation: one sparse product per block.
 _BLOCK = 16
 
-# Replicates whose generator states run_simulation derives at once; a
-# multiple of _BLOCK, and it bounds the memory the states take.
+# Replicates whose generator states a span of run_simulation derives at
+# once, from the span's start; a multiple of _BLOCK, and it bounds the
+# memory the states take.
 _SEED_CHUNK = 4096
+
+# Multiply-adds of one block's sparse product, nnz(A) x _BLOCK, below which
+# run_simulation runs one span: below it the spans mostly wait for the
+# interpreter lock. On a 2-CPU machine two spans took 28 ms against 17.5
+# ms in one at 4.8e4 (1000 replicates), 13 against 11 ms at 2.5e5, 21
+# against 24 ms at 1e6 and 51 against 100 ms at 4e6 (400 replicates).
+_SPAN_PRODUCTS = 1 << 20
+
+# Exposures a span hands the estimator at once: a row slice of a block,
+# which bounds the estimator's buffers for any n.
+_SLICE = 1 << 16
 
 # outcome_linkage_labels holds about 28 n^2 bytes of dense matrices; this
 # many outcome units keeps them under about 0.7 GB.
@@ -273,15 +287,96 @@ def build_histogram(values, bins):
     return edges, counts.astype(np.int64)
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the OS
+    keeps one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slice_rows(n):
+    """Replicates per estimator slice: about _SLICE exposures."""
+    return max(1, min(_BLOCK, _SLICE // n))
+
+
+def _span_count(agg, blocks):
+    """How many spans run_simulation splits `blocks` blocks over the
+    aggregates agg (a scipy CSR) into.
+
+    One while a block's product is below _SPAN_PRODUCTS; else at most the
+    usable CPUs and the blocks, and one more span only while the extra
+    spans' buffers together fit in the bytes of agg, so that spans at
+    most double what the simulation holds.
+    """
+    n, k = agg.shape
+    if agg.nnz * _BLOCK < _SPAN_PRODUCTS:
+        return 1
+    # Coins and signs, (_BLOCK, k) each; the product, (n, _BLOCK); the
+    # estimator's two slices.
+    per_span = 8 * (2 * _BLOCK * k + _BLOCK * n + 2 * _slice_rows(n) * n)
+    held = agg.data.nbytes + agg.indices.nbytes + agg.indptr.nbytes
+    return max(1, min(_usable_cpus(), blocks, 1 + held // per_span))
+
+
+def _replicate_span(agg, d, model, mom, base_seed, ests, start, stop, halt):
+    """Write the estimates of replicates [start, stop) to ests, one block
+    of _BLOCK replicates per sparse product, with this span's own
+    generator and buffers; return early once halt is set, and set it on
+    any exception."""
+    n, k = agg.shape
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    coins = np.empty((_BLOCK, k), dtype=np.float64)
+    # (k, b) and C-contiguous, so the sparse product reads it in place.
+    signs_buf = np.empty(k * _BLOCK, dtype=np.float64)
+    rows = _slice_rows(n)
+    x_buf = np.empty(rows * n, dtype=np.float64)
+    y_buf = np.empty(rows * n, dtype=np.float64)
+    try:
+        for lo in range(start, stop, _BLOCK):
+            if halt.is_set():
+                return
+            if (lo - start) % _SEED_CHUNK == 0:
+                seeds = iter(derived_states(
+                    base_seed, lo, min(lo + _SEED_CHUNK, stop)))
+            b = min(_BLOCK, stop - lo)
+            for row in range(b):
+                state["state"]["state"], state["state"]["inc"] = next(seeds)
+                bits.state = state
+                rng.random(out=coins[row])
+            signs = coin_signs(coins[:b].T, d.p,
+                               out=signs_buf[:k * b].reshape(k, b))
+            product = agg @ signs
+            # Each replicate's exposures are copied to one contiguous row,
+            # so its estimate is summed along that row: the sum then has
+            # the same bits whatever the block, slice or span.
+            for r in range(0, b, rows):
+                x = x_buf[:min(rows, b - r) * n].reshape(-1, n)
+                np.copyto(x, product[:, r:r + x.shape[0]].T)
+                erl_rows(model, x, mom, y_buf[:x.size].reshape(x.shape),
+                         out=ests[lo + r:lo + r + x.shape[0]])
+            # Freed before the next block's product is made, not after.
+            del product
+    except BaseException:
+        halt.set()
+        raise
+
+
 def run_simulation(g, d, model, replicates, base_seed, *,
                    design_name="", scenario_name=""):
     """Replicate the experiment: assign, expose, respond, estimate.
 
     Replicate r's cluster coins are the doubles `sample_assignment` draws
     from derived_rng(base_seed, r), so results do not depend on execution
-    order and rerunning any subset reproduces the same estimates. No
-    generator is built per replicate: derived_states gives the PCG64
-    states of a chunk of replicates at once, and one generator is set to
+    order and rerunning any subset reproduces the same estimates. The
+    replicates are cut into contiguous spans that start on block
+    boundaries, as many as _span_count allows; the caller's thread runs
+    the first and a thread pool the others, and an exception in any span
+    stops the others at their next block and is raised. No generator is
+    built per replicate: each span derives the PCG64 states of a chunk of
+    its replicates at once (derived_states) and sets its one generator to
     each in turn. The exposures are agg @ signs over the design's cluster
     aggregates, computed for a block of replicates per sparse product.
     export_histogram bins the estimates.
@@ -290,36 +385,37 @@ def run_simulation(g, d, model, replicates, base_seed, *,
         raise ValueError("replicates must be >= 1")
     if model.n != g.n_outcome:
         raise ValueError("exposure vector length does not match the model")
+    # Imported here: concurrent.futures and the logging module it loads
+    # take about 5 ms, which every bipx process would pay otherwise.
+    from concurrent.futures import ThreadPoolExecutor
+
     agg, mom = design_aggregates(g, d)
     agg = scipy_csr(agg)
-    k = agg.shape[1]
-    tau = true_ate(model)
     ests = np.empty(replicates, dtype=np.float64)
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    state = bits.state
-    coins = np.empty((_BLOCK, k), dtype=np.float64)
-    # (k, b) and C-contiguous, so the sparse product reads it in place.
-    signs_buf = np.empty(k * _BLOCK, dtype=np.float64)
-    for start in range(0, replicates, _BLOCK):
-        if start % _SEED_CHUNK == 0:
-            seeds = iter(derived_states(
-                base_seed, start, min(start + _SEED_CHUNK, replicates)))
-        b = min(_BLOCK, replicates - start)
-        for row in range(b):
-            state["state"]["state"], state["state"]["inc"] = next(seeds)
-            bits.state = state
-            rng.random(out=coins[row])
-        signs = coin_signs(coins[:b].T, d.p,
-                           out=signs_buf[:k * b].reshape(k, b))
-        # (n, b) from the sparse product, transposed so that each
-        # replicate's terms are summed along one contiguous row: the sum
-        # then has the same bits whatever the block size.
-        x = np.ascontiguousarray((agg @ signs).T)
-        ests[start:start + b] = erl_estimate(respond(model, x), x, mom)
+    blocks = -(-replicates // _BLOCK)
+    count = _span_count(agg, blocks)
+    cuts = [min(replicates, _BLOCK * (blocks * w // count))
+            for w in range(count + 1)]
+    halt = threading.Event()
+
+    def span(start, stop):
+        _replicate_span(agg, d, model, mom, base_seed, ests, start, stop,
+                        halt)
+
+    # A pool with nothing submitted starts no thread.
+    with ThreadPoolExecutor(max(1, count - 1)) as pool:
+        try:
+            others = [pool.submit(span, *bounds)
+                      for bounds in zip(cuts[1:-1], cuts[2:])]
+            span(cuts[0], cuts[1])
+            for future in others:
+                future.result()
+        except BaseException:
+            halt.set()
+            raise
     return SimulationReport(design_name=design_name or d.kind,
                             scenario_name=scenario_name,
-                            true_ate=float(tau),
+                            true_ate=float(true_ate(model)),
                             estimates=ests)
 
 

@@ -841,6 +841,88 @@ def test_rerun_refuses_changed_inputs(workspace, runner):
     assert f"{cpath}: missing" in result.output
 
 
+def _simulate_run(workspace, runner):
+    """A simulate run's output directory and the bytes of every file in
+    it, its manifest included."""
+    _, graph_path, scenario_path = workspace
+    out = workspace[0] / "sim"
+    result = runner.invoke(main, ["simulate", str(graph_path),
+                                  str(scenario_path), str(out),
+                                  "--bernoulli", "--replicates", "20"])
+    assert result.exit_code == 0, result.output
+    return out, {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_rerun_check_finds_an_output_the_replay_did_not_write(
+        workspace, runner, monkeypatch):
+    out, recorded = _simulate_run(workspace, runner)
+    monkeypatch.setattr(cli, "export_histogram",
+                        lambda report, bins, path: path)
+    result = runner.invoke(main, ["rerun", str(out / "manifest.json"),
+                                  "--check"])
+    # The replay's own manifest cannot digest the histogram it never wrote.
+    assert result.exit_code == 1, result.output
+    assert f"{out / 'histogram.csv'}" in result.output
+    # The recorded files are back, and no renamed copy is left.
+    assert {path.name: path.read_bytes()
+            for path in out.iterdir()} == recorded
+
+
+def _raising_export(report, bins, path):
+    Path(path).write_text("partial\n")
+    raise RuntimeError("disk on fire")
+
+
+@pytest.mark.parametrize("how", ["raises", "refused"])
+def test_rerun_check_keeps_the_outputs_of_a_failed_replay(
+        workspace, runner, monkeypatch, how):
+    out, recorded = _simulate_run(workspace, runner)
+    manifest = out / "manifest.json"
+    if how == "raises":
+        monkeypatch.setattr(cli, "export_histogram", _raising_export)
+    else:
+        record = json.loads(manifest.read_text())
+        record["argv"] += ["--bins", "0"]
+        manifest.write_text(json.dumps(record))
+        recorded["manifest.json"] = manifest.read_bytes()
+    result = runner.invoke(main, ["rerun", str(manifest), "--check"])
+    assert result.exit_code == 1, result.output
+    if how == "raises":
+        assert isinstance(result.exception, RuntimeError)
+    else:
+        assert "recorded argv is not a valid bipx command" in result.output
+    assert {path.name: path.read_bytes()
+            for path in out.iterdir()} == recorded
+
+
+def test_rerun_check_reports_outputs_the_replay_does_not_write(workspace,
+                                                               runner):
+    tmp_path, graph_path, _ = workspace
+    cpath = tmp_path / "one.tsv"
+    runner.invoke(main, ["design", str(graph_path), str(cpath),
+                         "--method", "one-cluster"])
+    out = tmp_path / "moments.csv"
+    runner.invoke(main, ["moments", str(graph_path), str(cpath), str(out)])
+    extra = tmp_path / "extra.csv"
+    extra.write_text("not written by moments\n")
+    manifest = tmp_path / "moments.csv.manifest.json"
+    record = json.loads(manifest.read_text())
+    # A hand-made manifest lists an output that moments does not write,
+    # and the clustering, an input, as an output too: moving that aside
+    # would take the replay's input away.
+    record["outputs"][str(extra)] = cli._sha256(extra)
+    record["outputs"][str(cpath)] = record["inputs"][str(cpath)]
+    manifest.write_text(json.dumps(record))
+    result = runner.invoke(main, ["rerun", str(manifest), "--check"])
+    assert result.exit_code == 1, result.output
+    assert f"{extra}: missing" in result.output
+    assert f"ok  {cpath}" in result.output
+    assert f"ok  {out}" in result.output
+    assert extra.read_text() == "not written by moments\n"
+    assert sorted(path.name for path in tmp_path.iterdir()
+                  if ".rerun" in path.name) == []
+
+
 def test_manifest_records_every_parameter(workspace, runner):
     tmp_path, graph_path, scenario_path = workspace
     g, s, d = str(graph_path), str(scenario_path), tmp_path

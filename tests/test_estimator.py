@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bipx import estimator
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
-                         exposure_moments)
+                         ExposureMoments, exposure_moments)
 from bipx.estimator import (OutcomeModel, erl_estimate, mse, respond,
                             true_ate)
 from bipx.graph_core import BipartiteGraph, exposures
@@ -56,6 +56,18 @@ def test_erl_estimate_worked_value():
     z = np.array([1.0, -1.0])
     est = erl_estimate(np.array([3.0, 1.0]), exposures(g, z), mom)
     assert est == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("rows,n", [(1, 7), (3, 200), (2, 20_000)])
+def test_erl_rows_has_erl_estimates_bits(rows, n):
+    rng = np.random.default_rng(n)
+    model = random_model(rng, n)
+    mom = ExposureMoments(rng.normal(size=n), rng.random(n) + 0.01)
+    x = rng.normal(size=(rows, n))
+    want = erl_estimate(respond(model, x), x, mom)
+    got = np.empty(rows)
+    estimator.erl_rows(model, x.copy(), mom, np.empty_like(x), out=got)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_erl_estimate_rejects_degenerate_variance():

@@ -688,6 +688,19 @@ def test_no_production_function_builds_a_generator_per_replicate():
     assert found == set()
 
 
+def test_only_simulate_starts_threads():
+    # run_simulation splits its replicates over a thread pool; every other
+    # module runs in its caller's thread.
+    found = set()
+    for module, tree in _package_trees():
+        for _, node in _calls(tree, kind=(ast.Import, ast.ImportFrom)):
+            if any(name.split(".")[0] == "threading"
+                   or name.startswith("concurrent.futures")
+                   for name in _imported_names(node)):
+                found.add(module)
+    assert found == {"simulate"}
+
+
 def test_the_declared_numpy_floor_is_at_least_2():
     # The readers take numpy's casts of `S` token arrays to float64 and
     # int64 to read each token as float() and int() do; that was checked

@@ -1,15 +1,19 @@
 import json
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bipx import simulate
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
-                         derived_rng, derived_states, exposure_moments,
-                         sample_assignment)
+                         coin_signs, derived_rng, derived_states,
+                         exposure_moments, sample_assignment)
 from bipx.estimator import OutcomeModel, erl_estimate, mse, respond
-from bipx.graph_core import exposures, write_rows
+from bipx.graph_core import BipartiteGraph, exposures, write_rows
 from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
                            ScenarioError, ScenarioSpec, build_histogram,
                            export_estimates_csv, export_histogram,
@@ -469,3 +473,127 @@ def test_write_sweep_csv_bytes(tmp_path):
         b"phi,n_clusters,objective_total,mse,bias,exact_mse\n"
         b"0.01,7,1e+16,0.3333333333333333,-0.0,5e-324\n"
         b"1.0,1,2.0,0.1,1e-05,123456789.0\n")
+
+
+def _dense_instance():
+    """300 outcome x 160 diversion units, every pair an edge, and a design
+    of 80 clusters: a block's product is large enough, and its aggregates
+    hold enough bytes, for three spans once the work cut-off is lifted."""
+    rng = np.random.default_rng(11)
+    n, m = 300, 160
+    g = BipartiteGraph.from_csr(sp.csr_matrix(rng.random((n, m)) + 0.1),
+                                tuple(f"o{i}" for i in range(n)),
+                                tuple(f"d{j}" for j in range(m)))
+    return g, random_model(rng, n), [
+        DesignSpec.bernoulli(0.5),
+        DesignSpec.independent_cluster(
+            Clustering.from_labels(rng.permutation(np.arange(m) // 2)), 0.3)]
+
+
+def _span_threads(monkeypatch):
+    """The thread of each span, as the first derived_states call of each
+    span records it."""
+    threads = set()
+
+    def recording(base_seed, start, stop):
+        threads.add(threading.get_ident())
+        return derived_states(base_seed, start, stop)
+
+    monkeypatch.setattr(simulate, "derived_states", recording)
+    return threads
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("chunk", [None, 32])
+def test_spans_give_the_one_span_estimates(monkeypatch, chunk):
+    g, model, designs = _dense_instance()
+    replicate_counts = (1, 15, 16, 17, 33, 4100)
+    # Below the work cut-off, one span on any machine.
+    threads = _span_threads(monkeypatch)
+    expected = {}
+    for i, d in enumerate(designs):
+        for replicates in replicate_counts:
+            expected[i, replicates] = run_simulation(
+                g, d, model, replicates, base_seed=5).estimates
+    assert len(threads) == 1
+    if chunk is not None:
+        monkeypatch.setattr(simulate, "_SEED_CHUNK", chunk)
+    monkeypatch.setattr(simulate, "_SPAN_PRODUCTS", 0)
+    # Three spans on a 2-CPU machine, and threads switched often.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in (2, 3):
+            _cpus(monkeypatch, cpus)
+            for i, d in enumerate(designs):
+                for replicates in replicate_counts:
+                    threads.clear()
+                    got = run_simulation(g, d, model, replicates,
+                                         base_seed=5).estimates
+                    assert np.array_equal(got, expected[i, replicates])
+                    blocks = -(-replicates // simulate._BLOCK)
+                    assert len(threads) == min(cpus, blocks)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _SpanFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where,exc", [
+    ("caller", _SpanFault), ("pool", _SpanFault),
+    ("caller", KeyboardInterrupt)], ids=["caller", "pool", "interrupt"])
+def test_a_failing_span_ends_the_call(monkeypatch, where, exc):
+    g, model, designs = _dense_instance()
+    monkeypatch.setattr(simulate, "_SPAN_PRODUCTS", 0)
+    _cpus(monkeypatch, 3)
+    raised = exc("span failed")
+    failed = threading.Event()
+
+    def failing(base_seed, start, stop):
+        # The caller's span starts at replicate 0, the pool's later. The
+        # spans that do not fail start their first block once one has.
+        if (start == 0) == (where == "caller"):
+            failed.set()
+            raise raised
+        assert failed.wait(timeout=30)
+        return derived_states(base_seed, start, stop)
+
+    blocks = []
+
+    def counting(coins, p, out):
+        blocks.append(1)
+        return coin_signs(coins, p, out)
+
+    monkeypatch.setattr(simulate, "derived_states", failing)
+    monkeypatch.setattr(simulate, "coin_signs", counting)
+    before = threading.active_count()
+    with pytest.raises(exc) as info:
+        run_simulation(g, designs[0], model, 4100, base_seed=5)
+    assert info.value is raised
+    assert threading.active_count() == before
+    # Each span that did not fail ran its first block and stopped at the
+    # next, of 85 or 86.
+    assert len(blocks) <= (2 if where == "caller" else 1)
+
+
+def test_span_count_is_capped_by_memory(monkeypatch):
+    n, k = 1000, 100
+    agg = sp.csr_matrix(np.ones((n, k)))
+    # 1e5 entries: 1.2e6 bytes of data and int32 indices, 4004 of indptr.
+    # A span holds 8 (2 * 16 k + 16 n + 2 * 16 n) = 409,600 bytes, so two
+    # extra spans fit in the aggregates' bytes and three do not.
+    _cpus(monkeypatch, 64)
+    assert simulate._span_count(agg, blocks=1000) == 3
+    assert simulate._span_count(agg, blocks=2) == 2
+    _cpus(monkeypatch, 1)
+    assert simulate._span_count(agg, blocks=1000) == 1
+    # A block's product below the cut-off runs in one span.
+    _cpus(monkeypatch, 64)
+    monkeypatch.setattr(simulate, "_SPAN_PRODUCTS", n * k * 16 + 1)
+    assert simulate._span_count(agg, blocks=1000) == 1
