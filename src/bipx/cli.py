@@ -15,6 +15,11 @@ excluded from the byte-identity contract; --check refuses a manifest that
 records no other output, since it would pass without comparing anything.
 A bipx error exits 1 with one line, a bad flag value exits 2, and any
 other exception is a fault that keeps its traceback.
+
+Every command loads a graph, so graph_core loads with this module; each
+command imports the other modules it runs when it runs, so that a process
+loads, and compiles where no bytecode is cached, only what its command
+needs.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
-import uuid
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
@@ -33,18 +38,9 @@ import click
 import numpy as np
 
 from bipx import __version__
-from bipx.cluster_opt import (LocalSearchConfig, local_search_restarts,
-                              objective, write_trace_csv)
-from bipx.design import (Clustering, DesignError, DesignSpec,
-                         exposure_moments, read_clustering,
-                         write_clustering, write_moments_csv)
 from bipx.graph_core import (GraphError, filter_min_outcome_degree,
                              load_edge_list, load_snapshot, save_snapshot,
                              write_edge_list, write_id_maps)
-from bipx.simulate import (ScenarioError, export_estimates_csv,
-                           export_histogram, generate_outcome_model,
-                           phi_sweep, read_scenario_file, report_to_json,
-                           run_simulation)
 
 
 def _sha256(path):
@@ -115,6 +111,16 @@ def _usage_errors():
         raise click.UsageError(str(exc))
 
 
+def _bipx_errors():
+    """GraphError, OSError, and DesignError and ScenarioError if the
+    commands have imported their modules: a module that is not loaded has
+    raised no error."""
+    lazy = (("bipx.design", "DesignError"), ("bipx.simulate", "ScenarioError"))
+    return (GraphError, OSError,
+            *(getattr(sys.modules[module], name)
+              for module, name in lazy if module in sys.modules))
+
+
 class _Main(click.Group):
     """A bipx error, a file that cannot be read or written, or an input
     too large for memory ends in one line and exit 1; any other exception
@@ -123,7 +129,9 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (GraphError, DesignError, ScenarioError, OSError) as exc:
+        # An except clause's classes are looked up when an exception
+        # reaches it, so they include what the command imported.
+        except _bipx_errors() as exc:
             raise click.ClickException(str(exc)) from exc
         except MemoryError as exc:
             # numpy's names the allocation it refused; a bare one is empty.
@@ -202,6 +210,10 @@ def cmd_export(graph, out_edge_list):
 def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
                max_passes, time_budget, trace):
     """Produce a diversion-unit clustering by the chosen method."""
+    from bipx.cluster_opt import (LocalSearchConfig, local_search_restarts,
+                                  objective, write_trace_csv)
+    from bipx.design import Clustering, write_clustering
+
     with _usage_errors():
         cfg = LocalSearchConfig(phi=phi, k_max=k_max, max_passes=max_passes,
                                 time_budget=time_budget, convergence=True,
@@ -238,6 +250,9 @@ def cmd_design(graph, out_clustering, method, phi, k_max, p, seed, restarts,
 @click.option("--p", type=float, default=0.5, show_default=True)
 def cmd_moments(graph, clustering, out_csv, p):
     """Exposure means and variances for a clustering, as CSV."""
+    from bipx.design import (DesignSpec, exposure_moments, read_clustering,
+                             write_moments_csv)
+
     g = load_snapshot(graph)
     c = read_clustering(g, clustering)
     with _usage_errors():
@@ -265,6 +280,11 @@ def cmd_moments(graph, clustering, out_csv, p):
 def cmd_simulate(graph, scenario, out_dir, clustering, bernoulli, p,
                  replicates, seed, bins):
     """Monte Carlo estimate distribution for one design and scenario."""
+    from bipx.design import DesignSpec, read_clustering
+    from bipx.simulate import (export_estimates_csv, export_histogram,
+                               generate_outcome_model, read_scenario_file,
+                               report_to_json, run_simulation)
+
     if (clustering is None) == (not bernoulli):
         raise click.UsageError(
             "exactly one of --clustering PATH or --bernoulli is required")
@@ -320,6 +340,9 @@ def cmd_sweep(graph, scenario, out_csv, phis, k_max, p, replicates, seed,
               search_seed, max_passes):
     """Optimize a design per phi value and tabulate its Monte Carlo and
     exact MSE."""
+    from bipx.cluster_opt import LocalSearchConfig
+    from bipx.simulate import phi_sweep, read_scenario_file
+
     phi_values = [tok for tok in (t.strip() for t in phis.split(",")) if tok]
     if not phi_values:
         raise click.UsageError("--phis must list at least one value")
@@ -382,6 +405,8 @@ def _read_manifest(path):
               help="Verify regenerated outputs digest-match the manifest.")
 def cmd_rerun(manifest, check):
     """Replay a recorded run from its manifest."""
+    import uuid
+
     record = _read_manifest(manifest)
     volatile = set(record.get("volatile_outputs", []))
     checked = {path: digest

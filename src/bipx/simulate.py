@@ -25,7 +25,6 @@ from typing import get_type_hints
 
 import numpy as np
 
-from bipx.cluster_opt import local_search
 from bipx.design import DesignSpec, coin_signs, design_aggregates, \
     derived_states
 from bipx.estimator import OutcomeModel, erl_rows, mse as exact_mse, \
@@ -474,6 +473,10 @@ def phi_sweep(g, scenario, phis, cfg, replicates, base_seed, path=None):
     """
     if len(phis) == 0:
         raise ValueError("phis must be non-empty")
+    # Imported here: of this module, only the sweep runs the search, and a
+    # `bipx simulate` process need not load it.
+    from bipx.cluster_opt import local_search
+
     model = generate_outcome_model(g, scenario)
     rows = []
     for idx, phi in enumerate(phis):

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from click.testing import CliRunner
 
 import bipx
-from bipx import cli, simulate
+from bipx import cli, design, simulate
 from bipx.cli import main
 from bipx.design import read_clustering
 from bipx.graph_core import (BipartiteGraph, load_edge_list,
@@ -555,7 +555,7 @@ def test_fault_inside_bipx_keeps_its_exception(workspace, runner,
     def broken(g, d):
         raise RuntimeError("fault inside bipx")
 
-    monkeypatch.setattr(cli, "exposure_moments", broken)
+    monkeypatch.setattr(design, "exposure_moments", broken)
     result = runner.invoke(main, ["moments", str(graph_path), str(cpath),
                                   str(tmp_path / "m.csv")])
     assert isinstance(result.exception, RuntimeError)
@@ -598,7 +598,7 @@ def test_simulate_refuses_bins_before_any_replicate(
     def ran(*args, **kwargs):
         raise AssertionError("run_simulation ran")
 
-    monkeypatch.setattr(cli, "run_simulation", ran)
+    monkeypatch.setattr(simulate, "run_simulation", ran)
     result = runner.invoke(main, ["simulate", str(graph_path),
                                   str(scenario_path), str(tmp_path / "sim"),
                                   "--bernoulli", "--replicates", "4",
@@ -624,7 +624,7 @@ def test_memory_error_ends_in_one_error_line(workspace, runner, monkeypatch,
         raise MemoryError("Unable to allocate 745. GiB for an array with "
                           "shape (100000000000,) and data type float64")
 
-    monkeypatch.setattr(cli, target, refused)
+    monkeypatch.setattr(simulate, target, refused)
     result = runner.invoke(main, ["simulate", str(graph_path),
                                   str(scenario_path), str(tmp_path / "sim"),
                                   "--bernoulli", "--replicates", "4"])
@@ -688,50 +688,79 @@ def test_cli_import_leaves_out_linkage_modules():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_every_module_but_the_oracles():
-    # The package holds the loop: every module of it but bipx.oracle, the
-    # tests' reference, is reached from the CLI.
-    package = Path(bipx.__file__).parent
-    env = dict(os.environ, PYTHONPATH=str(package.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, bipx.cli; "
-         "print(*sorted(m for m in sys.modules if m.startswith('bipx.')))"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == sorted(
-        f"bipx.{path.stem}" for path in package.glob("*.py")
-        if path.stem not in ("__init__", "oracle"))
-
-
-# Runs bipx commands in one process, then prints the scipy modules loaded.
-_SCIPY_PROBE = """
+# Runs bipx commands in one process, then prints the modules loaded.
+_MODULES_PROBE = """
 import sys
 from bipx.cli import main
 for argv in sys.argv[1:]:
     main(argv.split(), standalone_mode=False)
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(*sorted(sys.modules))
 """
+
+
+def _loaded(cwd, *commands):
+    """The modules that one fresh process has loaded once it has run each
+    bipx command, a string of arguments, in cwd."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bipx.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *commands],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def _package_modules(modules):
+    return sorted(m for m in modules if m.startswith("bipx."))
+
+
+def test_commands_reach_every_module_but_the_oracles(tmp_path):
+    # The package holds the loop: every module of it but bipx.oracle, the
+    # tests' reference, is reached from the CLI.
+    (tmp_path / "edges.txt").write_text(EDGES)
+    (tmp_path / "scenario.txt").write_text(SCENARIO)
+    package = Path(bipx.__file__).parent
+    assert _package_modules(_loaded(
+        tmp_path, "ingest edges.txt g.bin",
+        "design g.bin c.tsv --k-max 2",
+        "moments g.bin c.tsv m.csv",
+        "simulate g.bin scenario.txt sim --clustering c.tsv --replicates 5",
+        "sweep g.bin scenario.txt s.csv --phis 1.0 --replicates 5",
+        "export g.bin out.txt",
+        "rerun g.bin.manifest.json --check")) == sorted(
+        f"bipx.{path.stem}" for path in package.glob("*.py")
+        if path.stem not in ("__init__", "oracle"))
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, runner):
+    (tmp_path / "edges.txt").write_text(EDGES)
+    assert _package_modules(_loaded(tmp_path, "--version")) == [
+        "bipx.cli", "bipx.graph_core"]
+    ingest = _loaded(tmp_path, "ingest edges.txt g.bin")
+    assert not {"bipx.design", "bipx.cluster_opt", "bipx.estimator",
+                "bipx.simulate"} & set(ingest)
+    result = runner.invoke(main, ["design", str(tmp_path / "g.bin"),
+                                  str(tmp_path / "c.tsv"),
+                                  "--method", "one-cluster"])
+    assert result.exit_code == 0, result.output
+    moments = _loaded(tmp_path, "moments g.bin c.tsv m.csv")
+    assert "bipx.design" in moments
+    assert not {"bipx.cluster_opt", "bipx.simulate"} & set(moments)
 
 
 def test_only_sparse_products_load_scipy(tmp_path):
     (tmp_path / "edges.txt").write_text(EDGES)
     (tmp_path / "scenario.txt").write_text(SCENARIO)
-    env = dict(os.environ, PYTHONPATH=str(Path(bipx.__file__).parents[1]))
 
-    def loaded(*commands):
-        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *commands],
-                              capture_output=True, text=True, env=env,
-                              cwd=tmp_path, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1]
+    def scipy_modules(*commands):
+        return [m for m in _loaded(tmp_path, *commands)
+                if m.startswith("scipy")]
 
-    assert loaded("ingest edges.txt g.bin --min-degree 1",
-                  "design g.bin c.tsv --k-max 2",
-                  "moments g.bin c.tsv m.csv",
-                  "export g.bin out.txt",
-                  "rerun g.bin.manifest.json --check") == "[]"
-    assert "scipy.sparse" in loaded(
+    assert scipy_modules("ingest edges.txt g.bin --min-degree 1",
+                         "design g.bin c.tsv --k-max 2",
+                         "moments g.bin c.tsv m.csv",
+                         "export g.bin out.txt",
+                         "rerun g.bin.manifest.json --check") == []
+    assert "scipy.sparse" in scipy_modules(
         "simulate g.bin scenario.txt sim --clustering c.tsv --replicates 5")
 
 
@@ -856,7 +885,7 @@ def _simulate_run(workspace, runner):
 def test_rerun_check_finds_an_output_the_replay_did_not_write(
         workspace, runner, monkeypatch):
     out, recorded = _simulate_run(workspace, runner)
-    monkeypatch.setattr(cli, "export_histogram",
+    monkeypatch.setattr(simulate, "export_histogram",
                         lambda report, bins, path: path)
     result = runner.invoke(main, ["rerun", str(out / "manifest.json"),
                                   "--check"])
@@ -879,7 +908,7 @@ def test_rerun_check_keeps_the_outputs_of_a_failed_replay(
     out, recorded = _simulate_run(workspace, runner)
     manifest = out / "manifest.json"
     if how == "raises":
-        monkeypatch.setattr(cli, "export_histogram", _raising_export)
+        monkeypatch.setattr(simulate, "export_histogram", _raising_export)
     else:
         record = json.loads(manifest.read_text())
         record["argv"] += ["--bins", "0"]

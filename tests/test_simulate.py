@@ -490,17 +490,26 @@ def _dense_instance():
             Clustering.from_labels(rng.permutation(np.arange(m) // 2)), 0.3)]
 
 
-def _span_threads(monkeypatch):
-    """The thread of each span, as the first derived_states call of each
-    span records it."""
-    threads = set()
+def _seed_calls(monkeypatch):
+    """Each derived_states call of run_simulation, as (start, stop,
+    thread)."""
+    calls = []
 
     def recording(base_seed, start, stop):
-        threads.add(threading.get_ident())
+        calls.append((start, stop, threading.get_ident()))
         return derived_states(base_seed, start, stop)
 
     monkeypatch.setattr(simulate, "derived_states", recording)
-    return threads
+    return calls
+
+
+def _chunk_calls(cuts):
+    """The (start, stop) of each derived_states call of spans cut at cuts:
+    a span derives its states in chunks from its own start."""
+    chunk = simulate._SEED_CHUNK
+    return sorted((lo, min(lo + chunk, stop))
+                  for start, stop in zip(cuts, cuts[1:])
+                  for lo in range(start, stop, chunk))
 
 
 def _cpus(monkeypatch, count):
@@ -508,18 +517,30 @@ def _cpus(monkeypatch, count):
                         lambda pid: set(range(count)), raising=False)
 
 
+# The spans' cuts of each replicate count on 2 and 3 CPUs: whole blocks of
+# _BLOCK (16) replicates, split as evenly as they go, the last block short.
+_SPAN_CUTS = {
+    2: {1: [0, 1], 15: [0, 15], 16: [0, 16], 17: [0, 16, 17],
+        33: [0, 16, 33], 4100: [0, 2048, 4100]},
+    3: {1: [0, 1], 15: [0, 15], 16: [0, 16], 17: [0, 16, 17],
+        33: [0, 16, 32, 33], 4100: [0, 1360, 2736, 4100]},
+}
+
+
 @pytest.mark.parametrize("chunk", [None, 32])
 def test_spans_give_the_one_span_estimates(monkeypatch, chunk):
     g, model, designs = _dense_instance()
-    replicate_counts = (1, 15, 16, 17, 33, 4100)
+    caller = threading.get_ident()
+    calls = _seed_calls(monkeypatch)
     # Below the work cut-off, one span on any machine.
-    threads = _span_threads(monkeypatch)
     expected = {}
     for i, d in enumerate(designs):
-        for replicates in replicate_counts:
+        for replicates in _SPAN_CUTS[2]:
+            calls.clear()
             expected[i, replicates] = run_simulation(
                 g, d, model, replicates, base_seed=5).estimates
-    assert len(threads) == 1
+            assert calls == [(start, stop, caller) for start, stop
+                             in _chunk_calls([0, replicates])]
     if chunk is not None:
         monkeypatch.setattr(simulate, "_SEED_CHUNK", chunk)
     monkeypatch.setattr(simulate, "_SPAN_PRODUCTS", 0)
@@ -527,16 +548,25 @@ def test_spans_give_the_one_span_estimates(monkeypatch, chunk):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for cpus in (2, 3):
+        for cpus, cut_table in _SPAN_CUTS.items():
             _cpus(monkeypatch, cpus)
             for i, d in enumerate(designs):
-                for replicates in replicate_counts:
-                    threads.clear()
+                for replicates, cuts in cut_table.items():
+                    calls.clear()
                     got = run_simulation(g, d, model, replicates,
                                          base_seed=5).estimates
                     assert np.array_equal(got, expected[i, replicates])
-                    blocks = -(-replicates // simulate._BLOCK)
-                    assert len(threads) == min(cpus, blocks)
+                    # Each span's first call gets the span's start. A pool
+                    # thread that is idle takes the next span, so spans
+                    # are not counted by thread.
+                    assert sorted(call[:2] for call in calls) == \
+                        _chunk_calls(cuts)
+                    # The caller's thread runs the first span, the pool
+                    # the others.
+                    assert all((thread == caller) == (start < cuts[1])
+                               for start, _, thread in calls)
+                    if len(cuts) > 2:
+                        assert len({call[2] for call in calls}) >= 2
     finally:
         sys.setswitchinterval(interval)
 
