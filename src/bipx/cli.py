@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import time
 import warnings
 from contextlib import contextmanager
@@ -38,7 +37,7 @@ import click
 import numpy as np
 
 from bipx import __version__
-from bipx.graph_core import (GraphError, filter_min_outcome_degree,
+from bipx.graph_core import (BipxError, filter_min_outcome_degree,
                              load_edge_list, load_snapshot, save_snapshot,
                              write_edge_list, write_id_maps)
 
@@ -111,16 +110,6 @@ def _usage_errors():
         raise click.UsageError(str(exc))
 
 
-def _bipx_errors():
-    """GraphError, OSError, and DesignError and ScenarioError if the
-    commands have imported their modules: a module that is not loaded has
-    raised no error."""
-    lazy = (("bipx.design", "DesignError"), ("bipx.simulate", "ScenarioError"))
-    return (GraphError, OSError,
-            *(getattr(sys.modules[module], name)
-              for module, name in lazy if module in sys.modules))
-
-
 class _Main(click.Group):
     """A bipx error, a file that cannot be read or written, or an input
     too large for memory ends in one line and exit 1; any other exception
@@ -129,9 +118,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        # An except clause's classes are looked up when an exception
-        # reaches it, so they include what the command imported.
-        except _bipx_errors() as exc:
+        except (BipxError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
         except MemoryError as exc:
             # numpy's names the allocation it refused; a bare one is empty.

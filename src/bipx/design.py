@@ -10,14 +10,13 @@ coin outcomes, which the tests check these against, is in bipx.oracle.
 
 from __future__ import annotations
 
-import operator
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from bipx.graph_core import TOKEN_PAD, Compressed, compress, \
+from bipx.graph_core import TOKEN_PAD, BipxError, Compressed, compress, \
     first_appearance_codes, id_keys, read_numbers, sum_rows, text_lines, \
     token_groups, tokenize, write_rows
 
@@ -32,7 +31,7 @@ BERNOULLI = "bernoulli"
 INDEPENDENT_CLUSTER = "independent-cluster"
 
 
-class DesignError(ValueError):
+class DesignError(BipxError, ValueError):
     pass
 
 
@@ -53,106 +52,26 @@ class DegenerateDesignError(DesignError):
 
 
 def derived_rng(base_seed, replicate):
-    """Replicate-indexed generator: deterministic and order-independent.
-
-    The per-replicate reference for derived_states, which the production
-    loop seeds from instead."""
-    return np.random.default_rng(np.random.SeedSequence([base_seed, replicate]))
-
-
-# numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64's 128-bit
-# LCG multiplier. NEP 19 keeps both streams fixed across numpy versions.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+    """The generator of replicate r = `replicate` of a simulation seeded by
+    base_seed: PCG64(SeedSequence([base_seed])) advanced to position
+    r * 2^64 of its one stream, so that a replicate's draws do not depend
+    on which replicates were drawn before it. base_seed is checked by
+    numpy's own SeedSequence; r must lie in [0, 2^64), since PCG64.advance
+    takes any integer and one outside would land on another replicate."""
+    if not 0 <= replicate < 1 << 64:
+        raise ValueError(f"replicate must be in [0, 2**64), got {replicate}")
+    bits = np.random.PCG64(np.random.SeedSequence([base_seed]))
+    return np.random.Generator(bits.advance(int(replicate) << 64))
 
 
-def _uint32_words(n):
-    """The little-endian 32-bit words of n >= 0 as SeedSequence splits an
-    int: [0] for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_sequence_state(entropy):
-    """SeedSequence(entropy).generate_state(8), one uint32 array per word,
-    for entropy given as uint32 arrays of one shape: its word i is the
-    i-th array. The hash constants do not depend on the data, so every
-    element is hashed by the same steps; uint32 arrays wrap as the C code
-    does."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-            for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const, state = _INIT_B, []
-    for i in range(8):
-        value = pool[i % _POOL] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state.append(value ^ (value >> 16))
-    return state
-
-
-def derived_states(base_seed, start, stop):
-    """The PCG64 (state, inc) of derived_rng(base_seed, r) for each r in
-    [start, stop), as Python ints, without building a generator per r.
-
-    The SeedSequence hash of [base_seed, r] runs over every r at once in
-    uint32 arithmetic, in runs of r that split into the same number of
-    32-bit words; PCG64's two set-seed LCG steps then run per r. base_seed
-    is checked by numpy's own SeedSequence, so a bad one raises its error;
-    of the other seeds SeedSequence takes, such as a str, only an int is
-    taken here.
-    """
-    np.random.SeedSequence([base_seed, start])
-    base = _uint32_words(operator.index(base_seed))
-    states = []
-    lo = start
-    while lo < stop:
-        n_words = len(_uint32_words(lo))
-        hi = min(stop, 1 << 32 * n_words)
-        r = np.arange(lo, hi, dtype=np.uint64)
-        entropy = [np.full(r.size, w, dtype=np.uint32) for w in base] + [
-            (r >> np.uint64(32 * i)).astype(np.uint32)
-            for i in range(n_words)]
-        w = [x.astype(np.uint64) for x in _seed_sequence_state(entropy)]
-        # generate_state(4, uint64) pairs the words little-endian; PCG64
-        # takes the first two as (high, low) of the seed, the last two as
-        # those of the stream.
-        halves = [(w[i] | w[i + 1] << np.uint64(32)).tolist()
-                  for i in range(0, 8, 2)]
-        for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves):
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT
-                     + inc) & _MASK128
-            states.append((state, inc))
-        lo = hi
-    return states
+def replicate_coins(rng, out):
+    """Fill each row of the float64 array out with one replicate's doubles,
+    starting at the replicate whose position rng is at (derived_rng), and
+    leave rng at the position of the replicate after the last row."""
+    skip = (1 << 64) - out.shape[1]
+    for row in out:
+        rng.random(out=row)
+        rng.bit_generator.advance(skip)
 
 
 def coin_signs(coins, p, out):

@@ -36,7 +36,12 @@ SNAPSHOT_MAGIC = b"BIPXGRF\x00"
 SNAPSHOT_VERSION = 1
 
 
-class GraphError(Exception):
+class BipxError(Exception):
+    """Base class of the errors bipx raises for bad input: the command line
+    ends each in one line and exit 1."""
+
+
+class GraphError(BipxError):
     """Base class for graph construction and query failures."""
 
 

@@ -10,8 +10,10 @@ Three outcome-model scenarios over a fixed graph:
 All Normal(mean, var) draws use the inverse CDF applied to a 53-bit
 uniform, so the stream is reproducible across library versions. A model
 is drawn exactly once per model_seed; replicates only redraw treatment
-assignments. A simulation report gives the Monte Carlo MSE; the phi
-sweep gives each design's exact MSE (bipx.estimator.mse) next to it.
+assignments, and replicate r of a simulation seeded by base_seed draws
+them from position r * 2^64 of one PCG64 stream (bipx.design.derived_rng).
+A simulation report gives the Monte Carlo MSE; the phi sweep gives each
+design's exact MSE (bipx.estimator.mse) next to it.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from typing import get_type_hints
 
 import numpy as np
 
-from bipx.design import DesignSpec, coin_signs, design_aggregates, \
-    derived_states
+from bipx.design import DesignSpec, coin_signs, derived_rng, \
+    design_aggregates, replicate_coins
 from bipx.estimator import OutcomeModel, erl_rows, mse as exact_mse, \
     true_ate
-from bipx.graph_core import scipy_csr, text_lines, write_rows
+from bipx.graph_core import BipxError, scipy_csr, text_lines, write_rows
 
 POSITIVE_TE = "PositiveTE"
 ZERO_TE = "ZeroTE"
@@ -49,11 +51,6 @@ _DEFAULTS = {
 # Replicates per block of run_simulation: one sparse product per block.
 _BLOCK = 16
 
-# Replicates whose generator states a span of run_simulation derives at
-# once, from the span's start; a multiple of _BLOCK, and it bounds the
-# memory the states take.
-_SEED_CHUNK = 4096
-
 # Multiply-adds of one block's sparse product, nnz(A) x _BLOCK, below which
 # run_simulation runs one span: below it the spans mostly wait for the
 # interpreter lock. On a 2-CPU machine two spans took 28 ms against 17.5
@@ -70,7 +67,7 @@ _SLICE = 1 << 16
 MAX_LINKAGE_UNITS = 5000
 
 
-class ScenarioError(ValueError):
+class ScenarioError(BipxError, ValueError):
     """Bad scenario kind, parameter, or file contents."""
 
 
@@ -324,9 +321,6 @@ def _replicate_span(agg, d, model, mom, base_seed, ests, start, stop, halt):
     generator and buffers; return early once halt is set, and set it on
     any exception."""
     n, k = agg.shape
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    state = bits.state
     coins = np.empty((_BLOCK, k), dtype=np.float64)
     # (k, b) and C-contiguous, so the sparse product reads it in place.
     signs_buf = np.empty(k * _BLOCK, dtype=np.float64)
@@ -334,17 +328,12 @@ def _replicate_span(agg, d, model, mom, base_seed, ests, start, stop, halt):
     x_buf = np.empty(rows * n, dtype=np.float64)
     y_buf = np.empty(rows * n, dtype=np.float64)
     try:
+        rng = derived_rng(base_seed, start)
         for lo in range(start, stop, _BLOCK):
             if halt.is_set():
                 return
-            if (lo - start) % _SEED_CHUNK == 0:
-                seeds = iter(derived_states(
-                    base_seed, lo, min(lo + _SEED_CHUNK, stop)))
             b = min(_BLOCK, stop - lo)
-            for row in range(b):
-                state["state"]["state"], state["state"]["inc"] = next(seeds)
-                bits.state = state
-                rng.random(out=coins[row])
+            replicate_coins(rng, coins[:b])
             signs = coin_signs(coins[:b].T, d.p,
                                out=signs_buf[:k * b].reshape(k, b))
             product = agg @ signs
@@ -374,10 +363,11 @@ def run_simulation(g, d, model, replicates, base_seed, *,
     boundaries, as many as _span_count allows; the caller's thread runs
     the first and a thread pool the others, and an exception in any span
     stops the others at their next block and is raised. No generator is
-    built per replicate: each span derives the PCG64 states of a chunk of
-    its replicates at once (derived_states) and sets its one generator to
-    each in turn. The exposures are agg @ signs over the design's cluster
-    aggregates, computed for a block of replicates per sparse product.
+    built per replicate: the replicates share one PCG64 stream, replicate
+    r's coins at its position r * 2^64, and each span advances one
+    generator from its first replicate to the next (replicate_coins).
+    The exposures are agg @ signs over the design's cluster aggregates,
+    computed for a block of replicates per sparse product.
     export_histogram bins the estimates.
     """
     if replicates < 1:

@@ -333,17 +333,18 @@ def test_simulate_outputs_and_determinism(workspace, runner):
 
 
 # sha256 of report.json, estimates.csv and histogram.csv of `bipx simulate`
-# on the workspace graph: they pin the replicates' coins, the RNG stream
-# seeded by (--seed, replicate), bit for bit.
+# on the workspace graph: they pin the replicates' coins bit for bit, the
+# one PCG64 stream seeded by --seed, replicate r's coins at its position
+# r * 2^64.
 SIMULATE_GOLDEN = {
     ("--clustering", "{c}"): (
-        "1e2d4a9df42bcbab9cdc8fa025392a2946fd376abfe0a3f6d996b5b2d57b1971",
-        "1895f28bd9ed08abebfaad2e0e311be1536062fc94cd681bbca4180c47010562",
-        "e7dd07be9ad9f7f7e3f84763247850e73a4977fce3f337dee1cc8c08de358378"),
+        "d2913e13416ec68986f01d4e7bcebb7cef618ac1fbe0aae0680ddbbbc2f1779c",
+        "3064d2c787bc52b9e4e0a06b3b409fb59f74167b6a8e32f1005e56101939e691",
+        "b59e141956b8b37c7096a8d55394fa67b5738be8d8d9399839ab6840a1ab7abd"),
     ("--bernoulli", "--p", "0.3"): (
-        "dbe59f7dcf5d08f6fb6a920b8748ea79d5afafa90dff81ea55aae01e47385556",
-        "2e03fd2b79a5cca8ac1d300b20a3af7a113357bf5f705532fcaafe95f8f5efbb",
-        "00c0f6015ec0b2a859559507f2e67c2209e1844a969e8f751283014660bf0bcf"),
+        "0b22a6b03fab43cb9b1ca661027510cac4515936f164e781c85148ddc7380506",
+        "9f79d850e2a5f2f2da082272758d49bf24739a4a11df741b1fd1aa4052c08114",
+        "43e96c482016fc7a56efc424fa8013268a1469a4b4355437fb09495a260bc86a"),
 }
 
 

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from bipx import design, estimator, simulate
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
                          cluster_aggregated_weights, coin_signs,
-                         derived_rng, derived_states, design_aggregates,
-                         exposure_moments, read_clustering,
-                         sample_assignment, write_clustering,
-                         write_moments_csv)
+                         derived_rng, design_aggregates, exposure_moments,
+                         read_clustering, replicate_coins, sample_assignment,
+                         write_clustering, write_moments_csv)
 from bipx.graph_core import BipartiteGraph, first_appearance_codes, scipy_csr
 from bipx.oracle import EnumerationTooLargeError, ExactMoments
 from instances import (nondegenerate_clustering, random_clustering,
@@ -268,23 +267,32 @@ def test_exact_moments_expect():
     assert exact.expect(lambda x: x[0]) == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("base_seed", [0, 1, 5, 2**32 - 1, 2**32,
-                                       2**64 + 3, 10**20])
-@pytest.mark.parametrize("start,stop", [(0, 16), (2**32 - 5, 2**32 + 5)])
-def test_derived_states_are_derived_rng_states(base_seed, start, stop):
-    states = [derived_rng(base_seed, r).bit_generator.state["state"]
-              for r in range(start, stop)]
-    assert derived_states(base_seed, start, stop) == [
-        (s["state"], s["inc"]) for s in states]
+def test_derived_rng_refuses_bad_seeds_and_replicates():
+    for base_seed in (-1, 1.5, None):
+        with pytest.raises(Exception) as numpy_error:
+            np.random.SeedSequence([base_seed])
+        with pytest.raises(type(numpy_error.value),
+                           match=re.escape(str(numpy_error.value))):
+            derived_rng(base_seed, 0)
+    # PCG64.advance takes these, and they would land on the positions of
+    # replicates 2^64 - 1, 0 and 0.
+    for replicate in (-1, 1 << 64, 1 << 128):
+        with pytest.raises(ValueError, match="replicate must be in"):
+            derived_rng(0, replicate)
+    derived_rng(0, (1 << 64) - 1)
 
 
-@pytest.mark.parametrize("base_seed", [-1, 1.5, None])
-def test_derived_states_refuse_what_seed_sequence_refuses(base_seed):
-    with pytest.raises(Exception) as numpy_error:
-        derived_rng(base_seed, 0)
-    with pytest.raises(type(numpy_error.value),
-                       match=re.escape(str(numpy_error.value))):
-        derived_states(base_seed, 0, 4)
+@pytest.mark.parametrize("first", [0, 2**32 - 2, 2**64 - 3])
+def test_replicate_coins_rows_are_derived_rng_draws(first):
+    rng = derived_rng(11, first)
+    out = np.empty((3, 7))
+    replicate_coins(rng, out)
+    for r, row in enumerate(out, start=first):
+        assert row.tobytes() == derived_rng(11, r).random(7).tobytes()
+    # rng is left at the next replicate; after the last, the stream wraps
+    # to replicate 0.
+    assert rng.bit_generator.state == \
+        derived_rng(11, (first + 3) % 2**64).bit_generator.state
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3])
@@ -393,7 +401,7 @@ def test_memoized_design_gives_the_bits_of_a_fresh_one():
 def test_degenerate_design_raises_on_every_call(monkeypatch):
     g, c, model = memo_instance()
     draws = []
-    monkeypatch.setattr(simulate, "derived_states",
+    monkeypatch.setattr(simulate, "derived_rng",
                         lambda *seeds: draws.append(seeds))
     d = DesignSpec.independent_cluster(c, 1e-12)
     for _ in range(2):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import io
 import re
 import struct
@@ -676,15 +677,35 @@ def test_only_token_groups_calls_token_array():
 
 
 def test_no_production_function_builds_a_generator_per_replicate():
-    # derived_rng builds a SeedSequence, a PCG64 and a Generator per call;
-    # run_simulation seeds one generator from derived_states instead, and
-    # derived_rng stays the per-replicate reference for tests and bench/.
+    # derived_rng builds a SeedSequence, a PCG64 and a Generator per call.
+    # run_simulation's spans call it once each, at the span's first
+    # replicate, and replicate_coins advances that one generator to each
+    # next replicate; derived_rng per replicate is the tests' and bench/'s
+    # reference.
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
     found = set()
     for module, tree in _package_trees():
+        in_loops = {id(node) for _, loop in _calls(tree, kind=loops)
+                    for node in ast.walk(loop)}
         for func, call in _calls(tree):
             name = getattr(call.func, "id", getattr(call.func, "attr", None))
             if name == "derived_rng":
-                found.add((module, func))
+                found.add((module, func, id(call) in in_loops))
+    assert found == {("simulate", "_replicate_span", False)}
+
+
+def test_every_error_class_of_the_package_is_a_bipx_error():
+    # The command line ends a BipxError in one line and exit 1; an error
+    # class outside it would end a bad input in a traceback.
+    from bipx.graph_core import BipxError
+    found = set()
+    for module, _ in _package_trees():
+        namespace = vars(importlib.import_module(f"bipx.{module}"))
+        found |= {(module, name) for name, obj in namespace.items()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == f"bipx.{module}"
+                  and not issubclass(obj, BipxError)}
     assert found == set()
 
 

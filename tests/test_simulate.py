@@ -10,8 +10,8 @@ import scipy.sparse as sp
 
 from bipx import simulate
 from bipx.design import (Clustering, DegenerateDesignError, DesignSpec,
-                         coin_signs, derived_rng, derived_states,
-                         exposure_moments, sample_assignment)
+                         coin_signs, derived_rng, exposure_moments,
+                         replicate_coins, sample_assignment)
 from bipx.estimator import OutcomeModel, erl_estimate, mse, respond
 from bipx.graph_core import BipartiteGraph, exposures, write_rows
 from bipx.simulate import (GRAPH_DEPENDENT, POSITIVE_TE, ZERO_TE,
@@ -265,15 +265,23 @@ def test_run_simulation_rejects_bad_replicates():
 
 
 def _count_replicate_seeds(monkeypatch):
-    """Record every replicate whose generator state run_simulation
-    derives."""
-    calls = []
+    """Record every replicate whose coins run_simulation draws: a span's
+    derived_rng call gives its first, and each row replicate_coins fills
+    the next."""
+    calls, at = [], {}
 
-    def counting(base_seed, start, stop):
-        calls.extend(range(start, stop))
-        return derived_states(base_seed, start, stop)
+    def seeding(base_seed, start):
+        rng = derived_rng(base_seed, start)
+        at[rng] = start
+        return rng
 
-    monkeypatch.setattr(simulate, "derived_states", counting)
+    def drawing(rng, out):
+        calls.extend(range(at[rng], at[rng] + len(out)))
+        at[rng] += len(out)
+        replicate_coins(rng, out)
+
+    monkeypatch.setattr(simulate, "derived_rng", seeding)
+    monkeypatch.setattr(simulate, "replicate_coins", drawing)
     return calls
 
 
@@ -326,10 +334,9 @@ def test_run_simulation_matches_replicate_loop(p):
                                    atol=1e-12 * np.abs(loop).max())
 
 
-# 40 replicates: two full blocks of 16 and a partial one, and in seed
-# chunks of 16 (a chunk is a multiple of the block) three chunks.
+# 40 replicates: two full blocks of 16 and a partial one.
 @pytest.mark.parametrize("constant,value", [
-    ("_BLOCK", 1), ("_BLOCK", 3), ("_SEED_CHUNK", 16), (None, None)])
+    ("_BLOCK", 1), ("_BLOCK", 3), (None, None)])
 def test_run_simulation_estimates_do_not_depend_on_block(
         monkeypatch, constant, value):
     g, _ = paired_pool_instance()
@@ -491,25 +498,16 @@ def _dense_instance():
 
 
 def _seed_calls(monkeypatch):
-    """Each derived_states call of run_simulation, as (start, stop,
-    thread)."""
+    """Each derived_rng call of run_simulation, as (start, thread): one per
+    span, at the span's first replicate."""
     calls = []
 
-    def recording(base_seed, start, stop):
-        calls.append((start, stop, threading.get_ident()))
-        return derived_states(base_seed, start, stop)
+    def recording(base_seed, start):
+        calls.append((start, threading.get_ident()))
+        return derived_rng(base_seed, start)
 
-    monkeypatch.setattr(simulate, "derived_states", recording)
+    monkeypatch.setattr(simulate, "derived_rng", recording)
     return calls
-
-
-def _chunk_calls(cuts):
-    """The (start, stop) of each derived_states call of spans cut at cuts:
-    a span derives its states in chunks from its own start."""
-    chunk = simulate._SEED_CHUNK
-    return sorted((lo, min(lo + chunk, stop))
-                  for start, stop in zip(cuts, cuts[1:])
-                  for lo in range(start, stop, chunk))
 
 
 def _cpus(monkeypatch, count):
@@ -527,8 +525,7 @@ _SPAN_CUTS = {
 }
 
 
-@pytest.mark.parametrize("chunk", [None, 32])
-def test_spans_give_the_one_span_estimates(monkeypatch, chunk):
+def test_spans_give_the_one_span_estimates(monkeypatch):
     g, model, designs = _dense_instance()
     caller = threading.get_ident()
     calls = _seed_calls(monkeypatch)
@@ -539,10 +536,7 @@ def test_spans_give_the_one_span_estimates(monkeypatch, chunk):
             calls.clear()
             expected[i, replicates] = run_simulation(
                 g, d, model, replicates, base_seed=5).estimates
-            assert calls == [(start, stop, caller) for start, stop
-                             in _chunk_calls([0, replicates])]
-    if chunk is not None:
-        monkeypatch.setattr(simulate, "_SEED_CHUNK", chunk)
+            assert calls == [(0, caller)]
     monkeypatch.setattr(simulate, "_SPAN_PRODUCTS", 0)
     # Three spans on a 2-CPU machine, and threads switched often.
     interval = sys.getswitchinterval()
@@ -556,17 +550,16 @@ def test_spans_give_the_one_span_estimates(monkeypatch, chunk):
                     got = run_simulation(g, d, model, replicates,
                                          base_seed=5).estimates
                     assert np.array_equal(got, expected[i, replicates])
-                    # Each span's first call gets the span's start. A pool
-                    # thread that is idle takes the next span, so spans
-                    # are not counted by thread.
-                    assert sorted(call[:2] for call in calls) == \
-                        _chunk_calls(cuts)
+                    # One call per span, at its start. A pool thread that
+                    # is idle takes the next span, so spans are not
+                    # counted by thread.
+                    assert sorted(start for start, _ in calls) == cuts[:-1]
                     # The caller's thread runs the first span, the pool
                     # the others.
-                    assert all((thread == caller) == (start < cuts[1])
-                               for start, _, thread in calls)
+                    assert all((thread == caller) == (start == 0)
+                               for start, thread in calls)
                     if len(cuts) > 2:
-                        assert len({call[2] for call in calls}) >= 2
+                        assert len({thread for _, thread in calls}) >= 2
     finally:
         sys.setswitchinterval(interval)
 
@@ -585,14 +578,14 @@ def test_a_failing_span_ends_the_call(monkeypatch, where, exc):
     raised = exc("span failed")
     failed = threading.Event()
 
-    def failing(base_seed, start, stop):
+    def failing(base_seed, start):
         # The caller's span starts at replicate 0, the pool's later. The
         # spans that do not fail start their first block once one has.
         if (start == 0) == (where == "caller"):
             failed.set()
             raise raised
         assert failed.wait(timeout=30)
-        return derived_states(base_seed, start, stop)
+        return derived_rng(base_seed, start)
 
     blocks = []
 
@@ -600,7 +593,7 @@ def test_a_failing_span_ends_the_call(monkeypatch, where, exc):
         blocks.append(1)
         return coin_signs(coins, p, out)
 
-    monkeypatch.setattr(simulate, "derived_states", failing)
+    monkeypatch.setattr(simulate, "derived_rng", failing)
     monkeypatch.setattr(simulate, "coin_signs", counting)
     before = threading.active_count()
     with pytest.raises(exc) as info:
